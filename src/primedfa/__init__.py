@@ -30,6 +30,7 @@ from .core import (
     enumerate_language,
     equivalent,
     index_of,
+    intersect_all,
     is_empty,
     is_finite_language,
     longest_word_length,
@@ -40,6 +41,7 @@ from .core import (
     run,
     serialize_dfa,
     to_dot,
+    trie_dfa,
 )
 from .factories import (
     IndexChain,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ from .core import (
     parse_dfa,
     serialize_dfa,
     to_dot,
+    trie_dfa,
 )
 from .factories import (
     length_cap_dfa,
@@ -186,6 +188,13 @@ def witness(dfa_file: str, as_json: bool) -> None:
     _emit(CommandReport("witness", [("witness", _render_word(w))]), as_json)
 
 
+def _file_safe(name: str) -> str:
+    """``name`` with every character outside letters, digits and ``_.()-``
+    replaced by ``_``, so no alphabet symbol can put a path separator into a
+    factor file name; names over ordinary letters pass through unchanged."""
+    return re.sub(r"[^A-Za-z0-9_.()-]", "_", name)
+
+
 _DECOMPOSERS = {
     "cap": intersection_decomposition,
     "cup": union_decomposition,
@@ -225,27 +234,20 @@ def decompose(
         return
     d = _DECOMPOSERS[mode](a, Caps(max_words=max_words, max_factors=max_factors))
     ok, diag = verify_decomposition(a, d)
-    fields = [
-        ("mode", d.mode),
-        ("bound", str(d.bound)),
-        ("factors", str(sum(len(t) for t in d.factors) if mode == "dnf" else len(d.factors))),
-    ]
+    terms = d.terms
+    placed = [(ti, fi, f) for ti, term in enumerate(terms) for fi, f in enumerate(term)]
+    fields = [("mode", d.mode), ("bound", str(d.bound)), ("factors", str(len(placed)))]
     if mode == "dnf":
-        fields.append(("terms", str(len(d.factors))))
+        fields.append(("terms", str(len(terms))))
     fields.append(("verified", str(ok).lower()))
     if diag:
         fields.append(("diagnostic", diag))
     if out_dir is not None:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if mode == "dnf":
-            for ti, term in enumerate(d.factors):
-                for fi, f in enumerate(term):
-                    name = f"term_{ti:03d}_factor_{fi:02d}_{f.name}.dfa"
-                    (out / name).write_text(serialize_dfa(f))
-        else:
-            for fi, f in enumerate(d.factors):
-                (out / f"factor_{fi:03d}_{f.name}.dfa").write_text(serialize_dfa(f))
+        for k, (ti, fi, f) in enumerate(placed):
+            stem = f"term_{ti:03d}_factor_{fi:02d}" if mode == "dnf" else f"factor_{k:03d}"
+            (out / f"{stem}_{_file_safe(f.name)}.dfa").write_text(serialize_dfa(f))
         fields.append(("out", str(out)))
     _emit(CommandReport("decompose", fields, EXIT_OK if ok else EXIT_NEGATIVE), as_json)
 
@@ -334,26 +336,6 @@ def dot(dfa_file: str) -> None:
     click.echo(to_dot(_load_dfa(dfa_file)), nl=False)
 
 
-def _trie_dfa(words: list[Word], alphabet: tuple[str, ...]) -> Dfa:
-    nodes: dict[Word, int] = {(): 0}
-    for w in words:
-        for i in range(1, len(w) + 1):
-            nodes.setdefault(w[:i], len(nodes))
-    sink = len(nodes)
-    delta = [[sink] * len(alphabet) for _ in range(sink + 1)]
-    for prefix, q in nodes.items():
-        for i, sym in enumerate(alphabet):
-            t = nodes.get(prefix + (sym,))
-            if t is not None:
-                delta[q][i] = t
-    return Dfa(
-        alphabet=alphabet,
-        delta=tuple(tuple(r) for r in delta),
-        initial=0,
-        accepting=frozenset(nodes[w] for w in words),
-    )
-
-
 def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...]):
     """All finite languages whose minimal DFA has index <= max_index, each
     as its minimal DFA: subsets of words of length <= max_index - 2."""
@@ -366,7 +348,7 @@ def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...]):
     ]
     for mask in range(1 << len(universe)):
         words = [universe[i] for i in range(len(universe)) if mask >> i & 1]
-        m = minimize(_trie_dfa(words, alphabet))
+        m = minimize(trie_dfa(words, alphabet))
         if m.state_count <= max_index:
             yield m
 
@@ -380,7 +362,7 @@ def _sweep_random(samples: int, seed: int, max_n: int, alphabet: tuple[str, ...]
         for _ in range(count):
             length = rng.randint(0, n)
             words.append(tuple(rng.choice(alphabet) for _ in range(length)))
-        yield minimize(_trie_dfa(sorted(set(words)), alphabet))
+        yield minimize(trie_dfa(sorted(set(words)), alphabet))
 
 
 @cli.command()
@@ -439,20 +421,6 @@ def sweep(
     _emit(report, as_json)
     for line in sorted(disagreements):
         click.echo(f"disagreement: {line}")
-
-
-def run_command(argv: list[str]) -> CommandReport:
-    """Programmatic entry point: runs the CLI on ``argv`` and captures the
-    report text and exit code."""
-    from click.testing import CliRunner
-
-    result = CliRunner().invoke(cli, argv, catch_exceptions=False)
-    code = result.exit_code
-    return CommandReport(
-        command=argv[0] if argv else "",
-        fields=[("output", result.output)],
-        exit_code=code,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
 
 EPSILON: Word = ()
+
+# Largest product ``intersect_all`` minimizes; minimizing is the costly step.
+MAX_FOLD_STATES = 10**4
 
 
 class DfaError(ValueError):
@@ -373,6 +377,29 @@ def minimize(a: Dfa) -> Dfa:
     return Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name)
 
 
+def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
+    """Minimal DFA of the intersection of ``dfas`` (all over ``alphabet``);
+    the all-accepting DFA when ``dfas`` is empty.  Raises
+    ``ResourceLimitError`` as soon as the product of a partial intersection
+    with the next DFA exceeds ``MAX_FOLD_STATES`` states, before minimizing
+    it."""
+    if any(f.alphabet != alphabet for f in dfas):
+        raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
+    if not dfas:
+        return all_accepting_dfa(alphabet)
+    # The first product subsumes minimizing the first DFA.
+    acc = dfas[0] if len(dfas) > 1 else minimize(dfas[0])
+    for f in dfas[1:]:
+        step = product(acc, f, "intersect")
+        if step.state_count > MAX_FOLD_STATES:
+            raise ResourceLimitError(
+                f"intersection fold reached {step.state_count} states, "
+                f"cap is {MAX_FOLD_STATES}"
+            )
+        acc = minimize(step)
+    return acc
+
+
 def index_of(a: Dfa) -> int:
     """Number of states of the canonical minimal DFA for L(a)."""
     return minimize(a).state_count
@@ -523,4 +550,25 @@ def empty_language_dfa(alphabet: tuple[str, ...]) -> Dfa:
         initial=0,
         accepting=frozenset(),
         name="empty",
+    )
+
+
+def trie_dfa(words, alphabet) -> Dfa:
+    """Prefix-tree DFA (plus rejecting sink) for an explicit finite language."""
+    nodes: dict[Word, int] = {(): 0}
+    for w in words:
+        for i in range(1, len(w) + 1):
+            nodes.setdefault(w[:i], len(nodes))
+    sink = len(nodes)
+    delta = [[sink] * len(alphabet) for _ in range(sink + 1)]
+    for prefix, q in nodes.items():
+        for i, sym in enumerate(alphabet):
+            t = nodes.get(prefix + (sym,))
+            if t is not None:
+                delta[q][i] = t
+    return Dfa(
+        alphabet=tuple(alphabet),
+        delta=tuple(tuple(r) for r in delta),
+        initial=0,
+        accepting=frozenset(nodes[w] for w in words),
     )

@@ -24,11 +24,14 @@ from functools import lru_cache
 from .classify import LinearProfile
 from .core import (
     Dfa,
+    DfaError,
     ResourceLimitError,
     Word,
     accepts,
     all_accepting_dfa,
+    empty_language_dfa,
     equivalent,
+    intersect_all,
     is_empty,
     longest_word_length,
     minimize,
@@ -258,7 +261,7 @@ def _refine(m: Dfa, selected: list, table) -> tuple[Dfa, Word | None]:
     rejecting member is folded in, which strictly shrinks the accumulator.
     Terminates with either acc == L(A) (composite) or a witness word that is
     the overall shortest (ties broken by alphabet order)."""
-    acc = minimize(all_accepting_dfa(m.alphabet))
+    acc = all_accepting_dfa(m.alphabet)
     while True:
         same, w = equivalent(acc, m)
         if same:
@@ -272,9 +275,7 @@ def _refine(m: Dfa, selected: list, table) -> tuple[Dfa, Word | None]:
         if not rej:
             return acc, w
         i = min(rej, key=lambda i: (table.pops[i], table.sizes[i], i))
-        acc = minimize(product(acc, table.reps[i], "intersect"))
-        if acc.state_count > 10**4:
-            raise ResourceLimitError("alpha accumulator exceeded 10^4 states")
+        acc = intersect_all([acc, table.reps[i]], m.alphabet)
 
 
 def alpha_intersection(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Dfa:
@@ -286,11 +287,8 @@ def alpha_intersection(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Dfa:
         return acc
     # Prime case: the refinement stops early, so fold in every remaining
     # member (tightest first) to reach the exact intersection.
-    for i in sorted(selected, key=lambda i: (table.pops[i], table.sizes[i], i)):
-        acc = minimize(product(acc, table.reps[i], "intersect"))
-        if acc.state_count > 10**4:
-            raise ResourceLimitError("alpha accumulator exceeded 10^4 states")
-    return acc
+    order = sorted(selected, key=lambda i: (table.pops[i], table.sizes[i], i))
+    return intersect_all([acc] + [table.reps[i] for i in order], a.alphabet)
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:
@@ -356,52 +354,30 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
 
 def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
     """Checks the size bounds of every factor and the exact language equality
-    of the combined factors with L(A).  Returns (ok, diagnostic)."""
-    m = minimize(a)
-
-    def flat_factors():
-        if d.mode == "dnf":
-            for term in d.factors:
-                yield from term
-        else:
-            yield from d.factors
-
-    for idx, f in enumerate(flat_factors()):
+    of the union of the intersection terms with L(A).  Returns (ok,
+    diagnostic)."""
+    try:
+        terms = d.terms
+    except DfaError as exc:
+        return False, str(exc)
+    strict = d.mode == "dnf"
+    for idx, f in enumerate(f for term in terms for f in term):
         if f.alphabet != a.alphabet:
             return False, f"factor {idx} ({f.name}): alphabet mismatch"
-        if d.mode == "dnf":
-            if f.state_count >= d.bound:
-                return False, (
-                    f"factor {idx} ({f.name}): size {f.state_count} not < {d.bound}"
-                )
-        elif f.state_count > d.bound:
+        if strict and f.state_count >= d.bound:
+            return False, (
+                f"factor {idx} ({f.name}): size {f.state_count} not < {d.bound}"
+            )
+        if not strict and f.state_count > d.bound:
             return False, (
                 f"factor {idx} ({f.name}): size {f.state_count} > {d.bound}"
             )
 
-    if d.mode == "intersection":
-        acc = all_accepting_dfa(a.alphabet)
-        for f in d.factors:
-            acc = minimize(product(acc, f, "intersect"))
-    elif d.mode == "union":
-        from .core import empty_language_dfa
+    acc = empty_language_dfa(a.alphabet)
+    for term in terms:
+        acc = minimize(product(acc, intersect_all(term, a.alphabet), "union"))
 
-        acc = empty_language_dfa(a.alphabet)
-        for f in d.factors:
-            acc = minimize(product(acc, f, "union"))
-    elif d.mode == "dnf":
-        from .core import empty_language_dfa
-
-        acc = empty_language_dfa(a.alphabet)
-        for term in d.factors:
-            t = all_accepting_dfa(a.alphabet)
-            for f in term:
-                t = minimize(product(t, f, "intersect"))
-            acc = minimize(product(acc, t, "union"))
-    else:
-        return False, f"unknown decomposition mode {d.mode!r}"
-
-    same, word = equivalent(acc, m)
+    same, word = equivalent(acc, minimize(a))
     if not same:
         rendered = " ".join(word) if word else "<epsilon>"
         return False, f"language mismatch at word: {rendered}"

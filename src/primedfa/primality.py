@@ -29,12 +29,10 @@ from .core import (
     complement,
     enumerate_language,
     index_of,
+    intersect_all,
     is_finite_language,
     longest_word_length,
-    minimize,
     is_empty,
-    product,
-    serialize_dfa,
 )
 from .factories import (
     all_index_chains,
@@ -71,11 +69,25 @@ class PrimalityVerdict:
 class Decomposition:
     """mode 'intersection'/'union': ``factors`` is a flat list of DFAs with
     size <= bound.  mode 'dnf': ``factors`` is a list of terms, each term a
-    list of DFAs intersected before the outer union, with size < bound."""
+    list of DFAs intersected before the outer union, with size < bound.
+
+    ``terms`` reads every mode as that DNF shape, a union of intersection
+    terms: one term holding all factors for 'intersection', one singleton
+    term per factor for 'union', ``factors`` itself for 'dnf'."""
 
     mode: str
     bound: int
     factors: list
+
+    @property
+    def terms(self) -> list[list[Dfa]]:
+        if self.mode == "intersection":
+            return [self.factors]
+        if self.mode == "union":
+            return [[f] for f in self.factors]
+        if self.mode == "dnf":
+            return self.factors
+        raise DfaError(f"unknown decomposition mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +156,11 @@ def intersection_witness(a: Dfa) -> Word:
 
 
 def _dedup(factors: list[Dfa]) -> list[Dfa]:
-    seen: set[str] = set()
-    out = []
+    """First factor of each transition structure; all share one alphabet."""
+    kept: dict[tuple, Dfa] = {}
     for f in factors:
-        key = serialize_dfa(
-            Dfa(f.alphabet, f.delta, f.initial, f.accepting, name="_")
-        )
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
+        kept.setdefault((f.delta, f.initial, f.accepting), f)
+    return list(kept.values())
 
 
 def _all_words(alphabet: tuple[str, ...], lengths, cap: int):
@@ -217,11 +224,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         )
 
     # Extension factors: words longer than n accepted by everything so far.
-    combined = minimize(factors[0])
-    for f in factors[1:]:
-        combined = minimize(product(combined, f, "intersect"))
-        if combined.state_count > 10**4:
-            raise ResourceLimitError("factor intersection accumulator too large")
+    combined = intersect_all(factors, alphabet)
     survivors = [
         w for w in enumerate_language(combined, max(n, 2 * n - 2)) if len(w) > n
     ]

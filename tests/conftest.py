@@ -7,30 +7,9 @@ import random
 
 import pytest
 
-from primedfa import Dfa, minimize
+from primedfa import Dfa, minimize, trie_dfa
 
 BINARY = ("0", "1")
-
-
-def trie_dfa(words, alphabet) -> Dfa:
-    """Prefix-tree DFA (plus rejecting sink) for an explicit finite language."""
-    nodes = {(): 0}
-    for w in words:
-        for i in range(1, len(w) + 1):
-            nodes.setdefault(w[:i], len(nodes))
-    sink = len(nodes)
-    delta = [[sink] * len(alphabet) for _ in range(sink + 1)]
-    for prefix, q in nodes.items():
-        for i, sym in enumerate(alphabet):
-            t = nodes.get(prefix + (sym,))
-            if t is not None:
-                delta[q][i] = t
-    return Dfa(
-        alphabet=tuple(alphabet),
-        delta=tuple(tuple(r) for r in delta),
-        initial=0,
-        accepting=frozenset(nodes[w] for w in words),
-    )
 
 
 def language_dfa(words, alphabet) -> Dfa:

@@ -166,6 +166,18 @@ class TestDecompose:
         assert "terms=" in r.stdout and "verified=true" in r.stdout
         assert sorted(out.glob("term_*.dfa"))
 
+    def test_factor_file_names_stay_inside_out_dir(self, tmp_path):
+        # letters ".." and "/" end up in factor names such as noseq_/..
+        doc = tmp_path / "slash.dfa"
+        doc.write_text(serialize_dfa(language_dfa([(), ("/",), ("..", "/")], ("..", "/"))))
+        out = tmp_path / "D"
+        r = run_cli(["decompose", "--mode=cap", "--out", str(out), str(doc)])
+        assert r.returncode == 0, r.stderr
+        assert "verified=true" in r.stdout
+        written = sorted(tmp_path.rglob("*.dfa"))
+        assert len(written) == 1 + int(r.stdout.split("factors=")[1].split()[0])
+        assert all(f.parent == out for f in written if f != doc)
+
     def test_prime_input_refused(self, fig4_file):
         r = run_cli(["decompose", "--mode=cap", fig4_file])
         assert r.returncode == 1
@@ -249,12 +261,3 @@ class TestSweep:
         assert a.returncode == 0
         assert a.stdout == b.stdout  # byte-identical for a fixed seed
         assert "seed=7" in a.stdout
-
-
-class TestRunCommand:
-    def test_programmatic_entry(self, fig4_file):
-        from primedfa.cli import run_command
-
-        rep = run_command(["prime", "--mode=cap", fig4_file])
-        assert rep.exit_code == 0
-        assert "status=Prime" in rep.fields[0][1]

@@ -13,6 +13,7 @@ from primedfa import (
     Dfa,
     DfaError,
     ParseError,
+    ResourceLimitError,
     accepts,
     all_accepting_dfa,
     complement,
@@ -20,10 +21,12 @@ from primedfa import (
     enumerate_language,
     equivalent,
     index_of,
+    intersect_all,
     is_empty,
     is_finite_language,
     longest_word_length,
     minimize,
+    mod_counter_dfa,
     parse_dfa,
     product,
     reachable_states,
@@ -150,6 +153,11 @@ class TestProduct:
         b = random_dfa(random.Random(5), 3, alphabet=("x", "y"))
         with pytest.raises(AlphabetMismatchError):
             product(a, b, "union")
+
+    def test_intersect_all_cap_names_cap_and_size(self):
+        # coprime counters: the intersection needs 101 * 103 = 10403 states
+        with pytest.raises(ResourceLimitError, match=r"10403 .*10000"):
+            intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
 
 
 class TestComplement:

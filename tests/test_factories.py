@@ -17,6 +17,7 @@ from primedfa import (
     factor_loop_zero,
     factor_skip,
     index_of,
+    intersect_all,
     length_cap_dfa,
     letter_count_dfa,
     linear_profile,
@@ -201,8 +202,6 @@ class TestExtensionFactors:
     def _survivors(p, d):
         """Words longer than n accepted by every non-extension factor family,
         i.e. exactly the words the extension construction must handle."""
-        from primedfa import product
-
         factors = [factor_loop_zero(p), factor_loop_d(p, d)]
         factors += [factor_chain(p, c) for c in all_index_chains(p.n)]
         for sym in p.alphabet:
@@ -215,9 +214,7 @@ class TestExtensionFactors:
         for w in all_words(p.alphabet, p.n):
             if len(w) == p.n and w not in max_n_words:
                 factors.append(subsequence_excluder(w, p.alphabet))
-        combined = factors[0]
-        for f in factors[1:]:
-            combined = minimize(product(combined, f, "intersect"))
+        combined = intersect_all(factors, p.alphabet)
         return [
             w
             for w in all_words(p.alphabet, max(p.n, 2 * p.n - 2))

@@ -17,6 +17,7 @@ from primedfa import (
     accepts,
     alpha_intersection,
     decide_intersection_primality,
+    dnf_decomposition,
     enumerate_dfas,
     equivalent,
     index_of,
@@ -24,6 +25,7 @@ from primedfa import (
     minimize,
     oracle_primality,
     singleton_dfa,
+    union_decomposition,
     verify_decomposition,
     verify_witness,
 )
@@ -137,8 +139,15 @@ class TestVerifyWitness:
 class TestVerifyDecomposition:
     def test_accepts_valid_decomposition(self):
         a = language_dfa([("a", "b"), ("b", "a")], AB)
-        ok, diag = verify_decomposition(a, intersection_decomposition(a))
-        assert ok and diag is None
+        cap = intersection_decomposition(a)
+        cup = union_decomposition(a)
+        dnf = dnf_decomposition(a)
+        assert cap.terms == [cap.factors]
+        assert cup.terms == [[f] for f in cup.factors]
+        assert dnf.terms == dnf.factors
+        for d in (cap, cup, dnf):
+            ok, diag = verify_decomposition(a, d)
+            assert ok and diag is None
 
     def test_rejects_alphabet_mismatch(self):
         a = language_dfa([("a",)], AB)

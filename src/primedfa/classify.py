@@ -47,12 +47,12 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
 
     Raises on DFAs recognizing the empty or an infinite language.
     """
-    n = longest_word_length(a)
+    m = minimize(a)
+    n = longest_word_length(m)
     if n is None:
         raise DfaError("linear_profile: input recognizes the empty language")
     if n == math.inf:
         raise DfaError("linear_profile: input recognizes an infinite language")
-    m = minimize(a)
     if m.state_count != n + 2:
         return None
 
@@ -192,15 +192,26 @@ def has_cep(p: LinearProfile) -> tuple[bool, Word | None]:
     if p.n == 1:
         return False, (p.sigma(0, 1)[0],)
 
+    # One row per position: per letter, whether every row so far moves
+    # strictly forward on it and the farthest target it reaches.
+    delta = p.base.delta
+    letters = range(len(p.alphabet))
+    forward = [True] * len(p.alphabet)
+    farthest = [0] * len(p.alphabet)
     word = [p.sigma(0, 1)[0]]
     for x in range(2, p.n + 1):
-        candidates = []
-        for sym in p.sigma(x - 1, x):
-            if all(i < p.delta(i, sym) < x for i in range(x - 1)):
-                candidates.append(sym)
-        if not candidates:
+        i = x - 2
+        for s in letters:
+            t = delta[i][s]
+            forward[s] = forward[s] and t > i
+            farthest[s] = max(farthest[s], t)
+        least = next(
+            (s for s in letters if delta[x - 1][s] == x and forward[s] and farthest[s] < x),
+            None,
+        )
+        if least is None:
             return True, None
-        word.append(candidates[0])
+        word.append(p.alphabet[least])
     return False, tuple(word)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -328,28 +328,49 @@ def reachable_states(a: Dfa) -> set[int]:
 
 def minimize(a: Dfa) -> Dfa:
     """Canonical minimal DFA: unreachable states dropped, equivalent states
-    merged by partition refinement, result renumbered in BFS discovery order
-    (letters in alphabet order).  Two language-equal DFAs minimize to
-    structurally identical results."""
+    merged, result renumbered in BFS discovery order (letters in alphabet
+    order).  Two language-equal DFAs minimize to structurally identical
+    results, and a result of ``minimize`` is returned as it is.
+
+    Which states are equivalent is found in one of two ways, chosen by the
+    input alone.  When the states that can reach an accepting state form an
+    acyclic graph (every DFA of a finite language), the remaining, dead
+    states form one class, and the others get classes in one reverse
+    topological pass keyed on acceptance and the classes of their successors
+    (Revuz 1992), in time linear in the transition table.  Otherwise Moore
+    partition refinement runs, one linear pass per round and up to as many
+    rounds as there are states."""
+    if getattr(a, "_minimal", False):
+        return a
     reach = sorted(reachable_states(a))
     pos = {q: i for i, q in enumerate(reach)}
-    delta = [[pos[a.delta[q][i]] for i in range(len(a.alphabet))] for q in reach]
+    delta = [[pos[t] for t in a.delta[q]] for q in reach]
     accepting = [q in a.accepting for q in reach]
     n = len(reach)
 
-    # Moore partition refinement.
-    block = [1 if acc else 0 for acc in accepting]
-    while True:
-        sigs: dict[tuple, int] = {}
-        new_block = [0] * n
-        for q in range(n):
-            sig = (block[q], tuple(block[t] for t in delta[q]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[q] = sigs[sig]
-        if new_block == block:
-            break
-        block = new_block
+    _, topo = _useful_order(delta, [q for q in range(n) if accepting[q]])
+    if topo is not None:
+        # Class 0 holds the dead states; a successor's class is known before
+        # its predecessors' because the pass runs against the edges.
+        block = [0] * n
+        classes: dict[tuple, int] = {}
+        for q in reversed(topo):
+            key = (accepting[q], tuple(block[t] for t in delta[q]))
+            block[q] = classes.setdefault(key, len(classes) + 1)
+    else:
+        # Moore partition refinement.
+        block = [1 if acc else 0 for acc in accepting]
+        while True:
+            sigs: dict[tuple, int] = {}
+            new_block = [0] * n
+            for q in range(n):
+                sig = (block[q], tuple(block[t] for t in delta[q]))
+                if sig not in sigs:
+                    sigs[sig] = len(sigs)
+                new_block[q] = sigs[sig]
+            if new_block == block:
+                break
+            block = new_block
 
     # BFS renumbering of blocks from the initial block.
     rep_delta: dict[int, list[int]] = {}
@@ -374,7 +395,9 @@ def minimize(a: Dfa) -> Dfa:
         tuple(number[t] for t in rep_delta[b]) for b in order
     )
     acc = frozenset(i for i, b in enumerate(order) if rep_accepting[b])
-    return Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name)
+    m = Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name)
+    object.__setattr__(m, "_minimal", True)
+    return m
 
 
 def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
@@ -441,21 +464,44 @@ def is_empty(a: Dfa) -> tuple[bool, Word | None]:
     return True, None
 
 
-def _useful_states(m: Dfa) -> set[int]:
-    """States of a trimmed DFA from which an accepting state is reachable."""
-    inverse: list[set[int]] = [set() for _ in range(m.state_count)]
-    for q in range(m.state_count):
-        for t in m.delta[q]:
-            inverse[t].add(q)
-    useful = set(m.accepting)
-    queue = deque(m.accepting)
-    while queue:
-        q = queue.popleft()
+def _useful_order(
+    delta: Sequence[Sequence[int]], accepting: Iterable[int]
+) -> tuple[list[bool], list[int] | None]:
+    """Which states of the transition table ``delta`` can reach one of
+    ``accepting`` (the useful states), and a topological order of the useful
+    states along the edges between them; the order is ``None`` when those
+    edges contain a cycle."""
+    k = len(delta)
+    inverse: list[list[int]] = [[] for _ in range(k)]
+    for q, row in enumerate(delta):
+        for t in row:
+            inverse[t].append(q)
+    useful = [False] * k
+    stack = list(accepting)
+    for q in stack:
+        useful[q] = True
+    while stack:
+        q = stack.pop()
         for p in inverse[q]:
-            if p not in useful:
-                useful.add(p)
-                queue.append(p)
-    return useful
+            if not useful[p]:
+                useful[p] = True
+                stack.append(p)
+
+    # Kahn's algorithm on the useful subgraph; leftovers lie on a cycle.
+    indeg = [0] * k
+    for q in range(k):
+        if useful[q]:
+            for t in delta[q]:
+                if useful[t]:
+                    indeg[t] += 1
+    order = [q for q in range(k) if useful[q] and indeg[q] == 0]
+    for q in order:
+        for t in delta[q]:
+            if useful[t]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    order.append(t)
+    return useful, (order if len(order) == sum(useful) else None)
 
 
 def longest_word_length(a: Dfa) -> int | float | None:
@@ -464,32 +510,16 @@ def longest_word_length(a: Dfa) -> int | float | None:
     m = minimize(a)
     if not m.accepting:
         return None
-    useful = _useful_states(m)
-
-    # Topological sort (Kahn) of the useful subgraph; leftovers mean a cycle
-    # on an initial-to-accepting path, i.e. an infinite language.
-    edges = {q: {t for t in m.delta[q] if t in useful} for q in useful}
-    indeg = {q: 0 for q in useful}
-    for q in useful:
-        for t in edges[q]:
-            indeg[t] += 1
-    queue = deque(q for q in useful if indeg[q] == 0)
-    topo: list[int] = []
-    while queue:
-        q = queue.popleft()
-        topo.append(q)
-        for t in edges[q]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if len(topo) != len(useful):
+    # A cycle among useful states lies on an initial-to-accepting path.
+    useful, topo = _useful_order(m.delta, m.accepting)
+    if topo is None:
         return math.inf
 
     # Acyclic: longest path from the initial state to an accepting state.
-    best: dict[int, int] = {}
+    best = [0] * m.state_count
     for q in reversed(topo):
         candidates = [0] if q in m.accepting else []
-        candidates.extend(1 + best[t] for t in edges[q])
+        candidates.extend(1 + best[t] for t in m.delta[q] if useful[t])
         best[q] = max(candidates)
     return best[m.initial]
 
@@ -498,9 +528,16 @@ def is_finite_language(a: Dfa) -> bool:
     return longest_word_length(a) != math.inf
 
 
-def enumerate_language(a: Dfa, max_len: int) -> list[Word]:
+def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[Word]:
     """All accepted words of length at most ``max_len``, in length-then-
-    alphabet order."""
+    alphabet order.
+
+    With a ``limit``, raises ``ResourceLimitError`` as soon as the words found
+    plus the pending prefixes exceed it.  Every pending prefix extends to an
+    accepted word of its own, so the error fires exactly when the language
+    has more than ``limit`` such words, and no more than about twice
+    ``limit`` words are ever held."""
+    cap = math.inf if limit is None else limit
     # Shortest distance from each state to an accepting state, for pruning.
     inverse: list[set[int]] = [set() for _ in range(a.state_count)]
     for q in range(a.state_count):
@@ -527,6 +564,11 @@ def enumerate_language(a: Dfa, max_len: int) -> list[Word]:
                     t = a.delta[q][i]
                     if dist.get(t, max_len + 1) <= max_len - length - 1:
                         next_frontier.append((word + (sym,), t))
+            if len(out) + len(next_frontier) > cap:
+                raise ResourceLimitError(
+                    f"language enumeration exceeded cap of {limit} after "
+                    f"{len(out) + len(next_frontier)} words"
+                )
         frontier = next_frontier
     return out
 

@@ -150,20 +150,13 @@ def _language_table(alphabet: tuple[str, ...], max_states: int):
     minimal representative each, with its acceptance signature.
 
     Returns a list of (size, signature, rep) sorted by (size, serialization);
-    the signature depth is 2 * max_states - 2 letters."""
+    the signature depth is 2 * max_states - 2 letters.  Callers check the
+    number of DFAs it stands for against their limits first."""
     width = len(alphabet)
-    budget = sum(
-        k ** (k * width) * 2**k for k in range(1, max_states + 1)
-    )
-    if budget > DEFAULT_LIMITS.max_enumerated_dfas:
-        raise ResourceLimitError(
-            f"language table for {max_states} states over {width} letters "
-            "exceeds the enumeration cap"
-        )
     depth = max(2 * max_states - 2, 1)
     _, parents = _word_tree(alphabet, depth)
 
-    by_key: dict[str, Dfa] = {}
+    by_key: dict[tuple, Dfa] = {}
     for k in range(1, max_states + 1):
         for flat in _canonical_tables(k, width):
             if not _all_reachable(k, width, flat):
@@ -174,11 +167,7 @@ def _language_table(alphabet: tuple[str, ...], max_states: int):
             for bits in itertools.product((False, True), repeat=k):
                 accepting = frozenset(q for q in range(k) if bits[q])
                 m = minimize(Dfa(alphabet, delta, 0, accepting))
-                key = serialize_dfa(
-                    Dfa(m.alphabet, m.delta, m.initial, m.accepting, name="_")
-                )
-                if key not in by_key:
-                    by_key[key] = m
+                by_key.setdefault((m.delta, m.accepting), m)
     reps = sorted(by_key.values(), key=lambda r: (r.state_count, serialize_dfa(r)))
     full = (1 << len(parents)) - 1
     sizes = [r.state_count for r in reps]
@@ -218,7 +207,15 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
             f"alpha computation needs factors up to {ind - 1} states, cap is "
             f"{limits.max_factor_states}"
         )
-    table = _language_table(a.alphabet, max(1, min(limits.max_factor_states, ind - 1)))
+    max_states = max(1, min(limits.max_factor_states, ind - 1))
+    width = len(a.alphabet)
+    budget = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
+    if budget > limits.max_enumerated_dfas:
+        raise ResourceLimitError(
+            f"language table for {max_states} states over {width} letters "
+            f"stands for {budget} automata, cap is {limits.max_enumerated_dfas}"
+        )
+    table = _language_table(a.alphabet, max_states)
     n = longest_word_length(m)
     sig_exact = isinstance(n, int) and n <= table.depth
     sig_m = _signature(m, table.parents) if sig_exact else None

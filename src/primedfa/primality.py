@@ -28,11 +28,11 @@ from .core import (
     Word,
     complement,
     enumerate_language,
-    index_of,
     intersect_all,
     is_finite_language,
     longest_word_length,
     is_empty,
+    minimize,
 )
 from .factories import (
     all_index_chains,
@@ -104,11 +104,12 @@ def _require_finite(a: Dfa, op: str) -> None:
 
 
 def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
-    _require_finite(a, "decide_intersection_primality")
-    empty, _ = is_empty(a)
+    m = minimize(a)
+    _require_finite(m, "decide_intersection_primality")
+    empty, _ = is_empty(m)
     if empty:
         return PrimalityVerdict(PRIME, "empty-language")
-    p = linear_profile(a)
+    p = linear_profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)
@@ -119,7 +120,7 @@ def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
             witness=_uniform_witness(p, sigma),
             notes=f"uniform letter {sigma}",
         )
-    if not is_safety(a):
+    if not is_safety(m):
         return PrimalityVerdict(COMPOSITE, "non-safety")
     cep, breach = has_cep(p)
     if cep:
@@ -176,23 +177,24 @@ def _all_words(alphabet: tuple[str, ...], lengths, cap: int):
 
 
 def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
-    v = decide_intersection_primality(a)
+    m = minimize(a)
+    v = decide_intersection_primality(m)
     if v.is_prime:
         raise DfaError("intersection_decomposition: input is prime")
-    bound = index_of(a) - 1
+    bound = m.state_count - 1
     alphabet = a.alphabet
-    n = longest_word_length(a)
+    n = longest_word_length(m)
     assert isinstance(n, int)
 
     if v.branch == "non-linear":
-        accepted = set(enumerate_language(a, n))
+        accepted = set(enumerate_language(m, n, caps.max_words))
         factors: list[Dfa] = [length_cap_dfa(n, alphabet)]
         for w in _all_words(alphabet, range(n + 1), caps.max_words):
             if w not in accepted:
                 factors.append(complement(singleton_dfa(w, alphabet)))
         return Decomposition("intersection", bound, _dedup(factors))
 
-    p = linear_profile(a)
+    p = linear_profile(m)
     assert p is not None
     factors = [factor_loop_zero(p)]
     chains = [factor_chain(p, c) for c in all_index_chains(n)]
@@ -213,7 +215,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         positions = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
         assert positions, "no uniform max word implies a gap for every letter"
         factors.append(factor_letter_position(p, sym, max(positions)))
-    accepted_n = set(w for w in enumerate_language(a, n) if len(w) == n)
+    accepted_n = set(w for w in enumerate_language(m, n) if len(w) == n)
     for w in _all_words(alphabet, [n], caps.max_words):
         if w not in accepted_n:
             factors.append(subsequence_excluder(w, alphabet))
@@ -238,32 +240,33 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
 
 
 def decide_union_primality(a: Dfa) -> PrimalityVerdict:
-    _require_finite(a, "decide_union_primality")
-    if is_empty(a)[0]:
+    m = minimize(a)
+    _require_finite(m, "decide_union_primality")
+    if is_empty(m)[0]:
         raise DfaError("decide_union_primality: input recognizes the empty language")
-    if linear_profile(a) is None:
+    if linear_profile(m) is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     return PrimalityVerdict(PRIME, "linear")
 
 
 def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
-    v = decide_union_primality(a)
+    m = minimize(a)
+    v = decide_union_primality(m)
     if v.is_prime:
         raise DfaError("union_decomposition: input is union-prime")
-    n = longest_word_length(a)
+    n = longest_word_length(m)
     assert isinstance(n, int)
-    words = enumerate_language(a, n)
-    if len(words) > caps.max_factors:
-        raise ResourceLimitError("union factor count exceeds cap")
+    words = enumerate_language(m, n, caps.max_factors)
     factors = [singleton_dfa(w, a.alphabet) for w in words]
-    return Decomposition("union", index_of(a) - 1, _dedup(factors))
+    return Decomposition("union", m.state_count - 1, _dedup(factors))
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
-    _require_finite(a, "decide_dnf_primality")
-    if is_empty(a)[0]:
+    m = minimize(a)
+    _require_finite(m, "decide_dnf_primality")
+    if is_empty(m)[0]:
         raise DfaError("decide_dnf_primality: input recognizes the empty language")
-    p = linear_profile(a)
+    p = linear_profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)
@@ -273,18 +276,17 @@ def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
 
 
 def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
-    v = decide_dnf_primality(a)
+    m = minimize(a)
+    v = decide_dnf_primality(m)
     if v.is_prime:
         raise DfaError("dnf_decomposition: input is DNF-prime")
-    n = longest_word_length(a)
+    n = longest_word_length(m)
     assert isinstance(n, int)
-    words = enumerate_language(a, n)
-    if len(words) > caps.max_factors:
-        raise ResourceLimitError("dnf term count exceeds cap")
+    words = enumerate_language(m, n, caps.max_factors)
 
     if v.branch == "non-linear":
         terms = [[singleton_dfa(w, a.alphabet)] for w in words]
-        return Decomposition("dnf", index_of(a), terms)
+        return Decomposition("dnf", m.state_count, terms)
 
     # linear without a uniform max word: short words stay singletons, each
     # longest word becomes {w}* intersected with an exact letter count.
@@ -301,26 +303,27 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
                     letter_count_dfa(sigma, count, a.alphabet),
                 ]
             )
-    return Decomposition("dnf", index_of(a), terms)
+    return Decomposition("dnf", m.state_count, terms)
 
 
 def decide_s_primality(a: Dfa) -> PrimalityVerdict:
     """Size-based primality: supported for finite languages and for simple
     co-safety DFAs (where it reduces to minimality)."""
-    if is_finite_language(a):
-        if a.state_count > index_of(a):
+    m = minimize(a)
+    if is_finite_language(m):
+        if a.state_count > m.state_count:
             return PrimalityVerdict(
                 COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"
             )
-        inner = decide_intersection_primality(a)
+        inner = decide_intersection_primality(m)
         return PrimalityVerdict(
             inner.status,
             inner.branch,
             witness=inner.witness,
             notes="size equals index; size-based and index-based notions coincide",
         )
-    if is_simple_cosafety(a):
-        if a.state_count > index_of(a):
+    if is_simple_cosafety(m):
+        if a.state_count > m.state_count:
             return PrimalityVerdict(
                 COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"
             )

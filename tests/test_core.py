@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,19 @@ from primedfa import (
     run,
     serialize_dfa,
     to_dot,
+    trie_dfa,
 )
-from conftest import BINARY, all_words, language_dfa, random_dfa
+from conftest import BINARY, all_words, language_dfa, random_dfa, random_finite_dfa
+
+
+def _shuffled(a: Dfa, rng: random.Random) -> Dfa:
+    """``a`` with its state ids permuted at random."""
+    perm = list(range(a.state_count))
+    rng.shuffle(perm)
+    rows = [()] * a.state_count
+    for q, row in enumerate(a.delta):
+        rows[perm[q]] = tuple(perm[t] for t in row)
+    return Dfa(a.alphabet, tuple(rows), perm[a.initial], frozenset(perm[q] for q in a.accepting))
 
 VALID_DOC = """\
 dfa sample
@@ -180,9 +192,12 @@ class TestComplement:
 class TestMinimize:
     def test_idempotent(self):
         rng = random.Random(13)
-        for _ in range(100):
-            m = minimize(random_dfa(rng, 6))
-            assert minimize(m) == m
+        for i in range(100):
+            for a in (random_dfa(rng, 6), random_finite_dfa(rng)):
+                m = minimize(replace(a, name=f"r{i}"))
+                assert m.name == f"r{i}"
+                again = minimize(m)
+                assert again == m and again.name == m.name
 
     def test_canonical_for_equal_languages(self):
         rng = random.Random(17)
@@ -199,12 +214,28 @@ class TestMinimize:
             assert minimize(a).delta == minimize(padded).delta
             assert minimize(a).accepting == minimize(padded).accepting
             assert minimize(b).delta == minimize(a).delta
+        for _ in range(100):
+            # finite languages: a trie and a minimal DFA, ids shuffled
+            words = [
+                tuple(rng.choice(BINARY) for _ in range(rng.randint(0, 5)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            for a in (trie_dfa(sorted(set(words)), BINARY), random_finite_dfa(rng)):
+                m, want = minimize(_shuffled(a, rng)), minimize(a)
+                assert (m.delta, m.initial, m.accepting) == (
+                    want.delta, want.initial, want.accepting
+                )
 
     def test_duplicate_sinks_merge(self):
+        # accepting sinks lie on cycles of useful states: Moore refinement
         a = Dfa(BINARY, ((1, 2), (1, 1), (2, 2)), 0, frozenset({1, 2}))
         m = minimize(a)
         sinks = [q for q in range(m.state_count) if all(t == q for t in m.delta[q])]
         assert len([q for q in sinks if q in m.accepting]) == 1
+        # L = {0}: the dead 2-cycle 2 <-> 3 and the sink 4 become one sink
+        a = Dfa(BINARY, ((1, 4), (2, 3), (3, 2), (2, 2), (4, 4)), 0, frozenset({1}))
+        m = minimize(a)
+        assert m.delta == ((1, 2), (2, 2), (2, 2)) and m.accepting == {1}
 
     def test_index_examples(self, fig4):
         assert index_of(fig4) == 5

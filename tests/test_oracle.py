@@ -101,6 +101,13 @@ class TestOraclePrimality:
         with pytest.raises(ResourceLimitError):
             oracle_primality(a, OracleLimits(max_factor_states=4))
 
+    def test_enumeration_cap(self):
+        # index 4: the table of 3-state languages stands for 5,898 automata
+        a = language_dfa([("0", "1")], BINARY)
+        oracle_primality(a)  # a table built under the default cap is cached
+        with pytest.raises(ResourceLimitError, match="5898 automata, cap is 10"):
+            oracle_primality(a, OracleLimits(max_enumerated_dfas=10))
+
 
 class TestAlphaIntersection:
     def test_composite_alpha_equals_language(self):

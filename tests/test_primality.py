@@ -9,8 +9,10 @@ import pytest
 from primedfa import (
     COMPOSITE,
     PRIME,
+    Caps,
     Dfa,
     DfaError,
+    ResourceLimitError,
     accepts,
     decide_dnf_primality,
     decide_intersection_primality,
@@ -253,3 +255,27 @@ class TestWitnessSoundness:
                 continue
             assert verify_witness(a, v.witness)
             checked += 1
+
+
+class TestDecompositionCaps:
+    # {a} | {a,b}^16: non-linear, 65,537 words
+    WIDE = Dfa(
+        AB,
+        ((18, 1),) + tuple((i + 1, i + 1) for i in range(1, 17)) + ((17, 17), (2, 2)),
+        0,
+        frozenset({16, 18}),
+    )
+
+    @pytest.mark.parametrize(
+        "decompose, caps",
+        [
+            (intersection_decomposition, Caps(max_words=100)),
+            (union_decomposition, Caps(max_factors=100)),
+            (dnf_decomposition, Caps(max_factors=100)),
+        ],
+    )
+    def test_cap_fires_while_enumerating(self, decompose, caps):
+        with pytest.raises(ResourceLimitError, match="cap of 100 after") as err:
+            decompose(self.WIDE, caps)
+        seen = int(str(err.value).split()[-2])  # "... after <seen> words"
+        assert 100 < seen <= 200

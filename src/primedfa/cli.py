@@ -336,9 +336,11 @@ def dot(dfa_file: str) -> None:
     click.echo(to_dot(_load_dfa(dfa_file)), nl=False)
 
 
-def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...]):
+def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...], cap: int):
     """All finite languages whose minimal DFA has index <= max_index, each
-    as its minimal DFA: subsets of words of length <= max_index - 2."""
+    as its minimal DFA: subsets of words of length <= max_index - 2.
+    Raises ``ResourceLimitError`` before the first one when there are more
+    than ``cap`` subsets."""
     import itertools
 
     universe = [
@@ -346,6 +348,11 @@ def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...]):
         for length in range(max(max_index - 1, 1))
         for w in itertools.product(alphabet, repeat=length)
     ]
+    if 1 << len(universe) > cap:
+        raise ResourceLimitError(
+            f"sweep: the exhaustive family has {1 << len(universe)} word "
+            f"subsets, cap is {cap}"
+        )
     for mask in range(1 << len(universe)):
         words = [universe[i] for i in range(len(universe)) if mask >> i & 1]
         m = minimize(trie_dfa(words, alphabet))
@@ -387,11 +394,11 @@ def sweep(
     """Compare the characterization against the brute-force oracle over an
     instance family; deterministic for fixed flags and seed."""
     letters = ("0", "1", "2", "3", "4", "5")[:alphabet_size]
+    limits = OracleLimits(max_factor_states=max_factor_states)
     if family == "exhaustive":
-        instances = _sweep_exhaustive(max_index, letters)
+        instances = _sweep_exhaustive(max_index, letters, limits.max_enumerated_dfas)
     else:
         instances = _sweep_random(samples, seed, max_n, letters)
-    limits = OracleLimits(max_factor_states=max_factor_states)
     total = agreements = skipped = 0
     disagreements: list[str] = []
     for m in instances:

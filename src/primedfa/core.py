@@ -11,6 +11,7 @@ import math
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 Word = tuple[str, ...]
 
@@ -53,10 +54,7 @@ class Dfa:
     name: str = field(default="dfa", compare=False)
 
     def __post_init__(self) -> None:
-        if not self.alphabet:
-            raise DfaError("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise DfaError("alphabet has duplicate symbols")
+        _check_alphabet(self.alphabet)
         k = len(self.delta)
         if k == 0:
             raise DfaError("DFA needs at least one state")
@@ -84,6 +82,24 @@ class Dfa:
 
     def step(self, state: int, letter: str) -> int:
         return self.delta[state][self.letter_index(letter)]
+
+
+@lru_cache(maxsize=1024)  # programs use a handful of alphabets
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Rejects alphabets that do not serialize and parse back: empty, with
+    duplicate symbols, or with a symbol that is empty, holds whitespace (the
+    text format splits on it) or holds ``#`` (it starts a comment).  Runs
+    once per distinct alphabet; a rejected one raises again each time."""
+    if not alphabet:
+        raise DfaError("alphabet must be nonempty")
+    if len(set(alphabet)) != len(alphabet):
+        raise DfaError("alphabet has duplicate symbols")
+    for sym in alphabet:
+        if not isinstance(sym, str) or sym.split() != [sym] or "#" in sym:
+            raise DfaError(
+                f"alphabet symbol {sym!r} is not a nonempty string free of "
+                "whitespace and '#'"
+            )
 
 
 def run(a: Dfa, w: Word) -> int:
@@ -339,9 +355,15 @@ def minimize(a: Dfa) -> Dfa:
     topological pass keyed on acceptance and the classes of their successors
     (Revuz 1992), in time linear in the transition table.  Otherwise Moore
     partition refinement runs, one linear pass per round and up to as many
-    rounds as there are states."""
+    rounds as there are states.
+
+    The result is kept on the input, so minimizing the same DFA object
+    again costs nothing."""
     if getattr(a, "_minimal", False):
         return a
+    cached = getattr(a, "_minimized", None)
+    if cached is not None:
+        return cached
     reach = sorted(reachable_states(a))
     pos = {q: i for i, q in enumerate(reach)}
     delta = [[pos[t] for t in a.delta[q]] for q in reach]
@@ -397,6 +419,7 @@ def minimize(a: Dfa) -> Dfa:
     acc = frozenset(i for i, b in enumerate(order) if rep_accepting[b])
     m = Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name)
     object.__setattr__(m, "_minimal", True)
+    object.__setattr__(a, "_minimized", m)
     return m
 
 

@@ -8,16 +8,19 @@ the difference is a primality witness.
 ``enumerate_dfas`` is the literal enumeration of all complete k-state DFAs.
 The alpha computations do not loop over that raw stream: intersecting the
 same language twice changes nothing, so they work from a cached table of
-*distinct languages* of small DFAs (canonically numbered transition tables,
-minimized, deduplicated).  Selection and first-line comparisons use exact
-acceptance bitmasks over all words up to a fixed depth; anything the masks
-cannot settle falls back to exact product/minimize computation.  Verdicts
-are identical to the literal definition, just reachable on a desk.
+*distinct languages* of small DFAs, one minimal representative ("rep")
+each.  The table is bit-sliced: every set of reps is one integer mask, bit
+i standing for rep i, and one primitive, ``accept_mask``, runs a word on
+all reps at once and returns the mask of those that accept it.  Alpha
+selection is the AND of the accept masks of the words of a finite L(A);
+an infinite L(A) is settled by one product per rep.  Verdicts are
+identical to the literal definition, just reachable on a desk.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +36,7 @@ from .core import (
     equivalent,
     intersect_all,
     is_empty,
-    longest_word_length,
+    is_finite_language,
     minimize,
     product,
     run,
@@ -46,7 +49,6 @@ from .primality import COMPOSITE, PRIME, Decomposition, PrimalityVerdict
 class OracleLimits:
     max_factor_states: int = 4
     max_enumerated_dfas: int = 2 * 10**6
-    max_check_length: int | None = None  # defaults to 2 * index at use sites
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -73,45 +75,8 @@ def enumerate_dfas(k: int, alphabet: tuple[str, ...], limits: OracleLimits = DEF
 
 
 # ---------------------------------------------------------------------------
-# Cached table of distinct small-DFA languages
+# Cached table of distinct small-DFA languages, as bit-sliced masks
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _word_tree(alphabet: tuple[str, ...], depth: int):
-    """Breadth-first tree of all words of length <= depth.
-
-    Returns (words, parents) where ``words[i]`` is the i-th word in
-    length-then-alphabet order and ``parents[i] = (parent_index, letter_pos)``
-    for i > 0.  Bit i of a language signature refers to ``words[i]``."""
-    words: list[Word] = [()]
-    parents: list[tuple[int, int]] = [(-1, -1)]
-    level = [0]
-    for _ in range(depth):
-        nxt = []
-        for idx in level:
-            for pos, sym in enumerate(alphabet):
-                words.append(words[idx] + (sym,))
-                parents.append((idx, pos))
-                nxt.append(len(words) - 1)
-        level = nxt
-    return words, parents
-
-
-def _signature(a: Dfa, parents) -> int:
-    """Acceptance bitmask of ``a`` over the word tree."""
-    states = [0] * len(parents)
-    states[0] = a.initial
-    sig = 0
-    acc = a.accepting
-    delta = a.delta
-    for i in range(len(parents)):
-        if i:
-            parent, pos = parents[i]
-            states[i] = delta[states[parent]][pos]
-        if states[i] in acc:
-            sig |= 1 << i
-    return sig
 
 
 def _canonical_tables(k: int, width: int):
@@ -144,19 +109,96 @@ def _all_reachable(k: int, width: int, flat) -> bool:
     return len(seen) == k
 
 
-@lru_cache(maxsize=None)
-def _language_table(alphabet: tuple[str, ...], max_states: int):
-    """Every distinct language of a DFA with <= max_states states, one
-    minimal representative each, with its acceptance signature.
+def _signatures(k: int, width: int, flat, depth: int) -> list[int]:
+    """Acceptance bitmask over all words of length <= depth (bit i is the
+    i-th word in length-then-alphabet order) of the table ``flat`` under
+    each accepting set; entry s is for the set whose bit q is in s."""
+    at = [0] * k  # words that reach each state
+    level = [0]
+    bit = 0
+    for length in range(depth + 1):
+        if length:
+            level = [flat[q * width + x] for q in level for x in range(width)]
+        for q in level:
+            at[q] |= 1 << bit
+            bit += 1
+    sigs = [0] * (1 << k)
+    for s in range(1, 1 << k):
+        low = s & -s
+        sigs[s] = sigs[s ^ low] | at[low.bit_length() - 1]
+    return sigs
 
-    Returns a list of (size, signature, rep) sorted by (size, serialization);
-    the signature depth is 2 * max_states - 2 letters.  Callers check the
-    number of DFAs it stands for against their limits first."""
+
+def _mask(members: Iterable[int], size: int) -> int:
+    """The mask with bit i set for every i in ``members`` (all < size)."""
+    digits = bytearray(b"0" * size)
+    for i in members:
+        digits[size - 1 - i] = ord("1")
+    return int(digits, 2)
+
+
+def _members(mask: int) -> list[int]:
+    """Set bits of ``mask``, lowest first."""
+    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
+
+
+@dataclass(frozen=True)
+class _LangTable:
+    """Every distinct language of a DFA with <= max_states states, one
+    minimal rep each, tightest first: ordered by the number of words up to
+    length 2 * max_states - 2 the language accepts, then by size, then by
+    serialization.  Bit i of every mask stands for ``reps[i]``."""
+
+    reps: list
+    letters: dict  # symbol -> letter position
+    trans: tuple  # trans[q][x]: pairs (t, reps whose state q goes to t on x)
+    final: tuple  # final[q]: reps whose state q accepts
+    smaller: tuple  # smaller[k]: reps with fewer than k states
+
+    def start(self, among: int) -> list[int]:
+        """Run vector of the reps in ``among`` before any letter: entry q is
+        the mask of the reps currently in state q."""
+        return [among] + [0] * (len(self.final) - 1)
+
+    def step(self, states: list[int], x: int) -> list[int]:
+        """Run vector after one more letter, the letter at position x."""
+        nxt = [0] * len(states)
+        for q, here in enumerate(states):
+            if here:
+                for t, moving in self.trans[q][x]:
+                    nxt[t] |= here & moving
+        return nxt
+
+    def accepted(self, states: list[int]) -> int:
+        out = 0
+        for here, fin in zip(states, self.final):
+            out |= here & fin
+        return out
+
+    def accept_mask(self, w: Word) -> int:
+        """The reps that accept ``w``: one bit-sliced run over all reps."""
+        states = self.start(self.smaller[-1])
+        for sym in w:
+            states = self.step(states, self.letters[sym])
+        return self.accepted(states)
+
+
+@lru_cache(maxsize=None)
+def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
+    """The language table for DFAs with <= max_states states.
+
+    Two DFAs with at most max_states states that recognize different
+    languages differ on a word of length <= 2 * max_states - 2, so the
+    acceptance signature over those words is an exact language key, and the
+    first candidate of each key is its rep.  It needs no minimizing: sizes
+    run upwards, so it has as many states as the minimal DFA, all reachable,
+    and its canonical numbering is the BFS numbering ``minimize`` gives.
+    Callers check the number of DFAs the table stands for against their
+    limits first."""
     width = len(alphabet)
     depth = max(2 * max_states - 2, 1)
-    _, parents = _word_tree(alphabet, depth)
 
-    by_key: dict[tuple, Dfa] = {}
+    by_sig: dict[int, Dfa] = {}
     for k in range(1, max_states + 1):
         for flat in _canonical_tables(k, width):
             if not _all_reachable(k, width, flat):
@@ -164,29 +206,47 @@ def _language_table(alphabet: tuple[str, ...], max_states: int):
             delta = tuple(
                 tuple(flat[q * width : (q + 1) * width]) for q in range(k)
             )
-            for bits in itertools.product((False, True), repeat=k):
-                accepting = frozenset(q for q in range(k) if bits[q])
-                m = minimize(Dfa(alphabet, delta, 0, accepting))
-                by_key.setdefault((m.delta, m.accepting), m)
-    reps = sorted(by_key.values(), key=lambda r: (r.state_count, serialize_dfa(r)))
-    full = (1 << len(parents)) - 1
-    sizes = [r.state_count for r in reps]
-    sigs = [_signature(r, parents) for r in reps]
-    nsigs = [full & ~s for s in sigs]
-    pops = [bin(s).count("1") for s in sigs]
-    return _LangTable(sizes, sigs, nsigs, pops, reps, depth, parents, full)
+            for s, sig in enumerate(_signatures(k, width, flat, depth)):
+                if sig not in by_sig:
+                    accepting = frozenset(q for q in range(k) if s >> q & 1)
+                    by_sig[sig] = Dfa(alphabet, delta, 0, accepting)
+    order = sorted(
+        by_sig.items(),
+        key=lambda e: (e[0].bit_count(), e[1].state_count, serialize_dfa(e[1])),
+    )
+    reps = [r for _, r in order]
 
-
-@dataclass(frozen=True)
-class _LangTable:
-    sizes: list
-    sigs: list
-    nsigs: list
-    pops: list
-    reps: list
-    depth: int
-    parents: list
-    full: int
+    n = len(reps)
+    moves: dict[tuple[int, int, int], list[int]] = {}
+    finals: list[list[int]] = [[] for _ in range(max_states)]
+    for i, r in enumerate(reps):
+        for q, row in enumerate(r.delta):
+            for x, t in enumerate(row):
+                moves.setdefault((q, x, t), []).append(i)
+        for q in r.accepting:
+            finals[q].append(i)
+    trans = tuple(
+        tuple(
+            tuple(
+                (t, _mask(moves[q, x, t], n))
+                for t in range(max_states)
+                if (q, x, t) in moves
+            )
+            for x in range(width)
+        )
+        for q in range(max_states)
+    )
+    smaller = tuple(
+        _mask((i for i, r in enumerate(reps) if r.state_count < k), n)
+        for k in range(max_states + 2)
+    )
+    return _LangTable(
+        reps=reps,
+        letters={sym: x for x, sym in enumerate(alphabet)},
+        trans=trans,
+        final=tuple(_mask(f, n) for f in finals),
+        smaller=smaller,
+    )
 
 
 def _contains(container: Dfa, contained: Dfa) -> bool:
@@ -196,10 +256,10 @@ def _contains(container: Dfa, contained: Dfa) -> bool:
 
 
 def _alpha_members(a: Dfa, limits: OracleLimits):
-    """Indices (into the language table) of the alpha(A) representatives:
-    one per distinct language with fewer states than ind(A) containing
-    L(A).  Containment is settled by signature masks when L(A) fits inside
-    the signature depth, and by exact products otherwise."""
+    """The mask (over the language table) of the alpha(A) reps: one per
+    distinct language with fewer states than ind(A) containing L(A).  For a
+    finite L(A) it is the AND of the accept masks of its words, walked with
+    shared prefixes; an infinite L(A) takes one exact product per rep."""
     m = minimize(a)
     ind = m.state_count
     if ind - 1 > limits.max_factor_states:
@@ -216,95 +276,72 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
             f"stands for {budget} automata, cap is {limits.max_enumerated_dfas}"
         )
     table = _language_table(a.alphabet, max_states)
-    n = longest_word_length(m)
-    sig_exact = isinstance(n, int) and n <= table.depth
-    sig_m = _signature(m, table.parents) if sig_exact else None
+    selected = table.smaller[ind]
 
-    sizes, nsigs = table.sizes, table.nsigs
-    if sig_exact:
-        selected = [
-            i
-            for i in range(len(sizes))
-            if sizes[i] < ind and not (sig_m & nsigs[i])
-        ]
-    else:
-        selected = [
-            i
-            for i in range(len(sizes))
-            if sizes[i] < ind and _contains(table.reps[i], m)
-        ]
-    return m, selected, table, sig_m
+    if not is_finite_language(m):
+        reps = table.reps
+        contain = (i for i in _members(selected) if _contains(reps[i], m))
+        return m, _mask(contain, len(reps)), table
 
-
-def _word_bit(alphabet: tuple[str, ...], w: Word) -> int:
-    """Index of ``w`` in the length-then-alphabet word order (the bit the
-    word occupies in a signature)."""
-    k = len(alphabet)
-    offset = sum(k**j for j in range(len(w)))
-    pos = {sym: i for i, sym in enumerate(alphabet)}
-    rank = 0
-    for sym in w:
-        rank = rank * k + pos[sym]
-    return offset + rank
+    # The only dead state of a minimal finite-language DFA is its sink; every
+    # other state lies on an accepted word, and no path through them cycles.
+    dead = {
+        q
+        for q, row in enumerate(m.delta)
+        if q not in m.accepting and all(t == q for t in row)
+    }
+    stack = [(m.initial, table.start(selected))]
+    while stack:
+        q, states = stack.pop()
+        if q in m.accepting:
+            selected &= table.accepted(states)
+        for x, t in enumerate(m.delta[q]):
+            if t not in dead:
+                stack.append((t, table.step(states, x)))
+    return m, selected, table
 
 
-def _refine(m: Dfa, selected: list, table) -> tuple[Dfa, Word | None]:
+def _refine(m: Dfa, selected: int, table: _LangTable) -> tuple[Dfa, Word | None]:
     """Counterexample-driven intersection refinement.
 
     Keeps an accumulator that always contains the alpha intersection (it is
     the intersection of a subset of the members).  Each round takes the
     shortest word in acc \\ L(A): if no member rejects it, the word lies in
     the full intersection and certifies primality; otherwise the tightest
-    rejecting member is folded in, which strictly shrinks the accumulator.
-    Terminates with either acc == L(A) (composite) or a witness word that is
-    the overall shortest (ties broken by alphabet order)."""
+    rejecting member (the lowest bit) is folded in, which strictly shrinks
+    the accumulator.  Terminates with either acc == L(A) (composite) or a
+    witness word that is the overall shortest (ties broken by alphabet
+    order)."""
     acc = all_accepting_dfa(m.alphabet)
     while True:
         same, w = equivalent(acc, m)
         if same:
             return acc, None
         assert w is not None
-        if len(w) <= table.depth:
-            bit = 1 << _word_bit(m.alphabet, w)
-            rej = [i for i in selected if not (table.sigs[i] & bit)]
-        else:
-            rej = [i for i in selected if not accepts(table.reps[i], w)]
-        if not rej:
+        rejecting = selected & ~table.accept_mask(w)
+        if not rejecting:
             return acc, w
-        i = min(rej, key=lambda i: (table.pops[i], table.sizes[i], i))
-        acc = intersect_all([acc, table.reps[i]], m.alphabet)
+        tightest = table.reps[(rejecting & -rejecting).bit_length() - 1]
+        acc = intersect_all([acc, tightest], m.alphabet)
 
 
 def alpha_intersection(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Dfa:
     """Minimal DFA of the intersection of all alpha(A) languages; the empty
     intersection (only possible at index 1) is the all-accepting DFA."""
-    m, selected, table, _ = _alpha_members(a, limits)
+    m, selected, table = _alpha_members(a, limits)
     acc, witness = _refine(m, selected, table)
     if witness is None:
         return acc
-    # Prime case: the refinement stops early, so fold in every remaining
-    # member (tightest first) to reach the exact intersection.
-    order = sorted(selected, key=lambda i: (table.pops[i], table.sizes[i], i))
-    return intersect_all([acc] + [table.reps[i] for i in order], a.alphabet)
+    # Prime case: the refinement stops early, so fold in every member
+    # (tightest first) to reach the exact intersection.
+    members = [table.reps[i] for i in _members(selected)]
+    return intersect_all([acc] + members, a.alphabet)
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:
     """Definitional verdict: Composite iff the alpha intersection equals
     L(A); otherwise Prime with the shortest difference word as witness."""
-    m, selected, table, sig_m = _alpha_members(a, limits)
-
-    if sig_m is not None:
-        inter_sig = table.full
-        sigs = table.sigs
-        for i in selected:
-            inter_sig &= sigs[i]
-        extra = inter_sig & ~sig_m
-        if extra:
-            words, _ = _word_tree(a.alphabet, table.depth)
-            witness = words[(extra & -extra).bit_length() - 1]
-            return PrimalityVerdict(PRIME, "oracle", witness=witness)
-        # masks agree up to the signature depth; settle exactly below
-
+    m, selected, table = _alpha_members(a, limits)
     _, witness = _refine(m, selected, table)
     if witness is None:
         return PrimalityVerdict(COMPOSITE, "oracle")
@@ -316,8 +353,8 @@ def verify_witness(a: Dfa, w: Word, limits: OracleLimits = DEFAULT_LIMITS) -> bo
     member, i.e. by the alpha intersection."""
     if accepts(a, w):
         return False
-    _, selected, table, _ = _alpha_members(a, limits)
-    return all(accepts(table.reps[i], w) for i in selected)
+    _, selected, table = _alpha_members(a, limits)
+    return not (selected & ~table.accept_mask(w))
 
 
 def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:

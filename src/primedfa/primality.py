@@ -103,13 +103,21 @@ def _require_finite(a: Dfa, op: str) -> None:
         raise DfaError(f"{op}: input recognizes an infinite language")
 
 
+def _profile(m: Dfa) -> LinearProfile | None:
+    """``linear_profile`` of the minimal DFA ``m``, kept on ``m`` so the
+    decisions on one input compute it once."""
+    if not hasattr(m, "_linear_profile"):
+        object.__setattr__(m, "_linear_profile", linear_profile(m))
+    return m._linear_profile
+
+
 def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
     m = minimize(a)
     _require_finite(m, "decide_intersection_primality")
     empty, _ = is_empty(m)
     if empty:
         return PrimalityVerdict(PRIME, "empty-language")
-    p = linear_profile(m)
+    p = _profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)
@@ -194,7 +202,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
                 factors.append(complement(singleton_dfa(w, alphabet)))
         return Decomposition("intersection", bound, _dedup(factors))
 
-    p = linear_profile(m)
+    p = _profile(m)
     assert p is not None
     factors = [factor_loop_zero(p)]
     chains = [factor_chain(p, c) for c in all_index_chains(n)]
@@ -244,7 +252,7 @@ def decide_union_primality(a: Dfa) -> PrimalityVerdict:
     _require_finite(m, "decide_union_primality")
     if is_empty(m)[0]:
         raise DfaError("decide_union_primality: input recognizes the empty language")
-    if linear_profile(m) is None:
+    if _profile(m) is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     return PrimalityVerdict(PRIME, "linear")
 
@@ -266,7 +274,7 @@ def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
     _require_finite(m, "decide_dnf_primality")
     if is_empty(m)[0]:
         raise DfaError("decide_dnf_primality: input recognizes the empty language")
-    p = linear_profile(m)
+    p = _profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)

@@ -252,6 +252,12 @@ class TestSweep:
         assert r.returncode == 0
         assert "disagreements=0" in r.stdout
 
+    def test_exhaustive_sweep_capped_before_enumerating(self):
+        # 31 binary words of length <= 4: 2^31 subsets against the 2*10^6 cap
+        r = run_cli(["sweep", "--max-index", "6"])
+        assert r.returncode == 2 and r.stdout == ""
+        assert "2147483648" in r.stderr and "cap is 2000000" in r.stderr
+
     def test_random_sweep_deterministic(self):
         args = [
             "sweep", "--family", "random", "--samples", "40",

@@ -99,6 +99,17 @@ class TestParseSerialize:
         assert parse_dfa(serialize_dfa(a)) == a
         assert serialize_dfa(parse_dfa(serialize_dfa(a))) == serialize_dfa(a)
 
+    def test_symbols_that_cannot_round_trip_are_rejected(self):
+        delta = ((0, 0),)
+        for sym in ("a b", "", "x#y", " a", "a\n", "\t", 1):
+            for _ in range(2):  # rejected again, not remembered as checked
+                with pytest.raises(DfaError, match="alphabet symbol"):
+                    Dfa(("0", sym), delta, 0, frozenset())
+        with pytest.raises(DfaError, match="duplicate"):
+            Dfa(("a", "a"), delta, 0, frozenset())
+        a = Dfa(("a1", "(x)", "\u00e9"), ((0, 0, 0),), 0, frozenset({0}))
+        assert parse_dfa(serialize_dfa(a)) == a
+
     def test_isomorphic_but_renumbered_serialize_differently(self):
         a = Dfa(BINARY, ((1, 1), (1, 1)), 0, frozenset({1}))
         b = Dfa(BINARY, ((0, 0), (0, 0)), 1, frozenset({0}))
@@ -198,6 +209,11 @@ class TestMinimize:
                 assert m.name == f"r{i}"
                 again = minimize(m)
                 assert again == m and again.name == m.name
+
+    def test_result_kept_on_input(self):
+        a = trie_dfa([("0",), ("0", "1")], BINARY)
+        m = minimize(a)
+        assert m is not a and minimize(a) is m and minimize(m) is m
 
     def test_canonical_for_equal_languages(self):
         rng = random.Random(17)

@@ -24,12 +24,13 @@ from primedfa import (
     intersection_decomposition,
     minimize,
     oracle_primality,
+    serialize_dfa,
     singleton_dfa,
     union_decomposition,
     verify_decomposition,
     verify_witness,
 )
-from primedfa.oracle import _word_bit, _word_tree
+from primedfa.oracle import _language_table, _members
 from conftest import BINARY, all_words, language_dfa, random_finite_dfa
 
 AB = ("a", "b")
@@ -50,16 +51,76 @@ class TestEnumeration:
             list(enumerate_dfas(6, ("a", "b", "c")))
 
 
-class TestWordIndexing:
-    def test_word_bit_matches_tree_order(self):
-        words, _ = _word_tree(BINARY, 3)
-        for i, w in enumerate(words):
-            assert _word_bit(BINARY, w) == i
+def _word_counts(rep: Dfa, depth: int) -> int:
+    """Number of words of length <= depth that ``rep`` accepts."""
+    here = [0] * rep.state_count
+    here[rep.initial] = 1
+    total = 0
+    for length in range(depth + 1):
+        if length:
+            nxt = [0] * rep.state_count
+            for q, count in enumerate(here):
+                for t in rep.delta[q]:
+                    nxt[t] += count
+            here = nxt
+        total += sum(here[q] for q in rep.accepting)
+    return total
 
-    def test_word_bit_three_letters(self):
-        words, _ = _word_tree(("a", "b", "c"), 2)
-        for i, w in enumerate(words):
-            assert _word_bit(("a", "b", "c"), w) == i
+
+TABLES = [(BINARY, 4), (("a", "b", "c"), 3)]
+
+
+class TestLanguageTable:
+    @pytest.mark.parametrize("alphabet,max_states", TABLES)
+    def test_accept_mask_matches_per_rep_runs(self, alphabet, max_states):
+        table = _language_table(alphabet, max_states)
+        rng = random.Random(404)
+        lengths = [0, 1, 2 * max_states - 1, 20] + [rng.randint(0, 20) for _ in range(6)]
+        for length in lengths:  # most beyond the signature depth 2 * max_states - 2
+            w = tuple(rng.choice(alphabet) for _ in range(length))
+            got = table.accept_mask(w)
+            for i, rep in enumerate(table.reps):
+                assert (got >> i & 1) == accepts(rep, w), (w, i)
+
+    @pytest.mark.parametrize("alphabet,max_states", TABLES)
+    def test_reps_are_distinct_minimal_and_tightest_first(self, alphabet, max_states):
+        table = _language_table(alphabet, max_states)
+        reps = table.reps
+        assert len(reps) == {BINARY: 57068, ("a", "b", "c"): 42042}[alphabet]
+        assert len({(r.delta, r.accepting) for r in reps}) == len(reps)
+        depth = 2 * max_states - 2
+        keys = [(_word_counts(r, depth), r.state_count, serialize_dfa(r)) for r in reps]
+        assert keys == sorted(keys)
+        for i, r in enumerate(reps):
+            m = minimize(r)
+            assert (m.delta, m.initial, m.accepting) == (r.delta, r.initial, r.accepting)
+        for k, mask in enumerate(table.smaller):
+            assert _members(mask) == [i for i, r in enumerate(reps) if r.state_count < k]
+
+
+class TestParentWitnesses:
+    """Witnesses and witness checks pinned to the per-rep oracle's answers."""
+
+    def test_prime5(self, prime5):
+        w = ("a", "a", "b", "b")
+        assert oracle_primality(prime5).witness == w
+        assert verify_witness(prime5, w)
+        assert verify_witness(prime5, decide_intersection_primality(prime5).witness)
+
+    def test_unary_epsilon_a(self):
+        unary = language_dfa([(), ("a",)], ("a",))
+        assert oracle_primality(unary).witness == ("a", "a")
+        assert verify_witness(unary, ("a", "a")) and verify_witness(unary, ("a",) * 3)
+        assert not verify_witness(unary, ("a",)) and not verify_witness(unary, ())
+
+    def test_uniform_witness_beyond_signature_depth(self):
+        # index 5, so the table's signatures reach length 6
+        a = language_dfa([(), ("0",), ("0", "0", "0")], BINARY)
+        v = oracle_primality(a)
+        assert index_of(a) == 5
+        assert v.status == PRIME and v.witness == ("0",) * 7
+        assert verify_witness(a, ("0",) * 7)
+        assert not verify_witness(a, ("0",) * 6) and not verify_witness(a, ("0",) * 8)
 
 
 class TestOraclePrimality:

@@ -241,6 +241,30 @@ class TestSPrimality:
             decide_s_primality(mod_counter_dfa(3))
 
 
+class TestAnalyzeOnce:
+    def test_four_decisions_profile_one_input_once(self, fig4, monkeypatch):
+        import primedfa.primality as primality
+
+        profiled = []
+        real = primality.linear_profile
+        monkeypatch.setattr(
+            primality, "linear_profile", lambda m: profiled.append(m) or real(m)
+        )
+        # an unmarked copy, as a parsed document would be
+        a = Dfa(fig4.alphabet, fig4.delta, fig4.initial, fig4.accepting)
+        verdicts = [
+            decide(a)
+            for decide in (
+                decide_intersection_primality,
+                decide_union_primality,
+                decide_dnf_primality,
+                decide_s_primality,
+            )
+        ]
+        assert [v.status for v in verdicts] == [PRIME, PRIME, COMPOSITE, PRIME]
+        assert len(profiled) == 1 and profiled[0] is minimize(a)
+
+
 class TestWitnessSoundness:
     def test_random_prime_witnesses_verify(self):
         rng = random.Random(999)

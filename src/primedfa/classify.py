@@ -1,6 +1,11 @@
 """Structural predicates for minimal acyclic DFAs over finite languages:
-linearity (with the letter-partition profile), safety / co-safety shape,
-uniform max-length words, and the compression-extension property (CEP).
+linearity, safety / co-safety shape, uniform max-length words, and the
+compression-extension property (CEP).
+
+A linear minimal DFA is profiled once (``linear_profile``): its longest-word
+length n and the DFA renumbered along its longest word, from which the
+letter partition (the sets Sigma_{i,j} of letters moving q_i to q_j) is read
+off the transition rows.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from .core import (
     Dfa,
     DfaError,
     Word,
+    _useful_order,
     complement,
     longest_word_length,
     minimize,
@@ -20,32 +26,43 @@ from .core import (
 
 @dataclass(frozen=True)
 class LinearProfile:
-    """Canonical form of a minimal linear acyclic DFA.
+    """A minimal linear acyclic DFA, renumbered along its longest word.
 
-    States are relabeled q0..q_{n+1} so that q_j is reachable from q_i for
-    all i < j; q0 is initial, q_n is the deepest accepting state and q_{n+1}
-    the rejecting sink.  ``sigma_sets[(i, j)]`` is the set of letters moving
-    q_i to q_j (kept in alphabet order); entries exist only for i < j.
-    ``base`` is the relabeled minimal DFA itself (state ids == profile ids).
+    ``base`` is the minimal DFA with states relabeled q0..q_{n+1}: q0 is
+    initial, q0..q_n are the states the longest words pass through, q_n is
+    accepting and q_{n+1} the rejecting sink.  Every transition of q_i with
+    i <= n leads to some q_j with j > i, so q_j is reachable from q_i for all
+    i < j.  ``alphabet`` and ``accepting`` are those of ``base``.
     """
 
     n: int
-    alphabet: tuple[str, ...]
-    sigma_sets: dict[tuple[int, int], tuple[str, ...]]
-    accepting: frozenset[int]
     base: Dfa
 
-    def sigma(self, i: int, j: int) -> tuple[str, ...]:
-        return self.sigma_sets.get((i, j), ())
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.base.alphabet
 
-    def delta(self, i: int, letter: str) -> int:
-        return self.base.delta[i][self.base.letter_index(letter)]
+    @property
+    def accepting(self) -> frozenset[int]:
+        return self.base.accepting
+
+    def sigma(self, i: int, j: int) -> tuple[str, ...]:
+        """Letters moving q_i to q_j, in alphabet order; empty unless i < j."""
+        if not 0 <= i < j <= self.n + 1:
+            return ()
+        return tuple(
+            sym for sym, t in zip(self.base.alphabet, self.base.delta[i]) if t == j
+        )
 
 
 def linear_profile(a: Dfa) -> LinearProfile | None:
     """Profile of the minimal DFA when it is linear, else ``None``.
 
-    Raises on DFAs recognizing the empty or an infinite language.
+    The minimal DFA of a non-empty finite language with longest words of
+    length n has at least n + 2 states: the n + 1 states a longest word
+    passes through and the dead sink.  It is linear exactly when it has no
+    other state.  Raises on DFAs recognizing the empty or an infinite
+    language.
     """
     m = minimize(a)
     n = longest_word_length(m)
@@ -56,67 +73,31 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
     if m.state_count != n + 2:
         return None
 
-    # Reachability totally orders the states of a linear minimal ADFA;
-    # recover the order by topologically sorting the non-self-loop edges.
-    k = m.state_count
-    succ = [set() for _ in range(k)]
-    for q in range(k):
-        for t in m.delta[q]:
-            if t != q:
-                succ[q].add(t)
-    indeg = [0] * k
-    for q in range(k):
-        for t in succ[q]:
-            indeg[t] += 1
-    order: list[int] = []
-    frontier = [q for q in range(k) if indeg[q] == 0]
-    while len(frontier) == 1:
-        q = frontier.pop()
-        order.append(q)
-        for t in succ[q]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                frontier.append(t)
-    if len(order) != k:
-        return None
-
+    # The useful states all lie on one path, so their topological order is
+    # that path; the dead sink comes last.
+    useful, order = _useful_order(m.delta, m.accepting)
+    order.extend(q for q in range(n + 2) if not useful[q])
     relabel = {old: new for new, old in enumerate(order)}
     base = Dfa(
         alphabet=m.alphabet,
-        delta=tuple(
-            tuple(relabel[m.delta[old][i]] for i in range(len(m.alphabet)))
-            for old in order
-        ),
+        delta=tuple(tuple(relabel[t] for t in m.delta[old]) for old in order),
         initial=relabel[m.initial],
         accepting=frozenset(relabel[q] for q in m.accepting),
         name=m.name,
     )
 
     # Structural sanity: these hold for every linear minimal ADFA.
+    delta = base.delta
     assert base.initial == 0
     assert n in base.accepting and (n + 1) not in base.accepting
-    assert all(t == n + 1 for t in base.delta[n + 1]), "last state must be a sink"
+    assert all(t == n + 1 for t in delta[n + 1]), "last state must be a sink"
+    assert all(
+        t > i for i in range(n + 1) for t in delta[i]
+    ), "linear profile transitions must be strictly forward"
+    assert all(i + 1 in delta[i] for i in range(n)), "spine letters must exist below q_n"
+    assert all(t == n + 1 for t in delta[n])
 
-    sigma_sets: dict[tuple[int, int], tuple[str, ...]] = {}
-    for i in range(n + 2):
-        for idx, sym in enumerate(base.alphabet):
-            j = base.delta[i][idx]
-            if i == n + 1:
-                continue
-            assert j > i, "linear profile transitions must be strictly forward"
-            sigma_sets.setdefault((i, j), ())
-            sigma_sets[(i, j)] += (sym,)
-    for i in range(n):
-        assert sigma_sets.get((i, i + 1)), "spine letters must exist below q_n"
-    assert sigma_sets.get((n, n + 1)) == base.alphabet
-
-    return LinearProfile(
-        n=n,
-        alphabet=base.alphabet,
-        sigma_sets=sigma_sets,
-        accepting=frozenset(q for q in base.accepting),
-        base=base,
-    )
+    return LinearProfile(n=n, base=base)
 
 
 def is_safety(a: Dfa) -> bool:

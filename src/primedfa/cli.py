@@ -8,6 +8,7 @@ Every command prints a flat ``key=value`` report (mirrorable as JSON with
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import random
 import re
@@ -32,8 +33,6 @@ from .core import (
     Word,
     equivalent,
     index_of,
-    is_empty,
-    is_finite_language,
     longest_word_length,
     minimize,
     parse_dfa,
@@ -55,7 +54,7 @@ from .gadgets import (
     primefin_gadget,
     sprime_gadget,
 )
-from .oracle import OracleLimits, oracle_primality
+from .oracle import OracleLimits, oracle_primality, verify_decomposition
 from .primality import (
     Caps,
     decide_dnf_primality,
@@ -117,32 +116,28 @@ def cli() -> None:
 def classify(dfa_file: str, as_json: bool) -> None:
     """Structural summary: finiteness, index, linearity, safety, CEP."""
     a = _load_dfa(dfa_file)
-    fields: list[tuple[str, str]] = []
-    finite = is_finite_language(a)
-    empty = is_empty(a)[0]
-    fields.append(("finite", str(finite).lower()))
-    fields.append(("empty", str(empty).lower()))
-    fields.append(("index", str(index_of(a))))
     n = longest_word_length(a)
-    fields.append(("n", "none" if n is None else (str(n) if isinstance(n, int) else "inf")))
-    if finite and not empty:
+    fields = [
+        ("finite", str(n != math.inf).lower()),
+        ("empty", str(n is None).lower()),
+        ("index", str(index_of(a))),
+        ("n", "none" if n is None else (str(n) if isinstance(n, int) else "inf")),
+    ]
+    p = None
+    if isinstance(n, int):
         p = linear_profile(a)
         fields.append(("linear", str(p is not None).lower()))
-        fields.append(("safety", str(is_safety(a)).lower()))
-        fields.append(("cosafety", str(is_cosafety(a)).lower()))
-        fields.append(("simple_cosafety", str(is_simple_cosafety(a)).lower()))
-        if p is not None:
-            sigma = uniform_max_word_letter(p)
-            fields.append(("sigma_n", sigma if sigma is not None else "none"))
-            if p.n >= 1:
-                cep, breach = has_cep(p)
-                fields.append(("cep", str(cep).lower()))
-                if breach is not None:
-                    fields.append(("breach", _render_word(breach)))
-    else:
-        fields.append(("safety", str(is_safety(a)).lower()))
-        fields.append(("cosafety", str(is_cosafety(a)).lower()))
-        fields.append(("simple_cosafety", str(is_simple_cosafety(a)).lower()))
+    fields.append(("safety", str(is_safety(a)).lower()))
+    fields.append(("cosafety", str(is_cosafety(a)).lower()))
+    fields.append(("simple_cosafety", str(is_simple_cosafety(a)).lower()))
+    if p is not None:
+        sigma = uniform_max_word_letter(p)
+        fields.append(("sigma_n", sigma if sigma is not None else "none"))
+        if p.n >= 1:
+            cep, breach = has_cep(p)
+            fields.append(("cep", str(cep).lower()))
+            if breach is not None:
+                fields.append(("breach", _render_word(breach)))
     _emit(CommandReport("classify", fields), as_json)
 
 
@@ -218,7 +213,6 @@ def decompose(
     as_json: bool,
 ) -> None:
     """Emit an explicit decomposition for a composite DFA."""
-    from .oracle import verify_decomposition
 
     a = _load_dfa(dfa_file)
     v = _DECIDERS[mode](a)

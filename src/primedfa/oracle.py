@@ -332,10 +332,14 @@ def alpha_intersection(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Dfa:
     acc, witness = _refine(m, selected, table)
     if witness is None:
         return acc
-    # Prime case: the refinement stops early, so fold in every member
-    # (tightest first) to reach the exact intersection.
-    members = [table.reps[i] for i in _members(selected)]
-    return intersect_all([acc] + members, a.alphabet)
+    # Prime case: the refinement stops early, so fold in (tightest first)
+    # every member that still cuts the accumulator to reach the exact
+    # intersection.
+    for i in _members(selected):
+        rep = table.reps[i]
+        if not _contains(rep, acc):
+            acc = intersect_all([acc, rep], a.alphabet)
+    return acc
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:

@@ -29,9 +29,7 @@ from .core import (
     complement,
     enumerate_language,
     intersect_all,
-    is_finite_language,
     longest_word_length,
-    is_empty,
     minimize,
 )
 from .factories import (
@@ -98,26 +96,29 @@ class Caps:
     max_factors: int = 10**6
 
 
-def _require_finite(a: Dfa, op: str) -> None:
-    if not is_finite_language(a):
-        raise DfaError(f"{op}: input recognizes an infinite language")
-
-
-def _profile(m: Dfa) -> LinearProfile | None:
-    """``linear_profile`` of the minimal DFA ``m``, kept on ``m`` so the
-    decisions on one input compute it once."""
+def _analysis(
+    m: Dfa, op: str | None = None
+) -> tuple[int | float | None, LinearProfile | None]:
+    """Longest-word length n of the minimal DFA ``m`` (``None`` for the empty
+    language, ``math.inf`` for an infinite one) and its linear profile
+    (``None`` unless n is finite and ``m`` is linear).  Computed once and
+    kept on ``m``, so the decisions and decompositions on one input share
+    it.  With ``op``, an infinite language raises an error naming ``op``."""
     if not hasattr(m, "_linear_profile"):
-        object.__setattr__(m, "_linear_profile", linear_profile(m))
-    return m._linear_profile
+        n = longest_word_length(m)
+        p = None if n is None or n == math.inf else linear_profile(m)
+        object.__setattr__(m, "_linear_profile", (n, p))
+    n, p = m._linear_profile
+    if op is not None and n == math.inf:
+        raise DfaError(f"{op}: input recognizes an infinite language")
+    return n, p
 
 
 def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
     m = minimize(a)
-    _require_finite(m, "decide_intersection_primality")
-    empty, _ = is_empty(m)
-    if empty:
+    n, p = _analysis(m, "decide_intersection_primality")
+    if n is None:
         return PrimalityVerdict(PRIME, "empty-language")
-    p = _profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)
@@ -191,8 +192,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         raise DfaError("intersection_decomposition: input is prime")
     bound = m.state_count - 1
     alphabet = a.alphabet
-    n = longest_word_length(m)
-    assert isinstance(n, int)
+    n, p = _analysis(m)
 
     if v.branch == "non-linear":
         accepted = set(enumerate_language(m, n, caps.max_words))
@@ -202,7 +202,6 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
                 factors.append(complement(singleton_dfa(w, alphabet)))
         return Decomposition("intersection", bound, _dedup(factors))
 
-    p = _profile(m)
     assert p is not None
     factors = [factor_loop_zero(p)]
     chains = [factor_chain(p, c) for c in all_index_chains(n)]
@@ -223,7 +222,9 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         positions = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
         assert positions, "no uniform max word implies a gap for every letter"
         factors.append(factor_letter_position(p, sym, max(positions)))
-    accepted_n = set(w for w in enumerate_language(m, n) if len(w) == n)
+    accepted_n = set(
+        w for w in enumerate_language(m, n, caps.max_words) if len(w) == n
+    )
     for w in _all_words(alphabet, [n], caps.max_words):
         if w not in accepted_n:
             factors.append(subsequence_excluder(w, alphabet))
@@ -235,24 +236,17 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
 
     # Extension factors: words longer than n accepted by everything so far.
     combined = intersect_all(factors, alphabet)
-    survivors = [
-        w for w in enumerate_language(combined, max(n, 2 * n - 2)) if len(w) > n
-    ]
-    if len(survivors) > caps.max_words:
-        raise ResourceLimitError(
-            f"extension-word enumeration exceeded cap of {caps.max_words}"
-        )
-    for w in survivors:
-        factors.append(factor_extension(p, d, w))
+    for w in enumerate_language(combined, max(n, 2 * n - 2), caps.max_words):
+        if len(w) > n:
+            factors.append(factor_extension(p, d, w))
     return Decomposition("intersection", bound, _dedup(factors))
 
 
 def decide_union_primality(a: Dfa) -> PrimalityVerdict:
-    m = minimize(a)
-    _require_finite(m, "decide_union_primality")
-    if is_empty(m)[0]:
+    n, p = _analysis(minimize(a), "decide_union_primality")
+    if n is None:
         raise DfaError("decide_union_primality: input recognizes the empty language")
-    if _profile(m) is None:
+    if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     return PrimalityVerdict(PRIME, "linear")
 
@@ -262,19 +256,16 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     v = decide_union_primality(m)
     if v.is_prime:
         raise DfaError("union_decomposition: input is union-prime")
-    n = longest_word_length(m)
-    assert isinstance(n, int)
+    n, _ = _analysis(m)
     words = enumerate_language(m, n, caps.max_factors)
     factors = [singleton_dfa(w, a.alphabet) for w in words]
     return Decomposition("union", m.state_count - 1, _dedup(factors))
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
-    m = minimize(a)
-    _require_finite(m, "decide_dnf_primality")
-    if is_empty(m)[0]:
+    n, p = _analysis(minimize(a), "decide_dnf_primality")
+    if n is None:
         raise DfaError("decide_dnf_primality: input recognizes the empty language")
-    p = _profile(m)
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
     sigma = uniform_max_word_letter(p)
@@ -288,8 +279,7 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     v = decide_dnf_primality(m)
     if v.is_prime:
         raise DfaError("dnf_decomposition: input is DNF-prime")
-    n = longest_word_length(m)
-    assert isinstance(n, int)
+    n, _ = _analysis(m)
     words = enumerate_language(m, n, caps.max_factors)
 
     if v.branch == "non-linear":
@@ -318,7 +308,8 @@ def decide_s_primality(a: Dfa) -> PrimalityVerdict:
     """Size-based primality: supported for finite languages and for simple
     co-safety DFAs (where it reduces to minimality)."""
     m = minimize(a)
-    if is_finite_language(m):
+    n, _ = _analysis(m)
+    if n != math.inf:
         if a.state_count > m.state_count:
             return PrimalityVerdict(
                 COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"

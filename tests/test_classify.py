@@ -22,7 +22,7 @@ from primedfa import (
     oracle_cep,
     uniform_max_word_letter,
 )
-from conftest import BINARY, language_dfa, random_linear_dfa
+from conftest import BINARY, all_words, language_dfa, random_linear_dfa
 
 AB = ("a", "b")
 
@@ -85,6 +85,28 @@ class TestLinearProfile:
     def test_epsilon_only_language_is_linear(self):
         p = linear_profile(language_dfa([()], BINARY))
         assert p is not None and p.n == 0
+
+    def test_linear_exactly_when_reachability_is_total(self):
+        # a sample of the 32,767 non-empty binary languages of words of
+        # length <= 3 (all of them take ~8 s)
+        words = list(all_words(BINARY, 3))
+        for bits in random.Random(7).sample(range(1, 2 ** len(words)), 6000):
+            a = language_dfa([w for i, w in enumerate(words) if bits >> i & 1], BINARY)
+            k = a.state_count
+            reach = [{q} for q in range(k)]
+            for _ in range(k):
+                for q in range(k):
+                    reach[q] = reach[q].union(*(reach[t] for t in a.delta[q]))
+            total = all(q in reach[p] or p in reach[q] for p in range(k) for q in range(k))
+            prof = linear_profile(a)
+            assert (prof is not None) == total, a
+            if prof is None:
+                continue
+            for i in range(prof.n + 2):
+                assert all(prof.sigma(i, j) == () for j in range(i + 1))
+            for i in range(prof.n + 1):
+                row = [s for j in range(prof.n + 2) for s in prof.sigma(i, j)]
+                assert sorted(row) == sorted(BINARY), (a, i)
 
 
 class TestSafetyShapes:

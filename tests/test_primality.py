@@ -243,13 +243,21 @@ class TestSPrimality:
 
 class TestAnalyzeOnce:
     def test_four_decisions_profile_one_input_once(self, fig4, monkeypatch):
+        import primedfa.classify as classify
+        import primedfa.core as core
         import primedfa.primality as primality
 
-        profiled = []
-        real = primality.linear_profile
-        monkeypatch.setattr(
-            primality, "linear_profile", lambda m: profiled.append(m) or real(m)
-        )
+        # every module's binding of each function counts its calls
+        calls = {"linear_profile": [], "longest_word_length": [], "is_empty": []}
+        for module in (core, classify, primality):
+            for name, seen in calls.items():
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(
+                        module,
+                        name,
+                        lambda m, real=real, seen=seen: seen.append(m) or real(m),
+                    )
         # an unmarked copy, as a parsed document would be
         a = Dfa(fig4.alphabet, fig4.delta, fig4.initial, fig4.accepting)
         verdicts = [
@@ -262,7 +270,10 @@ class TestAnalyzeOnce:
             )
         ]
         assert [v.status for v in verdicts] == [PRIME, PRIME, COMPOSITE, PRIME]
+        profiled = calls["linear_profile"]
         assert len(profiled) == 1 and profiled[0] is minimize(a)
+        assert len(calls["longest_word_length"]) <= 2
+        assert calls["is_empty"] == []
 
 
 class TestWitnessSoundness:
@@ -289,17 +300,40 @@ class TestDecompositionCaps:
         0,
         frozenset({16, 18}),
     )
+    # {eps} | a{a,b}^14 b: linear, non-safety, no uniform letter, n = 16,
+    # 16,385 words
+    NON_SAFETY = Dfa(
+        AB,
+        ((1, 17),) + tuple((i + 1, i + 1) for i in range(1, 15)) + ((17, 16), (17, 17), (17, 17)),
+        0,
+        frozenset({0, 16}),
+    )
 
     @pytest.mark.parametrize(
-        "decompose, caps",
+        "decompose, caps, a",
         [
-            (intersection_decomposition, Caps(max_words=100)),
-            (union_decomposition, Caps(max_factors=100)),
-            (dnf_decomposition, Caps(max_factors=100)),
+            pytest.param(
+                intersection_decomposition,
+                Caps(max_words=100),
+                WIDE,
+                id="intersection_decomposition-caps0",
+            ),
+            pytest.param(
+                union_decomposition, Caps(max_factors=100), WIDE, id="union_decomposition-caps1"
+            ),
+            pytest.param(
+                dnf_decomposition, Caps(max_factors=100), WIDE, id="dnf_decomposition-caps2"
+            ),
+            pytest.param(
+                intersection_decomposition,
+                Caps(max_words=100),
+                NON_SAFETY,
+                id="intersection_decomposition-non-safety",
+            ),
         ],
     )
-    def test_cap_fires_while_enumerating(self, decompose, caps):
+    def test_cap_fires_while_enumerating(self, decompose, caps, a):
         with pytest.raises(ResourceLimitError, match="cap of 100 after") as err:
-            decompose(self.WIDE, caps)
+            decompose(a, caps)
         seen = int(str(err.value).split()[-2])  # "... after <seen> words"
         assert 100 < seen <= 200

@@ -17,9 +17,8 @@ from .core import (
     Dfa,
     DfaError,
     Word,
-    _useful_order,
+    _useful_walk,
     complement,
-    longest_word_length,
     minimize,
 )
 
@@ -65,7 +64,7 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
     language.
     """
     m = minimize(a)
-    n = longest_word_length(m)
+    n, useful, order = _useful_walk(m)
     if n is None:
         raise DfaError("linear_profile: input recognizes the empty language")
     if n == math.inf:
@@ -75,8 +74,7 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
 
     # The useful states all lie on one path, so their topological order is
     # that path; the dead sink comes last.
-    useful, order = _useful_order(m.delta, m.accepting)
-    order.extend(q for q in range(n + 2) if not useful[q])
+    order = order + [q for q in range(n + 2) if not useful[q]]
     relabel = {old: new for new, old in enumerate(order)}
     base = Dfa(
         alphabet=m.alphabet,

@@ -54,7 +54,7 @@ class Dfa:
     name: str = field(default="dfa", compare=False)
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
+        _alphabet_index(self.alphabet)
         k = len(self.delta)
         if k == 0:
             raise DfaError("DFA needs at least one state")
@@ -76,8 +76,8 @@ class Dfa:
 
     def letter_index(self, letter: str) -> int:
         try:
-            return self.alphabet.index(letter)
-        except ValueError:
+            return _alphabet_index(self.alphabet)[letter]
+        except (KeyError, TypeError):
             raise DfaError(f"unknown letter {letter!r}") from None
 
     def step(self, state: int, letter: str) -> int:
@@ -85,11 +85,13 @@ class Dfa:
 
 
 @lru_cache(maxsize=1024)  # programs use a handful of alphabets
-def _check_alphabet(alphabet: tuple[str, ...]) -> None:
-    """Rejects alphabets that do not serialize and parse back: empty, with
-    duplicate symbols, or with a symbol that is empty, holds whitespace (the
-    text format splits on it) or holds ``#`` (it starts a comment).  Runs
-    once per distinct alphabet; a rejected one raises again each time."""
+def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
+    """Position of each symbol of ``alphabet``, shared by every caller (never
+    mutate it).  Rejects alphabets that do not serialize and parse back:
+    empty, with duplicate symbols, or with a symbol that is empty, holds
+    whitespace (the text format splits on it) or holds ``#`` (it starts a
+    comment).  Runs once per distinct alphabet; a rejected one raises again
+    each time."""
     if not alphabet:
         raise DfaError("alphabet must be nonempty")
     if len(set(alphabet)) != len(alphabet):
@@ -100,13 +102,19 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
                 f"alphabet symbol {sym!r} is not a nonempty string free of "
                 "whitespace and '#'"
             )
+    return {sym: i for i, sym in enumerate(alphabet)}
 
 
 def run(a: Dfa, w: Word) -> int:
     """State reached from the initial state after reading ``w``."""
+    index = _alphabet_index(a.alphabet)
+    delta = a.delta
     state = a.initial
     for letter in w:
-        state = a.delta[state][a.letter_index(letter)]
+        try:
+            state = delta[state][index[letter]]
+        except (KeyError, TypeError):
+            raise DfaError(f"unknown letter {letter!r}") from None
     return state
 
 
@@ -358,7 +366,8 @@ def minimize(a: Dfa) -> Dfa:
     rounds as there are states.
 
     The result is kept on the input, so minimizing the same DFA object
-    again costs nothing."""
+    again costs nothing, and it is marked finite when the acyclic pass ran
+    (``intersect_all`` reads that mark)."""
     if getattr(a, "_minimal", False):
         return a
     cached = getattr(a, "_minimized", None)
@@ -417,26 +426,48 @@ def minimize(a: Dfa) -> Dfa:
         tuple(number[t] for t in rep_delta[b]) for b in order
     )
     acc = frozenset(i for i, b in enumerate(order) if rep_accepting[b])
-    m = Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name)
-    object.__setattr__(m, "_minimal", True)
+    m = _mark_minimal(
+        Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name),
+        finite=topo is not None,
+    )
     object.__setattr__(a, "_minimized", m)
+    return m
+
+
+def _mark_minimal(m: Dfa, finite: bool) -> Dfa:
+    """Marks ``m`` as canonical minimal (``minimize`` returns it as it is)
+    and records whether its useful part is acyclic, i.e. L(m) is finite."""
+    object.__setattr__(m, "_minimal", True)
+    object.__setattr__(m, "_finite", finite)
     return m
 
 
 def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     """Minimal DFA of the intersection of ``dfas`` (all over ``alphabet``);
-    the all-accepting DFA when ``dfas`` is empty.  Raises
-    ``ResourceLimitError`` as soon as the product of a partial intersection
-    with the next DFA exceeds ``MAX_FOLD_STATES`` states, before minimizing
-    it."""
+    the all-accepting DFA when ``dfas`` is empty.  The result is named
+    ``((d0&d1)&d2)...`` after the DFAs.
+
+    The DFAs are folded in order.  While the partial intersection is not
+    known to be finite, each step minimizes the pair product of the partial
+    intersection with the next DFA, and raises ``ResourceLimitError`` as soon
+    as that product exceeds ``MAX_FOLD_STATES`` states, before minimizing
+    it.  Once the partial intersection is a minimal DFA marked finite and at
+    least two DFAs remain, the rest of the fold runs on class tables without
+    building a DFA per step (``_fold_finite``); there the cap counts the
+    live pairs of a step, those whose language is not known to be empty."""
     if any(f.alphabet != alphabet for f in dfas):
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
         return all_accepting_dfa(alphabet)
     # The first product subsumes minimizing the first DFA.
     acc = dfas[0] if len(dfas) > 1 else minimize(dfas[0])
-    for f in dfas[1:]:
-        step = product(acc, f, "intersect")
+    for i in range(1, len(dfas)):
+        if i < len(dfas) - 1 and getattr(acc, "_finite", False):
+            name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
+                f"&{f.name})" for f in dfas[1:]
+            )
+            return _fold_finite(acc, dfas[i:], name)
+        step = product(acc, dfas[i], "intersect")
         if step.state_count > MAX_FOLD_STATES:
             raise ResourceLimitError(
                 f"intersection fold reached {step.state_count} states, "
@@ -444,6 +475,113 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
             )
         acc = minimize(step)
     return acc
+
+
+def _fold_finite(acc: Dfa, dfas: Sequence[Dfa], name: str) -> Dfa:
+    """Minimal DFA of L(acc) intersected with every L(d), d in ``dfas``, for
+    a minimal ``acc`` with a finite language, renumbered as ``minimize``
+    numbers its result and named ``name``.
+
+    The partial intersection is kept as a class table: ``rows[c]`` holds
+    the successor classes of class ``c``, ``final[c]`` its acceptance, and
+    class 0 is the empty language.  Each step with the next DFA ``d`` is one
+    depth-first pass over the pairs (class, state of d) reachable from the
+    initial pair, skipping pairs whose class is 0.  A pair gets its class
+    after its successors, from its acceptance and their classes (Revuz
+    1992, built on the fly as in Daciuk, Mihov, Watson & Watson 2000), so
+    the new table is minimal.  The pairs are well founded because the
+    language is finite: every successor of a non-zero class lies deeper in
+    the acyclic table."""
+    # Move the dead sink (the one state with the empty language) to class 0.
+    dead = next(
+        q for q, row in enumerate(acc.delta)
+        if q not in acc.accepting and all(t == q for t in row)
+    )
+    cls = list(range(acc.state_count))
+    cls[0], cls[dead] = dead, 0
+    rows = [()] * acc.state_count
+    final = [False] * acc.state_count
+    for q, row in enumerate(acc.delta):
+        rows[cls[q]] = tuple(cls[t] for t in row)
+        final[cls[q]] = q in acc.accepting
+    start = cls[acc.initial]
+    for d in dfas:
+        rows, final, start = _fold_step(rows, final, start, d)
+
+    # BFS renumbering from the initial class, letters in alphabet order.
+    number = {start: 0}
+    order = [start]
+    for c in order:
+        for t in rows[c]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    m = Dfa(
+        alphabet=acc.alphabet,
+        delta=tuple(tuple(number[t] for t in rows[c]) for c in order),
+        initial=0,
+        accepting=frozenset(i for i, c in enumerate(order) if final[c]),
+        name=name,
+    )
+    return _mark_minimal(m, finite=True)
+
+
+def _fold_step(
+    rows: list[tuple[int, ...]], final: list[bool], start: int, d: Dfa
+) -> tuple[list[tuple[int, ...]], list[bool], int]:
+    """One step of ``_fold_finite``: the class table of the intersection of
+    the table (``rows``, ``final``, ``start``) with ``d``.  Raises
+    ``ResourceLimitError`` as soon as more than ``MAX_FOLD_STATES`` live
+    pairs hold a class."""
+    dead_row = (0,) * len(rows[0])
+    new_rows = [dead_row]
+    new_final = [False]
+    ddelta = d.delta
+    dfinal = [q in d.accepting for q in range(d.state_count)]
+    span = d.state_count  # pair (c, q) is keyed c * span + q
+    # (acceptance, successor classes) -> class, one dict per acceptance; a
+    # rejecting pair whose successors are all dead is dead itself.
+    registry: tuple[dict, dict] = ({dead_row: 0}, {})
+    memo: dict[int, int] = {}
+    first = start * span + d.initial
+    stack = [first]
+    while stack:
+        pair = stack[-1]
+        if pair in memo:  # pushed again by a second parent
+            stack.pop()
+            continue
+        c, q = divmod(pair, span)
+        children = []
+        pending = False
+        for c_next, q_next in zip(rows[c], ddelta[q]):
+            if c_next:
+                child = c_next * span + q_next
+                got = memo.get(child)
+                if got is None:
+                    stack.append(child)
+                    pending = True
+                else:
+                    children.append(got)
+            else:
+                children.append(0)
+        if pending:  # come back once the successors have their classes
+            continue
+        stack.pop()
+        children = tuple(children)
+        accepting = final[c] and dfinal[q]
+        classes = registry[accepting]
+        got = classes.get(children)
+        if got is None:
+            got = classes[children] = len(new_rows)
+            new_rows.append(children)
+            new_final.append(accepting)
+        memo[pair] = got
+        if len(memo) > MAX_FOLD_STATES:
+            raise ResourceLimitError(
+                f"intersection fold reached {len(memo)} live pair states, "
+                f"cap is {MAX_FOLD_STATES}"
+            )
+    return new_rows, new_final, memo[first]
 
 
 def index_of(a: Dfa) -> int:
@@ -530,21 +668,35 @@ def _useful_order(
 def longest_word_length(a: Dfa) -> int | float | None:
     """Length of the longest accepted word: ``None`` for the empty language,
     ``math.inf`` for an infinite one, an integer otherwise."""
-    m = minimize(a)
-    if not m.accepting:
-        return None
+    return _useful_walk(minimize(a))[0]
+
+
+def _useful_walk(
+    m: Dfa,
+) -> tuple[int | float | None, list[bool], list[int] | None]:
+    """For a minimal DFA ``m``: the longest-word length (as
+    ``longest_word_length``), which states are useful, and the topological
+    order of the useful states (``None`` when L(m) is infinite).  Computed
+    by one walk and kept on ``m``; callers must not mutate the lists."""
+    cached = getattr(m, "_walk", None)
+    if cached is not None:
+        return cached
     # A cycle among useful states lies on an initial-to-accepting path.
     useful, topo = _useful_order(m.delta, m.accepting)
-    if topo is None:
-        return math.inf
-
-    # Acyclic: longest path from the initial state to an accepting state.
-    best = [0] * m.state_count
-    for q in reversed(topo):
-        candidates = [0] if q in m.accepting else []
-        candidates.extend(1 + best[t] for t in m.delta[q] if useful[t])
-        best[q] = max(candidates)
-    return best[m.initial]
+    if not m.accepting:
+        n = None
+    elif topo is None:
+        n = math.inf
+    else:
+        # Acyclic: longest path from the initial state to an accepting state.
+        best = [0] * m.state_count
+        for q in reversed(topo):
+            candidates = [0] if q in m.accepting else []
+            candidates.extend(1 + best[t] for t in m.delta[q] if useful[t])
+            best[q] = max(candidates)
+        n = best[m.initial]
+    object.__setattr__(m, "_walk", (n, useful, topo))
+    return m._walk
 
 
 def is_finite_language(a: Dfa) -> bool:

@@ -411,9 +411,10 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
                 f"factor {idx} ({f.name}): size {f.state_count} > {d.bound}"
             )
 
-    acc = empty_language_dfa(a.alphabet)
-    for term in terms:
-        acc = minimize(product(acc, intersect_all(term, a.alphabet), "union"))
+    folds = (intersect_all(term, a.alphabet) for term in terms)
+    acc = next(folds, None) or empty_language_dfa(a.alphabet)
+    for f in folds:
+        acc = minimize(product(acc, f, "union"))
 
     same, word = equivalent(acc, minimize(a))
     if not same:

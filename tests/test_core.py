@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primedfa.core as core
 from primedfa import (
     AlphabetMismatchError,
     Dfa,
@@ -25,6 +26,7 @@ from primedfa import (
     intersect_all,
     is_empty,
     is_finite_language,
+    length_cap_dfa,
     longest_word_length,
     minimize,
     mod_counter_dfa,
@@ -33,6 +35,7 @@ from primedfa import (
     reachable_states,
     run,
     serialize_dfa,
+    singleton_dfa,
     to_dot,
     trie_dfa,
 )
@@ -181,6 +184,94 @@ class TestProduct:
         # coprime counters: the intersection needs 101 * 103 = 10403 states
         with pytest.raises(ResourceLimitError, match=r"10403 .*10000"):
             intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
+
+
+def _pairwise_fold(dfas):
+    """Reference for ``intersect_all``: minimize after every pair product."""
+    acc = minimize(dfas[0])
+    for f in dfas[1:]:
+        acc = minimize(product(acc, f, "intersect"))
+    return acc
+
+
+def _no_product(*args):
+    raise AssertionError("product called")
+
+
+def _fold_case(kind: str, rng: random.Random) -> list[Dfa]:
+    def finite():
+        a = random_finite_dfa(rng, max_n=5, max_words=8)  # minimal, so marked
+        # marked as it is, or an unmarked copy (renamed, or with ids shuffled)
+        return rng.choice((a, replace(a, name=f"f{rng.randrange(100)}"), _shuffled(a, rng)))
+
+    def cyclic():
+        if rng.random() < 0.5:  # infinite: the complement of a finite language
+            return complement(_shuffled(random_finite_dfa(rng), rng))
+        return random_dfa(rng, 4)
+
+    count = rng.randint(3, 7)
+    if kind == "finite-first":
+        return [finite()] + [rng.choice((finite, cyclic))() for _ in range(count - 1)]
+    if kind == "cyclic-first":
+        return [cyclic()] + [rng.choice((finite, cyclic))() for _ in range(count - 1)]
+    if kind == "finite-in-the-middle":
+        head = [cyclic() for _ in range(rng.randint(1, 3))]
+        return head + [finite()] + [cyclic() for _ in range(rng.randint(2, 4))]
+    if kind == "becomes-empty":
+        a = finite()
+        return [a, complement(a)] + [rng.choice((finite, cyclic))() for _ in range(count - 2)]
+    if kind == "one":
+        return [rng.choice((finite, cyclic))()]
+    assert kind == "two"
+    return [rng.choice((finite, cyclic))() for _ in range(2)]
+
+
+class TestIntersectAll:
+    @pytest.mark.parametrize(
+        "kind",
+        ["finite-first", "cyclic-first", "finite-in-the-middle", "becomes-empty", "one", "two"],
+    )
+    def test_matches_pairwise_fold(self, kind):
+        rng = random.Random(kind)
+        for _ in range(150):
+            dfas = _fold_case(kind, rng)
+            got, want = intersect_all(dfas, BINARY), _pairwise_fold(dfas)
+            assert (got.delta, got.initial, got.accepting, got.name) == (
+                want.delta, want.initial, want.accepting, want.name
+            )
+            assert minimize(got) is got
+            if kind == "becomes-empty":
+                assert got.accepting == frozenset()
+
+    def test_finite_fold_builds_no_product(self, monkeypatch):
+        rng = random.Random(5)
+        dfas = [random_finite_dfa(rng, max_n=6, max_words=10)] + [random_dfa(rng, 4) for _ in range(4)]
+        want = _pairwise_fold(dfas)
+        monkeypatch.setattr(core, "product", _no_product)
+        got = intersect_all(dfas, BINARY)
+        assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
+
+    def test_cap_fires_inside_finite_fold(self, monkeypatch):
+        # words of length <= 300 against 101- and 103-counters: the first
+        # step alone has 25,351 live pairs
+        acc = minimize(length_cap_dfa(300, BINARY))
+        monkeypatch.setattr(core, "product", _no_product)
+        cap = core.MAX_FOLD_STATES
+        with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
+            intersect_all([acc, mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
+
+    def test_deep_finite_fold(self):
+        # a longest word of 5,000 letters: the fold must not recurse per letter
+        word = ("0",) * 4999 + ("1",)
+        dfas = [
+            minimize(singleton_dfa(word, BINARY)),
+            length_cap_dfa(6000, BINARY),
+            complement(singleton_dfa(("1",), BINARY)),
+            mod_counter_dfa(1),
+        ]
+        got, want = intersect_all(dfas, BINARY), _pairwise_fold(dfas)
+        assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
+        assert longest_word_length(got) == 5000
 
 
 class TestComplement:

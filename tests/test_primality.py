@@ -272,7 +272,7 @@ class TestAnalyzeOnce:
         assert [v.status for v in verdicts] == [PRIME, PRIME, COMPOSITE, PRIME]
         profiled = calls["linear_profile"]
         assert len(profiled) == 1 and profiled[0] is minimize(a)
-        assert len(calls["longest_word_length"]) <= 2
+        assert len(calls["longest_word_length"]) <= 1
         assert calls["is_empty"] == []
 
 

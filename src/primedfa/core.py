@@ -403,40 +403,42 @@ def minimize(a: Dfa) -> Dfa:
                 break
             block = new_block
 
-    # BFS renumbering of blocks from the initial block.
     rep_delta: dict[int, list[int]] = {}
     rep_accepting: dict[int, bool] = {}
     for q in range(n):
         rep_delta.setdefault(block[q], [block[t] for t in delta[q]])
         rep_accepting.setdefault(block[q], accepting[q])
-
-    start = block[pos[a.initial]]
-    number = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        b = queue.popleft()
-        for t in rep_delta[b]:
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-                queue.append(t)
-
-    rows = tuple(
-        tuple(number[t] for t in rep_delta[b]) for b in order
-    )
-    acc = frozenset(i for i, b in enumerate(order) if rep_accepting[b])
-    m = _mark_minimal(
-        Dfa(alphabet=a.alphabet, delta=rows, initial=0, accepting=acc, name=a.name),
+    m = _canonical(
+        rep_delta, rep_accepting, block[pos[a.initial]], a.alphabet, a.name,
         finite=topo is not None,
     )
     object.__setattr__(a, "_minimized", m)
     return m
 
 
-def _mark_minimal(m: Dfa, finite: bool) -> Dfa:
-    """Marks ``m`` as canonical minimal (``minimize`` returns it as it is)
-    and records whether its useful part is acyclic, i.e. L(m) is finite."""
+def _canonical(
+    rows, final, start: int, alphabet: tuple[str, ...], name: str, finite: bool
+) -> Dfa:
+    """The canonical form of a minimal class table: ``rows[c]`` holds the
+    successor classes of class ``c`` and ``final[c]`` its acceptance.  The
+    classes reachable from ``start`` are renumbered in BFS discovery order,
+    letters in alphabet order, and the result is marked minimal (``minimize``
+    returns it as it is) and, when ``finite``, as having a finite language
+    (``intersect_all`` reads that mark)."""
+    number = {start: 0}
+    order = [start]
+    for c in order:
+        for t in rows[c]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+    m = Dfa(
+        alphabet=alphabet,
+        delta=tuple(tuple(number[t] for t in rows[c]) for c in order),
+        initial=0,
+        accepting=frozenset(i for i, c in enumerate(order) if final[c]),
+        name=name,
+    )
     object.__setattr__(m, "_minimal", True)
     object.__setattr__(m, "_finite", finite)
     return m
@@ -451,10 +453,10 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     known to be finite, each step minimizes the pair product of the partial
     intersection with the next DFA, and raises ``ResourceLimitError`` as soon
     as that product exceeds ``MAX_FOLD_STATES`` states, before minimizing
-    it.  Once the partial intersection is a minimal DFA marked finite and at
-    least two DFAs remain, the rest of the fold runs on class tables without
-    building a DFA per step (``_fold_finite``); there the cap counts the
-    live pairs of a step, those whose language is not known to be empty."""
+    it.  Once the partial intersection is a minimal DFA marked finite, the
+    rest of the fold runs on class tables without building a DFA per step
+    (``_fold_finite``); there the cap counts the live pairs of a step, those
+    whose language is not known to be empty."""
     if any(f.alphabet != alphabet for f in dfas):
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
@@ -462,7 +464,7 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     # The first product subsumes minimizing the first DFA.
     acc = dfas[0] if len(dfas) > 1 else minimize(dfas[0])
     for i in range(1, len(dfas)):
-        if i < len(dfas) - 1 and getattr(acc, "_finite", False):
+        if getattr(acc, "_finite", False):
             name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
                 f"&{f.name})" for f in dfas[1:]
             )
@@ -508,22 +510,7 @@ def _fold_finite(acc: Dfa, dfas: Sequence[Dfa], name: str) -> Dfa:
     for d in dfas:
         rows, final, start = _fold_step(rows, final, start, d)
 
-    # BFS renumbering from the initial class, letters in alphabet order.
-    number = {start: 0}
-    order = [start]
-    for c in order:
-        for t in rows[c]:
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    m = Dfa(
-        alphabet=acc.alphabet,
-        delta=tuple(tuple(number[t] for t in rows[c]) for c in order),
-        initial=0,
-        accepting=frozenset(i for i, c in enumerate(order) if final[c]),
-        name=name,
-    )
-    return _mark_minimal(m, finite=True)
+    return _canonical(rows, final, start, acc.alphabet, name, finite=True)
 
 
 def _fold_step(

@@ -243,9 +243,10 @@ class TestIntersectAll:
             if kind == "becomes-empty":
                 assert got.accepting == frozenset()
 
-    def test_finite_fold_builds_no_product(self, monkeypatch):
+    @pytest.mark.parametrize("rest", [1, 4])  # 1: the oracle's two-DFA folds
+    def test_finite_fold_builds_no_product(self, monkeypatch, rest):
         rng = random.Random(5)
-        dfas = [random_finite_dfa(rng, max_n=6, max_words=10)] + [random_dfa(rng, 4) for _ in range(4)]
+        dfas = [random_finite_dfa(rng, max_n=6, max_words=10)] + [random_dfa(rng, 4) for _ in range(rest)]
         want = _pairwise_fold(dfas)
         monkeypatch.setattr(core, "product", _no_product)
         got = intersect_all(dfas, BINARY)

@@ -72,7 +72,6 @@ from .gadgets import (
 from .oracle import (
     DEFAULT_LIMITS,
     OracleLimits,
-    alpha_intersection,
     enumerate_dfas,
     oracle_cep,
     oracle_primality,

@@ -469,14 +469,22 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
                 f"&{f.name})" for f in dfas[1:]
             )
             return _fold_finite(acc, dfas[i:], name)
-        step = product(acc, dfas[i], "intersect")
-        if step.state_count > MAX_FOLD_STATES:
-            raise ResourceLimitError(
-                f"intersection fold reached {step.state_count} states, "
-                f"cap is {MAX_FOLD_STATES}"
-            )
-        acc = minimize(step)
+        acc = _fold_pair(acc, dfas[i], "intersect")
     return acc
+
+
+def _fold_pair(a: Dfa, b: Dfa, mode: str) -> Dfa:
+    """Minimal DFA of ``product(a, b, mode)``, for mode ``intersect`` or
+    ``union``; raises ``ResourceLimitError`` as soon as the product exceeds
+    ``MAX_FOLD_STATES`` states, before minimizing it."""
+    step = product(a, b, mode)
+    if step.state_count > MAX_FOLD_STATES:
+        fold = "intersection" if mode == "intersect" else mode
+        raise ResourceLimitError(
+            f"{fold} fold reached {step.state_count} states, "
+            f"cap is {MAX_FOLD_STATES}"
+        )
+    return minimize(step)
 
 
 def _fold_finite(acc: Dfa, dfas: Sequence[Dfa], name: str) -> Dfa:

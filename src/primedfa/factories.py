@@ -10,7 +10,9 @@ docstrings are about the raw constructions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .classify import LinearProfile
 from .core import Dfa, DfaError, Word
@@ -148,16 +150,12 @@ class IndexChain:
             raise DfaError(f"index chain too long: {idx}")
 
 
-def all_index_chains(n: int) -> list[IndexChain]:
+def all_index_chains(n: int) -> Iterator[IndexChain]:
     """Every chain 0 = i_0 < ... < i_m = n with 1 <= m <= n-1, in
-    deterministic order (by length, then lexicographically)."""
-    from itertools import combinations
-
-    chains = []
+    deterministic order (by length, then lexicographically), drawn lazily."""
     for m in range(1, n):
         for middle in combinations(range(1, n), m - 1):
-            chains.append(IndexChain((0,) + middle + (n,)))
-    return chains
+            yield IndexChain((0,) + middle + (n,))
 
 
 def factor_chain(p: LinearProfile, chain: IndexChain) -> Dfa:

@@ -30,6 +30,8 @@ from .core import (
     DfaError,
     ResourceLimitError,
     Word,
+    _fold_pair,
+    _useful_walk,
     accepts,
     all_accepting_dfa,
     empty_language_dfa,
@@ -283,20 +285,16 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
         contain = (i for i in _members(selected) if _contains(reps[i], m))
         return m, _mask(contain, len(reps)), table
 
-    # The only dead state of a minimal finite-language DFA is its sink; every
-    # other state lies on an accepted word, and no path through them cycles.
-    dead = {
-        q
-        for q, row in enumerate(m.delta)
-        if q not in m.accepting and all(t == q for t in row)
-    }
+    # Every useful state of a minimal finite-language DFA lies on an accepted
+    # word, and no path through them cycles; the other state is its sink.
+    _, useful, _ = _useful_walk(m)
     stack = [(m.initial, table.start(selected))]
     while stack:
         q, states = stack.pop()
         if q in m.accepting:
             selected &= table.accepted(states)
         for x, t in enumerate(m.delta[q]):
-            if t not in dead:
+            if useful[t]:
                 stack.append((t, table.step(states, x)))
     return m, selected, table
 
@@ -323,23 +321,6 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> tuple[Dfa, Word | None]
             return acc, w
         tightest = table.reps[(rejecting & -rejecting).bit_length() - 1]
         acc = intersect_all([acc, tightest], m.alphabet)
-
-
-def alpha_intersection(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Dfa:
-    """Minimal DFA of the intersection of all alpha(A) languages; the empty
-    intersection (only possible at index 1) is the all-accepting DFA."""
-    m, selected, table = _alpha_members(a, limits)
-    acc, witness = _refine(m, selected, table)
-    if witness is None:
-        return acc
-    # Prime case: the refinement stops early, so fold in (tightest first)
-    # every member that still cuts the accumulator to reach the exact
-    # intersection.
-    for i in _members(selected):
-        rep = table.reps[i]
-        if not _contains(rep, acc):
-            acc = intersect_all([acc, rep], a.alphabet)
-    return acc
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:
@@ -414,7 +395,7 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
     folds = (intersect_all(term, a.alphabet) for term in terms)
     acc = next(folds, None) or empty_language_dfa(a.alphabet)
     for f in folds:
-        acc = minimize(product(acc, f, "union"))
+        acc = _fold_pair(acc, f, "union")
 
     same, word = equivalent(acc, minimize(a))
     if not same:

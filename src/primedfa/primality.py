@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .classify import (
@@ -165,24 +166,48 @@ def intersection_witness(a: Dfa) -> Word:
     return v.witness
 
 
-def _dedup(factors: list[Dfa]) -> list[Dfa]:
-    """First factor of each transition structure; all share one alphabet."""
+def _dedup(factors: Iterable[Dfa], cap: int) -> list[Dfa]:
+    """First factor of each transition structure; all share one alphabet.
+    Draws ``factors`` lazily and raises ``ResourceLimitError`` when the
+    (cap+1)-th is drawn, before any further factor is built."""
     kept: dict[tuple, Dfa] = {}
-    for f in factors:
+    for count, f in enumerate(factors, 1):
+        if count > cap:
+            raise ResourceLimitError(
+                f"factor emission exceeded cap of {cap} after {count} factors"
+            )
         kept.setdefault((f.delta, f.initial, f.accepting), f)
     return list(kept.values())
 
 
-def _all_words(alphabet: tuple[str, ...], lengths, cap: int):
-    count = 0
-    for length in lengths:
-        for tup in itertools.product(alphabet, repeat=length):
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(
-                    f"word enumeration exceeded cap of {cap}"
-                )
-            yield tup
+def _nonsafety_families(
+    p: LinearProfile, d: int, caps: Caps
+) -> tuple[list[Dfa], list[Word]]:
+    """Non-safety branch for the profile ``p`` with interior rejecting state
+    ``q_d``: the distinct base factors (every family but the extension
+    factors), and the words longer than n that all of them accept, each of
+    which needs one extension factor."""
+    n, alphabet = p.n, p.alphabet
+
+    def letter_positions():
+        for sym in alphabet:
+            gaps = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
+            assert gaps, "no uniform max word implies a gap for every letter"
+            yield factor_letter_position(p, sym, max(gaps))
+
+    rejected = enumerate_language(complement(p.base), n, caps.max_words)
+    factors = _dedup(
+        itertools.chain(
+            (factor_loop_zero(p), factor_loop_d(p, d)),
+            (factor_chain(p, c) for c in all_index_chains(n)),
+            letter_positions(),
+            (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
+        ),
+        caps.max_factors,
+    )
+    combined = intersect_all(factors, alphabet)
+    words = enumerate_language(combined, max(n, 2 * n - 2), caps.max_words)
+    return factors, [w for w in words if len(w) > n]
 
 
 def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
@@ -195,51 +220,29 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     n, p = _analysis(m)
 
     if v.branch == "non-linear":
-        accepted = set(enumerate_language(m, n, caps.max_words))
-        factors: list[Dfa] = [length_cap_dfa(n, alphabet)]
-        for w in _all_words(alphabet, range(n + 1), caps.max_words):
-            if w not in accepted:
-                factors.append(complement(singleton_dfa(w, alphabet)))
-        return Decomposition("intersection", bound, _dedup(factors))
-
-    assert p is not None
-    factors = [factor_loop_zero(p)]
-    chains = [factor_chain(p, c) for c in all_index_chains(n)]
-
-    if v.branch == "CEP":
-        factors.extend(chains)
-        for i in range(n - 1):
-            for l in range(2, n - i + 1):
-                factors.append(factor_skip(p, i, l))
-        return Decomposition("intersection", bound, _dedup(factors))
-
-    # non-safety branch
-    d = interior_rejecting_state(p)
-    assert d is not None
-    factors.append(factor_loop_d(p, d))
-    factors.extend(chains)
-    for sym in alphabet:
-        positions = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
-        assert positions, "no uniform max word implies a gap for every letter"
-        factors.append(factor_letter_position(p, sym, max(positions)))
-    accepted_n = set(
-        w for w in enumerate_language(m, n, caps.max_words) if len(w) == n
-    )
-    for w in _all_words(alphabet, [n], caps.max_words):
-        if w not in accepted_n:
-            factors.append(subsequence_excluder(w, alphabet))
-    factors = _dedup(factors)
-    if len(factors) > caps.max_factors:
-        raise ResourceLimitError(
-            f"factor emission exceeded cap after {len(factors)} factors"
+        rejected = enumerate_language(complement(m), n, caps.max_words)
+        factors = itertools.chain(
+            (length_cap_dfa(n, alphabet),),
+            (complement(singleton_dfa(w, alphabet)) for w in rejected),
         )
-
-    # Extension factors: words longer than n accepted by everything so far.
-    combined = intersect_all(factors, alphabet)
-    for w in enumerate_language(combined, max(n, 2 * n - 2), caps.max_words):
-        if len(w) > n:
-            factors.append(factor_extension(p, d, w))
-    return Decomposition("intersection", bound, _dedup(factors))
+    elif v.branch == "CEP":
+        factors = itertools.chain(
+            (factor_loop_zero(p),),
+            (factor_chain(p, c) for c in all_index_chains(n)),
+            (
+                factor_skip(p, i, l)
+                for i in range(n - 1)
+                for l in range(2, n - i + 1)
+            ),
+        )
+    else:  # non-safety
+        d = interior_rejecting_state(p)
+        assert d is not None
+        base, survivors = _nonsafety_families(p, d, caps)
+        factors = itertools.chain(
+            base, (factor_extension(p, d, w) for w in survivors)
+        )
+    return Decomposition("intersection", bound, _dedup(factors, caps.max_factors))
 
 
 def decide_union_primality(a: Dfa) -> PrimalityVerdict:
@@ -258,8 +261,8 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         raise DfaError("union_decomposition: input is union-prime")
     n, _ = _analysis(m)
     words = enumerate_language(m, n, caps.max_factors)
-    factors = [singleton_dfa(w, a.alphabet) for w in words]
-    return Decomposition("union", m.state_count - 1, _dedup(factors))
+    factors = (singleton_dfa(w, a.alphabet) for w in words)
+    return Decomposition("union", m.state_count - 1, _dedup(factors, caps.max_factors))
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:

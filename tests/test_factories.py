@@ -7,6 +7,7 @@ import random
 import pytest
 
 from primedfa import (
+    Caps,
     DfaError,
     accepts,
     all_index_chains,
@@ -17,7 +18,6 @@ from primedfa import (
     factor_loop_zero,
     factor_skip,
     index_of,
-    intersect_all,
     length_cap_dfa,
     letter_count_dfa,
     linear_profile,
@@ -29,6 +29,7 @@ from primedfa import (
     uniform_max_word_letter,
 )
 from primedfa.factories import IndexChain, classify_extension
+from primedfa.primality import _nonsafety_families
 from conftest import BINARY, all_words, language_dfa, random_linear_dfa
 
 AB = ("a", "b")
@@ -96,7 +97,7 @@ class TestStockFactories:
 
 class TestIndexChains:
     def test_enumeration(self):
-        chains = all_index_chains(4)
+        chains = list(all_index_chains(4))
         assert IndexChain((0, 4)) in chains
         assert IndexChain((0, 1, 2, 4)) in chains
         assert IndexChain((0, 1, 2, 3, 4)) not in chains  # m = n excluded
@@ -198,29 +199,6 @@ class TestExtensionFactors:
                 out.append(p)
         return out
 
-    @staticmethod
-    def _survivors(p, d):
-        """Words longer than n accepted by every non-extension factor family,
-        i.e. exactly the words the extension construction must handle."""
-        factors = [factor_loop_zero(p), factor_loop_d(p, d)]
-        factors += [factor_chain(p, c) for c in all_index_chains(p.n)]
-        for sym in p.alphabet:
-            gaps = [i for i in range(1, p.n + 1) if sym not in p.sigma(i - 1, i)]
-            factors.append(factor_letter_position(p, sym, max(gaps)))
-        max_n_words = {
-            w for w in all_words(p.alphabet, p.n)
-            if len(w) == p.n and accepts(p.base, w)
-        }
-        for w in all_words(p.alphabet, p.n):
-            if len(w) == p.n and w not in max_n_words:
-                factors.append(subsequence_excluder(w, p.alphabet))
-        combined = intersect_all(factors, p.alphabet)
-        return [
-            w
-            for w in all_words(p.alphabet, max(p.n, 2 * p.n - 2))
-            if len(w) > p.n and accepts(combined, w)
-        ]
-
     def test_extension_rejects_survivors_and_contains_language(self):
         # Survivors are rare, so keep drawing profiles until enough words
         # longer than n slip past the base factor families.
@@ -240,7 +218,8 @@ class TestExtensionFactors:
             if d is None:
                 continue
             n = p.n
-            for w in self._survivors(p, d):
+            _, survivors = _nonsafety_families(p, d, Caps())
+            for w in survivors:
                 f = factor_extension(p, d, w)
                 assert f.state_count == n + 1
                 assert f.accepting == frozenset(set(range(n + 1)) - {d})

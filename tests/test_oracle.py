@@ -1,4 +1,4 @@
-"""Brute-force oracle: enumeration, alpha intersection, verifiers."""
+"""Brute-force oracle: enumeration, language table, verifiers."""
 
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ from primedfa import (
     OracleLimits,
     ResourceLimitError,
     accepts,
-    alpha_intersection,
     decide_intersection_primality,
     dnf_decomposition,
     enumerate_dfas,
-    equivalent,
     index_of,
     intersection_decomposition,
     minimize,
+    mod_counter_dfa,
     oracle_primality,
     serialize_dfa,
     singleton_dfa,
@@ -31,7 +30,7 @@ from primedfa import (
     verify_witness,
 )
 from primedfa.oracle import _language_table, _members
-from conftest import BINARY, all_words, language_dfa, random_finite_dfa
+from conftest import BINARY, all_words, language_dfa
 
 AB = ("a", "b")
 
@@ -170,31 +169,6 @@ class TestOraclePrimality:
             oracle_primality(a, OracleLimits(max_enumerated_dfas=10))
 
 
-class TestAlphaIntersection:
-    def test_composite_alpha_equals_language(self):
-        a = language_dfa([("a", "b"), ("b", "a")], AB)
-        inter = alpha_intersection(a)
-        assert equivalent(inter, a)[0]
-
-    def test_prime_alpha_is_strictly_larger(self, prime5):
-        inter = alpha_intersection(prime5)
-        same, w = equivalent(inter, prime5)
-        assert not same
-        assert accepts(inter, w) and not accepts(prime5, w)
-
-    def test_random_composites_collapse(self):
-        rng = random.Random(1212)
-        checked = 0
-        while checked < 30:
-            a = minimize(random_finite_dfa(rng, max_n=3, max_words=5))
-            if a.state_count < 2 or a.state_count > 5:
-                continue
-            v = decide_intersection_primality(a)
-            inter = alpha_intersection(a)
-            assert equivalent(inter, a)[0] == (not v.is_prime)
-            checked += 1
-
-
 class TestVerifyWitness:
     def test_accepted_word_is_never_a_witness(self, prime5):
         assert not verify_witness(prime5, ("a", "b"))
@@ -246,6 +220,12 @@ class TestVerifyDecomposition:
         d = Decomposition("dnf", 3, [[singleton_dfa(("a",), AB)]])
         ok, diag = verify_decomposition(a, d)  # factor has 3 states, not < 3
         assert not ok and "not <" in diag
+
+    def test_union_fold_cap_names_cap_and_size(self):
+        # coprime counters: the union needs 101 * 103 = 10403 states
+        d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
+        with pytest.raises(ResourceLimitError, match=r"union fold reached 10403 .*10000"):
+            verify_decomposition(mod_counter_dfa(101), d)
 
     def test_unknown_mode_rejected(self):
         a = language_dfa([("a",)], AB)

@@ -29,7 +29,7 @@ from primedfa import (
     verify_decomposition,
     verify_witness,
 )
-from conftest import BINARY, language_dfa, random_finite_dfa, random_linear_dfa
+from conftest import BINARY, all_words, language_dfa, random_finite_dfa, random_linear_dfa
 
 AB = ("a", "b")
 
@@ -127,6 +127,29 @@ class TestIntersectionDecomposition:
     def test_prime_input_raises(self, fig4):
         with pytest.raises(DfaError, match="prime"):
             intersection_decomposition(fig4)
+
+    # `decompose --out` numbers its factor files in this order.
+    def test_factor_order_non_linear(self):
+        a = language_dfa([("a", "b"), ("b", "a")], AB)
+        rejected = [w for w in all_words(AB, 2) if not accepts(a, w)]
+        expected = ["lengthcap_2"]
+        expected += ["not(singleton_" + "".join(w) + ")" for w in rejected]
+        d = intersection_decomposition(a)
+        assert [f.name for f in d.factors] == expected
+
+    def test_factor_order_non_safety(self):
+        # {eps, 0, 1} | 0{0,1}^2 | 0{0,1}^2 1: n = 4, q_2 rejecting, and one
+        # word longer than n slips past the base families
+        spine = [("0", x, y) for x in BINARY for y in BINARY]
+        a = language_dfa([(), ("0",), ("1",)] + spine + [w + ("1",) for w in spine], BINARY)
+        rejected = [w for w in all_words(BINARY, 4) if len(w) == 4 and not accepts(a, w)]
+        expected = ["loopzero", "loopd_2", "chain_0-4", "chain_0-1-4", "chain_0-2-4"]
+        expected += ["chain_0-3-4", "chain_0-1-2-4", "chain_0-1-3-4", "chain_0-2-3-4"]
+        expected += ["letterpos_0_4", "letterpos_1_1"]
+        expected += ["noseq_" + "".join(w) for w in rejected]
+        expected += ["ext_000111"]
+        d = intersection_decomposition(a)
+        assert [f.name for f in d.factors] == expected
 
     def test_random_composite_minimal_adfas(self):
         rng = random.Random(321)
@@ -308,6 +331,13 @@ class TestDecompositionCaps:
         0,
         frozenset({0, 16}),
     )
+    # prefixes of a b^15: linear, safety, CEP, n = 16, 2^15 - 1 index chains
+    CEP = Dfa(
+        AB,
+        ((1, 17),) + tuple((17, i + 1) for i in range(1, 16)) + ((17, 17), (17, 17)),
+        0,
+        frozenset(range(17)),
+    )
 
     @pytest.mark.parametrize(
         "decompose, caps, a",
@@ -329,6 +359,12 @@ class TestDecompositionCaps:
                 Caps(max_words=100),
                 NON_SAFETY,
                 id="intersection_decomposition-non-safety",
+            ),
+            pytest.param(
+                intersection_decomposition,
+                Caps(max_factors=100),
+                CEP,
+                id="intersection_decomposition-cep",
             ),
         ],
     )

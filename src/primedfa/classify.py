@@ -20,6 +20,7 @@ from .core import (
     _useful_walk,
     complement,
     minimize,
+    run,
 )
 
 
@@ -144,11 +145,7 @@ def uniform_max_word_letter(p: LinearProfile) -> str | None:
     if p.n == 0:
         return p.alphabet[0]
     for sym in p.alphabet:
-        state = 0
-        idx = p.base.letter_index(sym)
-        for _ in range(p.n):
-            state = p.base.delta[state][idx]
-        if state in p.accepting:
+        if run(p.base, (sym,) * p.n) in p.accepting:
             return sym
     return None
 

@@ -74,15 +74,6 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.delta)
 
-    def letter_index(self, letter: str) -> int:
-        try:
-            return _alphabet_index(self.alphabet)[letter]
-        except (KeyError, TypeError):
-            raise DfaError(f"unknown letter {letter!r}") from None
-
-    def step(self, state: int, letter: str) -> int:
-        return self.delta[state][self.letter_index(letter)]
-
 
 @lru_cache(maxsize=1024)  # programs use a handful of alphabets
 def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
@@ -358,73 +349,91 @@ def minimize(a: Dfa) -> Dfa:
 
     Which states are equivalent is found in one of two ways, chosen by the
     input alone.  When the states that can reach an accepting state form an
-    acyclic graph (every DFA of a finite language), the remaining, dead
-    states form one class, and the others get classes in one reverse
+    acyclic graph (every trimmed DFA of a finite language), the remaining,
+    dead states form class 0, and the others get classes in one reverse
     topological pass keyed on acceptance and the classes of their successors
     (Revuz 1992), in time linear in the transition table.  Otherwise Moore
     partition refinement runs, one linear pass per round and up to as many
     rounds as there are states.
 
     The result is kept on the input, so minimizing the same DFA object
-    again costs nothing, and it is marked finite when the acyclic pass ran
-    (``intersect_all`` reads that mark)."""
+    again costs nothing.  When the acyclic pass ran, the result also keeps
+    its class table (``intersect_all`` folds from it)."""
     if getattr(a, "_minimal", False):
         return a
     cached = getattr(a, "_minimized", None)
     if cached is not None:
         return cached
-    reach = sorted(reachable_states(a))
-    pos = {q: i for i, q in enumerate(reach)}
-    delta = [[pos[t] for t in a.delta[q]] for q in reach]
-    accepting = [q in a.accepting for q in reach]
-    n = len(reach)
-
-    _, topo = _useful_order(delta, [q for q in range(n) if accepting[q]])
+    delta = a.delta
+    _, topo = _useful_order(delta, a.accepting)
     if topo is not None:
-        # Class 0 holds the dead states; a successor's class is known before
-        # its predecessors' because the pass runs against the edges.
-        block = [0] * n
-        classes: dict[tuple, int] = {}
+        # A successor's class is known before its predecessors' because the
+        # pass runs against the edges; states off the order are dead.
+        rows, final, intern = _class_table(len(a.alphabet))
+        block = [0] * len(delta)
         for q in reversed(topo):
-            key = (accepting[q], tuple(block[t] for t in delta[q]))
-            block[q] = classes.setdefault(key, len(classes) + 1)
+            block[q] = intern(q in a.accepting, tuple(block[t] for t in delta[q]))
     else:
         # Moore partition refinement.
-        block = [1 if acc else 0 for acc in accepting]
+        block = [1 if q in a.accepting else 0 for q in range(len(delta))]
         while True:
             sigs: dict[tuple, int] = {}
-            new_block = [0] * n
-            for q in range(n):
-                sig = (block[q], tuple(block[t] for t in delta[q]))
+            new_block = [0] * len(delta)
+            for q, row in enumerate(delta):
+                sig = (block[q], tuple(block[t] for t in row))
                 if sig not in sigs:
                     sigs[sig] = len(sigs)
                 new_block[q] = sigs[sig]
             if new_block == block:
                 break
             block = new_block
-
-    rep_delta: dict[int, list[int]] = {}
-    rep_accepting: dict[int, bool] = {}
-    for q in range(n):
-        rep_delta.setdefault(block[q], [block[t] for t in delta[q]])
-        rep_accepting.setdefault(block[q], accepting[q])
+        rows = [()] * len(sigs)
+        final = [False] * len(sigs)
+        for q, row in enumerate(delta):
+            rows[block[q]] = tuple(block[t] for t in row)
+            final[block[q]] = q in a.accepting
     m = _canonical(
-        rep_delta, rep_accepting, block[pos[a.initial]], a.alphabet, a.name,
-        finite=topo is not None,
+        rows, final, block[a.initial], a.alphabet, a.name, finite=topo is not None
     )
     object.__setattr__(a, "_minimized", m)
     return m
 
 
+def _class_table(width: int):
+    """An empty class table over ``width`` letters and its interning rule.
+
+    ``rows[c]`` holds the successor classes of class ``c`` and ``final[c]``
+    its acceptance; class 0 is the empty language.  ``intern(accepting,
+    successors)`` returns the class with that acceptance and those
+    successors, adding it when new (Revuz 1992, built on the fly as in
+    Daciuk, Mihov, Watson & Watson 2000): a rejecting row whose successors
+    are all class 0 is class 0 itself.  Interned in successor-first order,
+    the table is minimal."""
+    dead = (0,) * width
+    rows = [dead]
+    final = [False]
+    registry: tuple[dict, dict] = ({dead: 0}, {})  # one dict per acceptance
+
+    def intern(accepting: bool, successors: tuple[int, ...]) -> int:
+        classes = registry[accepting]
+        c = classes.get(successors)
+        if c is None:
+            c = classes[successors] = len(rows)
+            rows.append(successors)
+            final.append(accepting)
+        return c
+
+    return rows, final, intern
+
+
 def _canonical(
     rows, final, start: int, alphabet: tuple[str, ...], name: str, finite: bool
 ) -> Dfa:
-    """The canonical form of a minimal class table: ``rows[c]`` holds the
-    successor classes of class ``c`` and ``final[c]`` its acceptance.  The
-    classes reachable from ``start`` are renumbered in BFS discovery order,
-    letters in alphabet order, and the result is marked minimal (``minimize``
-    returns it as it is) and, when ``finite``, as having a finite language
-    (``intersect_all`` reads that mark)."""
+    """The canonical form of a minimal class table (as ``_class_table``
+    builds it when ``finite``).  The classes reachable from ``start`` are
+    renumbered in BFS discovery order, letters in alphabet order, and the
+    result is marked minimal (``minimize`` returns it as it is); when
+    ``finite``, it keeps ``(rows, final, start)`` for ``intersect_all``."""
     number = {start: 0}
     order = [start]
     for c in order:
@@ -440,7 +449,8 @@ def _canonical(
         name=name,
     )
     object.__setattr__(m, "_minimal", True)
-    object.__setattr__(m, "_finite", finite)
+    if finite:
+        object.__setattr__(m, "_table", (rows, final, start))
     return m
 
 
@@ -449,26 +459,28 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     the all-accepting DFA when ``dfas`` is empty.  The result is named
     ``((d0&d1)&d2)...`` after the DFAs.
 
-    The DFAs are folded in order.  While the partial intersection is not
-    known to be finite, each step minimizes the pair product of the partial
+    The fold starts from ``minimize(dfas[0])`` and takes the DFAs in order.
+    While the partial intersection has no class table (its language is not
+    known to be finite), each step minimizes the pair product of the partial
     intersection with the next DFA, and raises ``ResourceLimitError`` as soon
     as that product exceeds ``MAX_FOLD_STATES`` states, before minimizing
-    it.  Once the partial intersection is a minimal DFA marked finite, the
-    rest of the fold runs on class tables without building a DFA per step
-    (``_fold_finite``); there the cap counts the live pairs of a step, those
-    whose language is not known to be empty."""
+    it.  Once it has one, the rest of the fold runs on class tables without
+    building a DFA per step (``_fold_step``); there the cap counts the live
+    pairs of a step, those whose language is not known to be empty."""
     if any(f.alphabet != alphabet for f in dfas):
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
         return all_accepting_dfa(alphabet)
-    # The first product subsumes minimizing the first DFA.
-    acc = dfas[0] if len(dfas) > 1 else minimize(dfas[0])
+    acc = minimize(dfas[0])
     for i in range(1, len(dfas)):
-        if getattr(acc, "_finite", False):
+        table = getattr(acc, "_table", None)
+        if table is not None:
+            for d in dfas[i:]:
+                table = _fold_step(*table, d)
             name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
                 f"&{f.name})" for f in dfas[1:]
             )
-            return _fold_finite(acc, dfas[i:], name)
+            return _canonical(*table, alphabet, name, finite=True)
         acc = _fold_pair(acc, dfas[i], "intersect")
     return acc
 
@@ -487,56 +499,22 @@ def _fold_pair(a: Dfa, b: Dfa, mode: str) -> Dfa:
     return minimize(step)
 
 
-def _fold_finite(acc: Dfa, dfas: Sequence[Dfa], name: str) -> Dfa:
-    """Minimal DFA of L(acc) intersected with every L(d), d in ``dfas``, for
-    a minimal ``acc`` with a finite language, renumbered as ``minimize``
-    numbers its result and named ``name``.
-
-    The partial intersection is kept as a class table: ``rows[c]`` holds
-    the successor classes of class ``c``, ``final[c]`` its acceptance, and
-    class 0 is the empty language.  Each step with the next DFA ``d`` is one
-    depth-first pass over the pairs (class, state of d) reachable from the
-    initial pair, skipping pairs whose class is 0.  A pair gets its class
-    after its successors, from its acceptance and their classes (Revuz
-    1992, built on the fly as in Daciuk, Mihov, Watson & Watson 2000), so
-    the new table is minimal.  The pairs are well founded because the
-    language is finite: every successor of a non-zero class lies deeper in
-    the acyclic table."""
-    # Move the dead sink (the one state with the empty language) to class 0.
-    dead = next(
-        q for q, row in enumerate(acc.delta)
-        if q not in acc.accepting and all(t == q for t in row)
-    )
-    cls = list(range(acc.state_count))
-    cls[0], cls[dead] = dead, 0
-    rows = [()] * acc.state_count
-    final = [False] * acc.state_count
-    for q, row in enumerate(acc.delta):
-        rows[cls[q]] = tuple(cls[t] for t in row)
-        final[cls[q]] = q in acc.accepting
-    start = cls[acc.initial]
-    for d in dfas:
-        rows, final, start = _fold_step(rows, final, start, d)
-
-    return _canonical(rows, final, start, acc.alphabet, name, finite=True)
-
-
 def _fold_step(
     rows: list[tuple[int, ...]], final: list[bool], start: int, d: Dfa
 ) -> tuple[list[tuple[int, ...]], list[bool], int]:
-    """One step of ``_fold_finite``: the class table of the intersection of
-    the table (``rows``, ``final``, ``start``) with ``d``.  Raises
-    ``ResourceLimitError`` as soon as more than ``MAX_FOLD_STATES`` live
-    pairs hold a class."""
-    dead_row = (0,) * len(rows[0])
-    new_rows = [dead_row]
-    new_final = [False]
+    """The class table of the intersection of the class table (``rows``,
+    ``final``, ``start``) of a finite language with ``d``.
+
+    One depth-first pass over the pairs (class, state of d) reachable from
+    the initial pair, skipping pairs whose class is 0; a pair is interned
+    after its successors.  The pairs are well founded because the language
+    is finite: every successor of a non-zero class lies deeper in the
+    acyclic table.  Raises ``ResourceLimitError`` as soon as more than
+    ``MAX_FOLD_STATES`` live pairs hold a class."""
+    new_rows, new_final, intern = _class_table(len(rows[0]))
     ddelta = d.delta
     dfinal = [q in d.accepting for q in range(d.state_count)]
     span = d.state_count  # pair (c, q) is keyed c * span + q
-    # (acceptance, successor classes) -> class, one dict per acceptance; a
-    # rejecting pair whose successors are all dead is dead itself.
-    registry: tuple[dict, dict] = ({dead_row: 0}, {})
     memo: dict[int, int] = {}
     first = start * span + d.initial
     stack = [first]
@@ -562,15 +540,7 @@ def _fold_step(
         if pending:  # come back once the successors have their classes
             continue
         stack.pop()
-        children = tuple(children)
-        accepting = final[c] and dfinal[q]
-        classes = registry[accepting]
-        got = classes.get(children)
-        if got is None:
-            got = classes[children] = len(new_rows)
-            new_rows.append(children)
-            new_final.append(accepting)
-        memo[pair] = got
+        memo[pair] = intern(final[c] and dfinal[q], tuple(children))
         if len(memo) > MAX_FOLD_STATES:
             raise ResourceLimitError(
                 f"intersection fold reached {len(memo)} live pair states, "

@@ -401,10 +401,13 @@ def factor_extension(p: LinearProfile, d: int, w: Word) -> Dfa:
 
     else:  # A4
         x = case.x
-        reentry = 2 * n + 2 - (m - x)
+        # When the trailing run covers position n+1 (m - x <= n), the
+        # re-entry 2n+2-(m-x) would pass q_n; q_{d-x+1} is used instead
+        # (checked on generated survivors, all with m - x = n, not proved).
+        reentry = 2 * n + 2 - (m - x) if m - x > n else d - x + 1
         pivot = w[m - x - 1]  # letter just before the trailing run
         assert pivot != last
-        assert 0 <= d - x <= n
+        assert 0 <= d - x <= n and 0 <= reentry <= n
         for q in range(n + 1):
             if q < n:
                 rows.append(base_or_stay(q))

@@ -299,7 +299,7 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     return m, selected, table
 
 
-def _refine(m: Dfa, selected: int, table: _LangTable) -> tuple[Dfa, Word | None]:
+def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
     """Counterexample-driven intersection refinement.
 
     Keeps an accumulator that always contains the alpha intersection (it is
@@ -307,18 +307,18 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> tuple[Dfa, Word | None]
     shortest word in acc \\ L(A): if no member rejects it, the word lies in
     the full intersection and certifies primality; otherwise the tightest
     rejecting member (the lowest bit) is folded in, which strictly shrinks
-    the accumulator.  Terminates with either acc == L(A) (composite) or a
-    witness word that is the overall shortest (ties broken by alphabet
-    order)."""
+    the accumulator.  Terminates with either acc == L(A) (composite,
+    returns ``None``) or a witness word that is the overall shortest (ties
+    broken by alphabet order)."""
     acc = all_accepting_dfa(m.alphabet)
     while True:
         same, w = equivalent(acc, m)
         if same:
-            return acc, None
+            return None
         assert w is not None
         rejecting = selected & ~table.accept_mask(w)
         if not rejecting:
-            return acc, w
+            return w
         tightest = table.reps[(rejecting & -rejecting).bit_length() - 1]
         acc = intersect_all([acc, tightest], m.alphabet)
 
@@ -327,7 +327,7 @@ def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> Primality
     """Definitional verdict: Composite iff the alpha intersection equals
     L(A); otherwise Prime with the shortest difference word as witness."""
     m, selected, table = _alpha_members(a, limits)
-    _, witness = _refine(m, selected, table)
+    witness = _refine(m, selected, table)
     if witness is None:
         return PrimalityVerdict(COMPOSITE, "oracle")
     return PrimalityVerdict(PRIME, "oracle", witness=witness)

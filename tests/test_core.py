@@ -246,11 +246,14 @@ class TestIntersectAll:
     @pytest.mark.parametrize("rest", [1, 4])  # 1: the oracle's two-DFA folds
     def test_finite_fold_builds_no_product(self, monkeypatch, rest):
         rng = random.Random(5)
-        dfas = [random_finite_dfa(rng, max_n=6, max_words=10)] + [random_dfa(rng, 4) for _ in range(rest)]
-        want = _pairwise_fold(dfas)
+        # a minimal first DFA, and one the fold must minimize first
+        heads = [random_finite_dfa(rng, max_n=6, max_words=10), length_cap_dfa(4, BINARY)]
+        cases = [[head] + [random_dfa(rng, 4) for _ in range(rest)] for head in heads]
+        wants = [_pairwise_fold(dfas) for dfas in cases]
         monkeypatch.setattr(core, "product", _no_product)
-        got = intersect_all(dfas, BINARY)
-        assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
+        for dfas, want in zip(cases, wants):
+            got = intersect_all(dfas, BINARY)
+            assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
 
     def test_cap_fires_inside_finite_fold(self, monkeypatch):
         # words of length <= 300 against 101- and 103-counters: the first
@@ -329,10 +332,21 @@ class TestMinimize:
                 for _ in range(rng.randint(1, 6))
             ]
             for a in (trie_dfa(sorted(set(words)), BINARY), random_finite_dfa(rng)):
-                m, want = minimize(_shuffled(a, rng)), minimize(a)
-                assert (m.delta, m.initial, m.accepting) == (
-                    want.delta, want.initial, want.accepting
-                )
+                want = minimize(a)
+                k = a.state_count
+                # unreachable useful states: an accepting self-loop (a cycle
+                # of useful states) and an acyclic accepting state
+                loop, chain = ((k, k),), ((a.initial, a.initial),)
+                for a2 in (
+                    _shuffled(a, rng),
+                    Dfa(BINARY, a.delta + loop, a.initial, a.accepting | {k}),
+                    Dfa(BINARY, a.delta + chain, a.initial, a.accepting | {k}),
+                    Dfa(BINARY, a.delta + loop + chain, a.initial, a.accepting | {k, k + 1}),
+                ):
+                    m = minimize(a2)
+                    assert (m.delta, m.initial, m.accepting) == (
+                        want.delta, want.initial, want.accepting
+                    )
 
     def test_duplicate_sinks_merge(self):
         # accepting sinks lie on cycles of useful states: Moore refinement

@@ -8,6 +8,7 @@ import pytest
 
 from primedfa import (
     Caps,
+    Dfa,
     DfaError,
     accepts,
     all_index_chains,
@@ -18,6 +19,7 @@ from primedfa import (
     factor_loop_zero,
     factor_skip,
     index_of,
+    intersection_decomposition,
     length_cap_dfa,
     letter_count_dfa,
     linear_profile,
@@ -27,6 +29,7 @@ from primedfa import (
     star_word_dfa,
     subsequence_excluder,
     uniform_max_word_letter,
+    verify_decomposition,
 )
 from primedfa.factories import IndexChain, classify_extension
 from primedfa.primality import _nonsafety_families
@@ -229,6 +232,26 @@ class TestExtensionFactors:
                         assert accepts(f, u), (p.base, d, w, u)
                 tested += 1
         assert tested >= 20
+
+    def test_a4_reentry_when_run_covers_position_n_plus_1(self):
+        # n = 4, d = 3: the survivor c c c b a a is case A4 with x = 2 and
+        # m - x = n, where the re-entry 2n+2-(m-x) = 6 would pass q_n
+        abc = ("a", "b", "c")
+        rows = ((1, 2, 3), (4, 4, 4), (5, 5, 5), (1, 2, 2), (4, 4, 4), (1, 1, 4))
+        a = Dfa(abc, rows, 0, frozenset({0, 1, 2, 3}))
+        p, d, w = linear_profile(a), 3, ("c", "c", "c", "b", "a", "a")
+        case = classify_extension(p, d, w)
+        assert (p.n, case.tag, case.x) == (4, "A4", 2)
+        _, survivors = _nonsafety_families(p, d, Caps())
+        assert w in survivors
+        for s in survivors:
+            f = factor_extension(p, d, s)
+            assert f.state_count == p.n + 1
+            assert not accepts(f, s)
+            for u in all_words(abc, p.n):
+                if accepts(a, u):
+                    assert accepts(f, u), (s, u)
+        assert verify_decomposition(a, intersection_decomposition(a)) == (True, None)
 
     def test_case_dispatch_covers_all_tags(self):
         seen = set()

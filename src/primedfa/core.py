@@ -17,7 +17,9 @@ Word = tuple[str, ...]
 
 EPSILON: Word = ()
 
-# Largest product ``intersect_all`` minimizes; minimizing is the costly step.
+# Largest product ``intersect_all`` minimizes, and most (class, state) pairs
+# one step of its finite fold memoizes (pairs on a self-loop sink of the
+# factor are not walked, so not counted); minimizing is the costly step.
 MAX_FOLD_STATES = 10**4
 
 
@@ -399,8 +401,10 @@ def minimize(a: Dfa) -> Dfa:
     return m
 
 
-def _class_table(width: int):
-    """An empty class table over ``width`` letters and its interning rule.
+def _class_table(width: int, seed=None):
+    """A class table over ``width`` letters and its interning rule; empty,
+    or a copy of the table ``seed`` = (rows, final) that an earlier
+    ``_class_table`` built.
 
     ``rows[c]`` holds the successor classes of class ``c`` and ``final[c]``
     its acceptance; class 0 is the empty language.  ``intern(accepting,
@@ -408,11 +412,14 @@ def _class_table(width: int):
     successors, adding it when new (Revuz 1992, built on the fly as in
     Daciuk, Mihov, Watson & Watson 2000): a rejecting row whose successors
     are all class 0 is class 0 itself.  Interned in successor-first order,
-    the table is minimal."""
-    dead = (0,) * width
-    rows = [dead]
-    final = [False]
-    registry: tuple[dict, dict] = ({dead: 0}, {})  # one dict per acceptance
+    the table is minimal, and every class stays valid as it grows."""
+    if seed is None:
+        rows, final = [(0,) * width], [False]
+    else:
+        rows, final = list(seed[0]), list(seed[1])
+    registry: tuple[dict, dict] = ({}, {})  # one dict per acceptance
+    for c, row in enumerate(rows):
+        registry[final[c]][row] = c
 
     def intern(accepting: bool, successors: tuple[int, ...]) -> int:
         classes = registry[accepting]
@@ -464,23 +471,30 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     known to be finite), each step minimizes the pair product of the partial
     intersection with the next DFA, and raises ``ResourceLimitError`` as soon
     as that product exceeds ``MAX_FOLD_STATES`` states, before minimizing
-    it.  Once it has one, the rest of the fold runs on class tables without
-    building a DFA per step (``_fold_step``); there the cap counts the live
-    pairs of a step, those whose language is not known to be empty."""
+    it.  Once it has one, the rest of the fold runs on one class table,
+    seeded from it, without building a DFA per step: every step
+    (``_fold_step``) interns into that table, so a class of an earlier step
+    is a class of the next one.  There the cap counts the pairs a step
+    memoizes; pairs on a self-loop sink of the next DFA are not walked and
+    not counted."""
     if any(f.alphabet != alphabet for f in dfas):
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
         return all_accepting_dfa(alphabet)
-    acc = minimize(dfas[0])
+    # a first DFA that is already minimal (the oracle's refinement folds)
+    # needs no call
+    acc = dfas[0] if getattr(dfas[0], "_minimal", False) else minimize(dfas[0])
     for i in range(1, len(dfas)):
         table = getattr(acc, "_table", None)
         if table is not None:
+            rows, final, intern = _class_table(len(alphabet), table[:2])
+            start = table[2]
             for d in dfas[i:]:
-                table = _fold_step(*table, d)
+                start = _fold_step(rows, final, intern, start, d)
             name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
                 f"&{f.name})" for f in dfas[1:]
             )
-            return _canonical(*table, alphabet, name, finite=True)
+            return _canonical(rows, final, start, alphabet, name, finite=True)
         acc = _fold_pair(acc, dfas[i], "intersect")
     return acc
 
@@ -500,20 +514,28 @@ def _fold_pair(a: Dfa, b: Dfa, mode: str) -> Dfa:
 
 
 def _fold_step(
-    rows: list[tuple[int, ...]], final: list[bool], start: int, d: Dfa
-) -> tuple[list[tuple[int, ...]], list[bool], int]:
-    """The class table of the intersection of the class table (``rows``,
-    ``final``, ``start``) of a finite language with ``d``.
+    rows: list[tuple[int, ...]], final: list[bool], intern, start: int, d: Dfa
+) -> int:
+    """The class of the intersection of class ``start`` with ``d``, interned
+    into the class table (``rows``, ``final``, ``intern``) of a finite
+    language, which grows in place.
 
     One depth-first pass over the pairs (class, state of d) reachable from
-    the initial pair, skipping pairs whose class is 0; a pair is interned
-    after its successors.  The pairs are well founded because the language
+    the start pair; a pair is interned after its successors.  A pair whose
+    class is 0 is class 0.  So is a pair on a rejecting self-loop sink of
+    ``d``, and a pair (c, accepting self-loop sink) is class c itself; these
+    pairs are not walked.  The rest are well founded because the language
     is finite: every successor of a non-zero class lies deeper in the
-    acyclic table.  Raises ``ResourceLimitError`` as soon as more than
-    ``MAX_FOLD_STATES`` live pairs hold a class."""
-    new_rows, new_final, intern = _class_table(len(rows[0]))
-    ddelta = d.delta
-    dfinal = [q in d.accepting for q in range(d.state_count)]
+    acyclic table.  Raises ``ResourceLimitError`` on the first pair past
+    ``MAX_FOLD_STATES`` that would be memoized, before storing it."""
+    ddelta, daccepting, width = d.delta, d.accepting, len(d.alphabet)
+    # sink[q]: None off a self-loop sink, else whether the sink accepts
+    sink = [
+        (q in daccepting) if row.count(q) == width else None
+        for q, row in enumerate(ddelta)
+    ]
+    if sink[d.initial] is not None:
+        return start if sink[d.initial] else 0
     span = d.state_count  # pair (c, q) is keyed c * span + q
     memo: dict[int, int] = {}
     first = start * span + d.initial
@@ -527,26 +549,30 @@ def _fold_step(
         children = []
         pending = False
         for c_next, q_next in zip(rows[c], ddelta[q]):
-            if c_next:
-                child = c_next * span + q_next
-                got = memo.get(child)
-                if got is None:
-                    stack.append(child)
-                    pending = True
-                else:
-                    children.append(got)
-            else:
+            if not c_next:
                 children.append(0)
+                continue
+            on_sink = sink[q_next]
+            if on_sink is not None:
+                children.append(c_next if on_sink else 0)
+                continue
+            child = c_next * span + q_next
+            got = memo.get(child)
+            if got is None:
+                stack.append(child)
+                pending = True
+            else:
+                children.append(got)
         if pending:  # come back once the successors have their classes
             continue
         stack.pop()
-        memo[pair] = intern(final[c] and dfinal[q], tuple(children))
-        if len(memo) > MAX_FOLD_STATES:
+        if len(memo) >= MAX_FOLD_STATES:
             raise ResourceLimitError(
-                f"intersection fold reached {len(memo)} live pair states, "
+                f"intersection fold reached {len(memo) + 1} live pair states, "
                 f"cap is {MAX_FOLD_STATES}"
             )
-    return new_rows, new_final, memo[first]
+        memo[pair] = intern(final[c] and q in daccepting, tuple(children))
+    return memo[first]
 
 
 def index_of(a: Dfa) -> int:
@@ -714,24 +740,18 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
 
 
 def all_accepting_dfa(alphabet: tuple[str, ...]) -> Dfa:
-    """One-state DFA recognizing every word over ``alphabet``."""
-    return Dfa(
-        alphabet=alphabet,
-        delta=(tuple(0 for _ in alphabet),),
-        initial=0,
-        accepting=frozenset({0}),
-        name="sigma-star",
+    """One-state DFA recognizing every word over ``alphabet``; minimal, and
+    exactly what ``minimize`` returns for it."""
+    return _canonical(
+        [(0,) * len(alphabet)], [True], 0, alphabet, "sigma-star", finite=False
     )
 
 
 def empty_language_dfa(alphabet: tuple[str, ...]) -> Dfa:
-    """Minimal DFA recognizing the empty language."""
-    return Dfa(
-        alphabet=alphabet,
-        delta=(tuple(0 for _ in alphabet),),
-        initial=0,
-        accepting=frozenset(),
-        name="empty",
+    """Minimal DFA recognizing the empty language, exactly what ``minimize``
+    returns for it."""
+    return _canonical(
+        [(0,) * len(alphabet)], [False], 0, alphabet, "empty", finite=True
     )
 
 

@@ -226,6 +226,31 @@ def _fold_case(kind: str, rng: random.Random) -> list[Dfa]:
     return [rng.choice((finite, cyclic))() for _ in range(2)]
 
 
+def _sink_factor(rng: random.Random, alphabet) -> Dfa:
+    """A factor with self-loop sinks, of one of six shapes."""
+    kind = rng.randrange(6)
+    w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+    if kind == 0:
+        return complement(singleton_dfa(w, alphabet))
+    if kind == 1:
+        return singleton_dfa(w, alphabet)
+    if kind == 2:
+        return length_cap_dfa(rng.randint(0, 7), alphabet)
+    if kind == 3:  # not minimal: two accepting and two rejecting sinks
+        k = rng.randint(1, 4)
+        rows = [tuple(rng.randrange(k + 4) for _ in alphabet) for _ in range(k)]
+        rows += [(q,) * len(alphabet) for q in range(k, k + 4)]
+        accepting = {q for q in range(k) if rng.random() < 0.5} | {k, k + 1}
+        return Dfa(alphabet, tuple(rows), 0, frozenset(accepting), name=f"sinks{k}")
+    if kind == 4:  # the initial state is a sink, accepting or not
+        k = rng.randint(1, 4)
+        rows = [(0,) * len(alphabet)]
+        rows += [tuple(rng.randrange(k) for _ in alphabet) for _ in range(k - 1)]
+        accepting = frozenset(q for q in range(k) if rng.random() < 0.5)
+        return Dfa(alphabet, tuple(rows), 0, accepting, name=f"initsink{k}")
+    return random_dfa(rng, 4, alphabet)
+
+
 class TestIntersectAll:
     @pytest.mark.parametrize(
         "kind",
@@ -263,6 +288,48 @@ class TestIntersectAll:
         cap = core.MAX_FOLD_STATES
         with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
             intersect_all([acc, mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
+
+    @pytest.mark.parametrize("alphabet", [BINARY, ("a", "b", "c")], ids=["binary", "ternary"])
+    def test_sink_factors_match_pairwise_fold(self, alphabet):
+        rng = random.Random(len(alphabet))
+        heads = (
+            lambda: random_finite_dfa(rng, max_n=6, max_words=10, alphabet=alphabet),
+            lambda: length_cap_dfa(rng.randint(0, 6), alphabet),
+            lambda: _sink_factor(rng, alphabet),
+        )
+        for _ in range(600):
+            head = rng.choice(heads)()
+            dfas = [head] + [_sink_factor(rng, alphabet) for _ in range(rng.randint(1, 6))]
+            got, want = intersect_all(dfas, alphabet), _pairwise_fold(dfas)
+            assert (got.delta, got.initial, got.accepting, got.name) == (
+                want.delta, want.initial, want.accepting, want.name
+            )
+            assert minimize(got) is got
+
+    @pytest.mark.parametrize(
+        "factor",
+        [complement(singleton_dfa(("1",), BINARY)), mod_counter_dfa(1)],
+        ids=["not-singleton", "sigma-star"],
+    )
+    def test_pairs_on_a_sink_are_not_counted(self, monkeypatch, factor):
+        # 20,001 classes, each paired with an accepting sink after at most
+        # one letter: past the cap if those pairs counted
+        dfas = [length_cap_dfa(20000, BINARY), factor]
+        want = _pairwise_fold(dfas)
+        monkeypatch.setattr(core, "product", _no_product)
+        got = intersect_all(dfas, BINARY)
+        assert (got.delta, got.initial, got.accepting, got.name) == (
+            want.delta, want.initial, want.accepting, want.name
+        )
+
+    def test_empty_first_builds_no_product(self, monkeypatch):
+        rng = random.Random(7)
+        dfas = [empty_language_dfa(BINARY), random_dfa(rng, 5)]
+        want = _pairwise_fold(dfas)
+        monkeypatch.setattr(core, "product", _no_product)
+        got = intersect_all(dfas, BINARY)
+        assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
+        assert got.accepting == frozenset()
 
     def test_deep_finite_fold(self):
         # a longest word of 5,000 letters: the fold must not recurse per letter
@@ -358,6 +425,16 @@ class TestMinimize:
         a = Dfa(BINARY, ((1, 4), (2, 3), (3, 2), (2, 2), (4, 4)), 0, frozenset({1}))
         m = minimize(a)
         assert m.delta == ((1, 2), (2, 2), (2, 2)) and m.accepting == {1}
+
+    @pytest.mark.parametrize("make", [all_accepting_dfa, empty_language_dfa])
+    def test_constant_languages_are_minimal(self, make):
+        x = make(BINARY)
+        assert minimize(x) is x
+        # what minimize returns for an unmarked copy, name included
+        m = minimize(replace(x))
+        assert (m.delta, m.initial, m.accepting, m.name) == (
+            x.delta, x.initial, x.accepting, x.name
+        )
 
     def test_index_examples(self, fig4):
         assert index_of(fig4) == 5

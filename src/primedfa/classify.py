@@ -18,7 +18,6 @@ from .core import (
     DfaError,
     Word,
     _useful_walk,
-    complement,
     minimize,
     run,
 )
@@ -111,32 +110,36 @@ def is_safety(a: Dfa) -> bool:
 
 def is_cosafety(a: Dfa) -> bool:
     """Dual of is_safety: every accepting state of the minimal DFA is an
-    accepting sink."""
-    return is_safety(complement(a))
+    accepting sink.  The minimal DFA of the complement is the same DFA with
+    acceptance flipped, so this equals ``is_safety(complement(a))``."""
+    m = minimize(a)
+    return all(all(t == q for t in m.delta[q]) for q in m.accepting)
 
 
 def is_simple_cosafety(a: Dfa) -> bool:
     """Co-safety DFA shape with exactly one accepting sink whose remaining
     states are all reachable from one another."""
     m = minimize(a)
-    if not is_cosafety(m):
-        return False
     if len(m.accepting) != 1:
         return False
     (sink,) = m.accepting
-    rest = [q for q in range(m.state_count) if q != sink]
-    for q in rest:
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for t in m.delta[p]:
-                if t != sink and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != len(rest):
-            return False
-    return True
+    if any(t != sink for t in m.delta[sink]):
+        return False
+    # Every state of m is reachable from the initial state, and no path
+    # leaves the sink, so the other states are reachable from one another
+    # exactly when all of them reach the initial state: one backward search.
+    inverse: list[list[int]] = [[] for _ in range(m.state_count)]
+    for q, row in enumerate(m.delta):
+        for t in row:
+            inverse[t].append(q)
+    seen = {sink, m.initial}
+    stack = [m.initial]
+    while stack:
+        for p in inverse[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return len(seen) == m.state_count
 
 
 def uniform_max_word_letter(p: LinearProfile) -> str | None:

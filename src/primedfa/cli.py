@@ -294,6 +294,11 @@ def factory(kind: str, alphabet: str, word: str, length_: int, letter: str, coun
     """Print a stock factor DFA document."""
     al = tuple(alphabet.split())
     w: Word = tuple(word.split())
+    stray = [sym for sym in w if sym not in al]
+    if kind in ("singleton", "starword") and stray:
+        raise click.BadParameter(
+            f"letter {stray[0]!r} is not in --alphabet", param_hint="--word"
+        )
     if kind == "singleton":
         a = singleton_dfa(w, al)
     elif kind == "lengthcap":
@@ -368,12 +373,12 @@ def _sweep_random(samples: int, seed: int, max_n: int, alphabet: tuple[str, ...]
 
 @cli.command()
 @click.option("--family", type=click.Choice(["exhaustive", "random"]), default="exhaustive", show_default=True)
-@click.option("--max-index", default=4, show_default=True, help="Exhaustive: index bound.")
-@click.option("--alphabet-size", default=2, show_default=True)
-@click.option("--samples", default=100, show_default=True, help="Random: sample count.")
+@click.option("--max-index", type=click.IntRange(min=1), default=4, show_default=True, help="Exhaustive: index bound.")
+@click.option("--alphabet-size", type=click.IntRange(1, 6), default=2, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True, help="Random: sample count.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-n", default=4, show_default=True, help="Random: longest word bound.")
-@click.option("--max-factor-states", default=4, show_default=True)
+@click.option("--max-n", type=click.IntRange(min=0), default=4, show_default=True, help="Random: longest word bound.")
+@click.option("--max-factor-states", type=click.IntRange(min=1), default=4, show_default=True)
 @_JSON_OPT
 def sweep(
     family: str,

@@ -600,20 +600,9 @@ def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Word | None]:
 
 
 def is_empty(a: Dfa) -> tuple[bool, Word | None]:
-    """Emptiness plus the shortest accepted word when nonempty."""
-    start = a.initial
-    seen = {start}
-    queue: deque[tuple[int, Word]] = deque([(start, EPSILON)])
-    while queue:
-        q, word = queue.popleft()
-        if q in a.accepting:
-            return False, word
-        for i, sym in enumerate(a.alphabet):
-            t = a.delta[q][i]
-            if t not in seen:
-                seen.add(t)
-                queue.append((t, word + (sym,)))
-    return True, None
+    """Emptiness plus the shortest accepted word when nonempty (the
+    lexicographically least among the shortest)."""
+    return equivalent(a, empty_language_dfa(a.alphabet))
 
 
 def _useful_order(

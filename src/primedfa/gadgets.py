@@ -39,19 +39,22 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise DfaError("digraph must have at least one node")
+        out: list[list[int]] = [[] for _ in range(self.node_count)]
         for u, v in self.edges:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise DfaError(f"edge ({u}, {v}) references a missing node")
+            out[u].append(v)
         if len(set(self.edges)) != len(self.edges):
             raise DfaError("duplicate edge")
-        for u in range(self.node_count):
-            if sum(1 for x, _ in self.edges if x == u) > 2:
+        for u, targets in enumerate(out):
+            if len(targets) > 2:
                 raise DfaError(f"node {u} exceeds the maximum outdegree of two")
         if not (0 <= self.s < self.node_count and 0 <= self.t < self.node_count):
             raise DfaError("source/target node out of range")
+        object.__setattr__(self, "_successors", [sorted(t) for t in out])
 
     def successors(self, u: int) -> list[int]:
-        return sorted(v for x, v in self.edges if x == u)
+        return list(self._successors[u])
 
 
 def digraph_reachable(g: Digraph) -> bool:

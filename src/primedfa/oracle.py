@@ -42,7 +42,6 @@ from .core import (
     minimize,
     product,
     run,
-    serialize_dfa,
 )
 from .primality import COMPOSITE, PRIME, Decomposition, PrimalityVerdict
 
@@ -212,9 +211,13 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
                 if sig not in by_sig:
                     accepting = frozenset(q for q in range(k) if s >> q & 1)
                     by_sig[sig] = Dfa(alphabet, delta, 0, accepting)
+    # State ids are single digits, so sorted accepting ids, then the table,
+    # order reps of one size exactly as their serializations would.
     order = sorted(
         by_sig.items(),
-        key=lambda e: (e[0].bit_count(), e[1].state_count, serialize_dfa(e[1])),
+        key=lambda e: (
+            e[0].bit_count(), e[1].state_count, sorted(e[1].accepting), e[1].delta
+        ),
     )
     reps = [r for _, r in order]
 

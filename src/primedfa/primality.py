@@ -312,25 +312,21 @@ def decide_s_primality(a: Dfa) -> PrimalityVerdict:
     co-safety DFAs (where it reduces to minimality)."""
     m = minimize(a)
     n, _ = _analysis(m)
-    if n != math.inf:
-        if a.state_count > m.state_count:
-            return PrimalityVerdict(
-                COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"
-            )
-        inner = decide_intersection_primality(m)
-        return PrimalityVerdict(
-            inner.status,
-            inner.branch,
-            witness=inner.witness,
-            notes="size equals index; size-based and index-based notions coincide",
+    if n == math.inf and not is_simple_cosafety(m):
+        raise DfaError(
+            "decide_s_primality: supported only for finite languages or "
+            "simple co-safety DFAs"
         )
-    if is_simple_cosafety(m):
-        if a.state_count > m.state_count:
-            return PrimalityVerdict(
-                COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"
-            )
+    if a.state_count > m.state_count:
+        return PrimalityVerdict(
+            COMPOSITE, "non-minimal", notes="minimal DFA is a smaller 1-factor"
+        )
+    if n == math.inf:
         return PrimalityVerdict(PRIME, "simple-cosafety")
-    raise DfaError(
-        "decide_s_primality: supported only for finite languages or "
-        "simple co-safety DFAs"
+    inner = decide_intersection_primality(m)
+    return PrimalityVerdict(
+        inner.status,
+        inner.branch,
+        witness=inner.witness,
+        notes="size equals index; size-based and index-based notions coincide",
     )

@@ -22,7 +22,7 @@ from primedfa import (
     oracle_cep,
     uniform_max_word_letter,
 )
-from conftest import BINARY, all_words, language_dfa, random_linear_dfa
+from conftest import BINARY, all_words, language_dfa, random_dfa, random_linear_dfa
 
 AB = ("a", "b")
 
@@ -134,6 +134,49 @@ class TestSafetyShapes:
         assert minimize(a).state_count == 3
         assert is_cosafety(a)
         assert not is_simple_cosafety(a)
+
+
+def _simple_cosafety_reference(a: Dfa) -> bool:
+    """The definition, with one search from every non-sink state."""
+    m = minimize(a)
+    if not is_safety(complement(m)) or len(m.accepting) != 1:
+        return False
+    (sink,) = m.accepting
+    rest = [q for q in range(m.state_count) if q != sink]
+    for q in rest:
+        seen = {q}
+        stack = [q]
+        while stack:
+            for t in m.delta[stack.pop()]:
+                if t != sink and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) != len(rest):
+            return False
+    return True
+
+
+class TestCosafetyFromMinimalDfa:
+    def test_random_dfas_match_the_definitions(self):
+        rng = random.Random(101)
+        simple = 0
+        for _ in range(3000):
+            a = random_dfa(rng, alphabet=BINARY if rng.random() < 0.7 else AB + ("c",))
+            if rng.random() < 0.6:
+                # an accepting sink, often the only accepting state
+                sink = rng.randrange(a.state_count)
+                delta = list(a.delta)
+                delta[sink] = (sink,) * len(a.alphabet)
+                accepting = {sink} | (a.accepting if rng.random() < 0.2 else set())
+                a = Dfa(a.alphabet, tuple(delta), a.initial, frozenset(accepting))
+            assert is_cosafety(a) == is_safety(complement(a)), a
+            expected = _simple_cosafety_reference(a)
+            assert is_simple_cosafety(a) == expected, a
+            simple += expected
+        assert 300 < simple < 2700  # both answers are exercised
+
+    def test_sink_alone_is_simple_cosafety(self):
+        assert is_simple_cosafety(Dfa(BINARY, ((0, 0),), 0, frozenset({0})))
 
 
 class TestUniformLetter:

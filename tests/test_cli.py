@@ -220,6 +220,12 @@ class TestFactory:
         r = run_cli(["factory", "lettercount", "--alphabet", "a b", "--letter", "z"])
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("kind", ["singleton", "starword"])
+    def test_word_letter_outside_alphabet_exits_three(self, kind):
+        r = run_cli(["factory", kind, "--alphabet", "a b", "--word", "a c"])
+        assert r.returncode == 3 and r.stdout == ""
+        assert "'c' is not in --alphabet" in r.stderr
+
 
 class TestGadgetCommand:
     def test_minimality_from_graph(self, tmp_path):
@@ -257,6 +263,23 @@ class TestSweep:
         r = run_cli(["sweep", "--max-index", "6"])
         assert r.returncode == 2 and r.stdout == ""
         assert "2147483648" in r.stderr and "cap is 2000000" in r.stderr
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--alphabet-size", "0"),
+            ("--alphabet-size", "9"),
+            ("--max-n", "-1"),
+            ("--samples", "-1"),
+            ("--max-index", "0"),
+            ("--max-factor-states", "0"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, option, value):
+        r = run_cli(["sweep", "--family", "random", option, value])
+        assert r.returncode == 3 and r.stdout == ""
+        assert f"Invalid value for '{option}'" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_random_sweep_deterministic(self):
         args = [

@@ -463,6 +463,9 @@ class TestLanguageShape:
     def test_emptiness(self, fig4):
         assert is_empty(empty_language_dfa(BINARY)) == (True, None)
         assert is_empty(fig4) == (False, ())
+        # shortest accepted words first, ties in alphabet order
+        a = language_dfa([("1", "0"), ("0", "1"), ("1", "1", "0")], BINARY)
+        assert is_empty(a) == (False, ("0", "1"))
 
     def test_finiteness(self, fig4):
         assert is_finite_language(fig4)

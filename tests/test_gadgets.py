@@ -94,6 +94,15 @@ class TestDigraph:
         assert not digraph_reachable(Digraph(2, (), 0, 1))
 
 
+class TestLargeGraph:
+    def test_path_of_20000_nodes(self):
+        v = 20_000
+        g = Digraph(v, tuple((i, i + 1) for i in range(v - 1)), 0, v - 1)
+        assert digraph_reachable(g)
+        assert minimality_gadget(g).state_count == 7 * v + 1
+        assert sprime_gadget(g).state_count == 14 * v + 2
+
+
 class TestMinimalityGadget:
     def test_size_law(self):
         g = Digraph(2, ((0, 1),), 0, 1)

@@ -122,6 +122,14 @@ class TestParentWitnesses:
         assert not verify_witness(a, ("0",) * 6) and not verify_witness(a, ("0",) * 8)
 
 
+    def test_infinite_language(self):
+        # index 2; the only one-state superset of L is the all-accepting DFA
+        a = mod_counter_dfa(2)
+        v = oracle_primality(a)
+        assert v.status == PRIME and v.witness == ("1",)
+        assert verify_witness(a, ("1",))
+
+
 class TestOraclePrimality:
     def test_agrees_with_decision_procedure_exhaustively(self):
         # every nonempty finite binary language with words of length <= 2

@@ -12,6 +12,7 @@ from primedfa import (
     Caps,
     Dfa,
     DfaError,
+    Digraph,
     ResourceLimitError,
     accepts,
     decide_dnf_primality,
@@ -25,6 +26,9 @@ from primedfa import (
     intersection_witness,
     minimize,
     mod_counter_dfa,
+    parse_dfa,
+    serialize_dfa,
+    sprime_gadget,
     union_decomposition,
     verify_decomposition,
     verify_witness,
@@ -297,6 +301,45 @@ class TestAnalyzeOnce:
         assert len(profiled) == 1 and profiled[0] is minimize(a)
         assert len(calls["longest_word_length"]) <= 1
         assert calls["is_empty"] == []
+
+
+class TestMinimizeOnce:
+    """``decide_s_primality`` and the ``classify`` command build one minimal
+    DFA per input: the co-safety predicates read the same one."""
+
+    @pytest.mark.parametrize(
+        "shape", ["sprime-reachable", "sprime-unreachable", "non-minimal-cyclic", "fig4"]
+    )
+    def test_one_minimal_dfa_per_input(self, shape, fig4, tmp_path, monkeypatch):
+        import primedfa.core as core
+        from click.testing import CliRunner
+
+        from primedfa.cli import cli
+
+        path = tuple((i, i + 1) for i in range(4))
+        a = {
+            "sprime-reachable": lambda: sprime_gadget(Digraph(5, path, 0, 4)),
+            "sprime-unreachable": lambda: sprime_gadget(Digraph(5, path, 4, 0)),
+            # simple co-safety with two equivalent accepting sinks, 2 and 3
+            "non-minimal-cyclic": lambda: Dfa(
+                BINARY, ((1, 0), (0, 2), (3, 3), (3, 3)), 0, frozenset({2, 3})
+            ),
+            "fig4": lambda: fig4,
+        }[shape]()
+        doc = tmp_path / "input.dfa"
+        doc.write_text(serialize_dfa(a))
+
+        built = []
+        real = core._canonical
+        monkeypatch.setattr(
+            core, "_canonical", lambda *args, **kw: built.append(1) or real(*args, **kw)
+        )
+        decide_s_primality(parse_dfa(doc.read_text()))
+        assert len(built) == 1
+        built.clear()
+        r = CliRunner().invoke(cli, ["classify", str(doc)])
+        assert r.exit_code == 0, r.output
+        assert len(built) == 1
 
 
 class TestWitnessSoundness:

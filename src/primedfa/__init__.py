@@ -72,7 +72,6 @@ from .gadgets import (
 from .oracle import (
     DEFAULT_LIMITS,
     OracleLimits,
-    enumerate_dfas,
     oracle_cep,
     oracle_primality,
     verify_decomposition,

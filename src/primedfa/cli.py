@@ -200,8 +200,8 @@ _DECOMPOSERS = {
 @cli.command()
 @click.option("--mode", type=click.Choice(sorted(_DECOMPOSERS)), default="cap", show_default=True)
 @click.option("--out", "out_dir", default=None, help="Directory for factor files.")
-@click.option("--max-words", default=10**6, show_default=True)
-@click.option("--max-factors", default=10**6, show_default=True)
+@click.option("--max-words", type=click.IntRange(min=0), default=10**6, show_default=True)
+@click.option("--max-factors", type=click.IntRange(min=0), default=10**6, show_default=True)
 @click.argument("dfa_file")
 @_JSON_OPT
 def decompose(
@@ -247,7 +247,7 @@ def decompose(
 
 
 @cli.command()
-@click.option("--max-factor-states", default=4, show_default=True)
+@click.option("--max-factor-states", type=click.IntRange(min=1), default=4, show_default=True)
 @click.argument("dfa_file")
 @_JSON_OPT
 def oracle(max_factor_states: int, dfa_file: str, as_json: bool) -> None:

@@ -20,6 +20,7 @@ EPSILON: Word = ()
 # Largest product ``intersect_all`` minimizes, and most (class, state) pairs
 # one step of its finite fold memoizes (pairs on a self-loop sink of the
 # factor are not walked, so not counted); minimizing is the costly step.
+# Also the most nodes an oracle ``_shortest_word`` search stores.
 MAX_FOLD_STATES = 10**4
 
 
@@ -481,9 +482,7 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
         return all_accepting_dfa(alphabet)
-    # a first DFA that is already minimal (the oracle's refinement folds)
-    # needs no call
-    acc = dfas[0] if getattr(dfas[0], "_minimal", False) else minimize(dfas[0])
+    acc = minimize(dfas[0])
     for i in range(1, len(dfas)):
         table = getattr(acc, "_table", None)
         if table is not None:
@@ -580,29 +579,54 @@ def index_of(a: Dfa) -> int:
     return minimize(a).state_count
 
 
+def _shortest_word(dfas: Sequence[Dfa], goal, cap: int | None = None) -> Word | None:
+    """The least word in length-then-alphabet order whose acceptances, one
+    bool per DFA of ``dfas`` (all over one alphabet), satisfy ``goal``, or
+    ``None``.  Breadth-first search over the product of ``dfas``, which is
+    never built: nodes are tuples of states, reached in the order of their
+    least words.  With a ``cap``, raises ``ResourceLimitError`` before
+    storing a node past ``cap`` nodes."""
+    alphabet = dfas[0].alphabet
+    for d in dfas[1:]:
+        _check_same_alphabet(dfas[0], d)
+    deltas = [d.delta for d in dfas]
+    finals = [d.accepting for d in dfas]
+    start = tuple(d.initial for d in dfas)
+    parent = {start: None}  # node -> (node before it, letter position)
+    order = [start]
+    for node in order:
+        if goal(tuple([q in f for q, f in zip(node, finals)])):
+            word = []
+            while parent[node] is not None:
+                node, x = parent[node]
+                word.append(alphabet[x])
+            return tuple(reversed(word))
+        rows = [delta[q] for delta, q in zip(deltas, node)]
+        for x in range(len(alphabet)):
+            nxt = tuple([row[x] for row in rows])
+            if nxt not in parent:
+                if cap is not None and len(parent) >= cap:
+                    raise ResourceLimitError(
+                        f"shortest-word search reached {len(parent) + 1} "
+                        f"product states, cap is {cap}"
+                    )
+                parent[nxt] = (node, x)
+                order.append(nxt)
+    return None
+
+
 def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Word | None]:
     """Language equality; on inequality also the lexicographically least
-    among the shortest distinguishing words (BFS over the pair graph)."""
-    _check_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (pa, pb), word = queue.popleft()
-        if (pa in a.accepting) != (pb in b.accepting):
-            return False, word
-        for i, sym in enumerate(a.alphabet):
-            nxt = (a.delta[pa][i], b.delta[pb][i])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (sym,)))
-    return True, None
+    among the shortest distinguishing words."""
+    w = _shortest_word((a, b), lambda acc: acc[0] != acc[1])
+    return w is None, w
 
 
 def is_empty(a: Dfa) -> tuple[bool, Word | None]:
     """Emptiness plus the shortest accepted word when nonempty (the
     lexicographically least among the shortest)."""
-    return equivalent(a, empty_language_dfa(a.alphabet))
+    w = _shortest_word((a,), lambda acc: acc[0])
+    return w is None, w
 
 
 def _useful_order(

@@ -5,16 +5,15 @@ than the index of A whose language contains L(A).  A is composite exactly
 when the intersection of those languages equals L(A); otherwise any word in
 the difference is a primality witness.
 
-``enumerate_dfas`` is the literal enumeration of all complete k-state DFAs.
-The alpha computations do not loop over that raw stream: intersecting the
+The alpha computations do not loop over all small DFAs: intersecting the
 same language twice changes nothing, so they work from a cached table of
 *distinct languages* of small DFAs, one minimal representative ("rep")
 each.  The table is bit-sliced: every set of reps is one integer mask, bit
 i standing for rep i, and one primitive, ``accept_mask``, runs a word on
 all reps at once and returns the mask of those that accept it.  Alpha
 selection is the AND of the accept masks of the words of a finite L(A);
-an infinite L(A) is settled by one product per rep.  Verdicts are
-identical to the literal definition, just reachable on a desk.
+an infinite L(A) takes one shortest-word search per rep, as does each round
+of the refinement.  Verdicts are identical to the literal definition.
 """
 
 from __future__ import annotations
@@ -26,21 +25,19 @@ from functools import lru_cache
 
 from .classify import LinearProfile
 from .core import (
+    MAX_FOLD_STATES,
     Dfa,
     DfaError,
     ResourceLimitError,
     Word,
     _fold_pair,
+    _shortest_word,
     _useful_walk,
     accepts,
-    all_accepting_dfa,
     empty_language_dfa,
     equivalent,
     intersect_all,
-    is_empty,
-    is_finite_language,
     minimize,
-    product,
     run,
 )
 from .primality import COMPOSITE, PRIME, Decomposition, PrimalityVerdict
@@ -53,26 +50,6 @@ class OracleLimits:
 
 
 DEFAULT_LIMITS = OracleLimits()
-
-
-def enumerate_dfas(k: int, alphabet: tuple[str, ...], limits: OracleLimits = DEFAULT_LIMITS):
-    """All complete k-state DFAs over ``alphabet``: every transition table
-    (row-major, lexicographic) crossed with every accepting set, initial
-    state fixed at 0.  Yields exactly k**(k*|alphabet|) * 2**k automata."""
-    total = k ** (k * len(alphabet)) * 2**k
-    if total > limits.max_enumerated_dfas:
-        raise ResourceLimitError(
-            f"enumerate_dfas: {total} automata exceed the cap of "
-            f"{limits.max_enumerated_dfas}"
-        )
-    width = len(alphabet)
-    for flat in itertools.product(range(k), repeat=k * width):
-        delta = tuple(
-            tuple(flat[q * width : (q + 1) * width]) for q in range(k)
-        )
-        for bits in itertools.product((False, True), repeat=k):
-            accepting = frozenset(q for q in range(k) if bits[q])
-            yield Dfa(alphabet=alphabet, delta=delta, initial=0, accepting=accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +231,12 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     )
 
 
-def _contains(container: Dfa, contained: Dfa) -> bool:
-    """Exact language containment via product difference emptiness."""
-    diff = product(contained, container, "difference")
-    return is_empty(diff)[0]
-
-
 def _alpha_members(a: Dfa, limits: OracleLimits):
     """The mask (over the language table) of the alpha(A) reps: one per
     distinct language with fewer states than ind(A) containing L(A).  For a
     finite L(A) it is the AND of the accept masks of its words, walked with
-    shared prefixes; an infinite L(A) takes one exact product per rep."""
+    shared prefixes; an infinite L(A) takes one search per rep for a word of
+    L(A) that the rep rejects."""
     m = minimize(a)
     ind = m.state_count
     if ind - 1 > limits.max_factor_states:
@@ -283,14 +255,19 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     table = _language_table(a.alphabet, max_states)
     selected = table.smaller[ind]
 
-    if not is_finite_language(m):
+    _, useful, topo = _useful_walk(m)
+    if topo is None:  # L(A) is infinite
         reps = table.reps
-        contain = (i for i in _members(selected) if _contains(reps[i], m))
+        contain = (
+            i for i in _members(selected)
+            if _shortest_word(
+                (m, reps[i]), lambda acc: acc[0] and not acc[1], MAX_FOLD_STATES
+            ) is None
+        )
         return m, _mask(contain, len(reps)), table
 
     # Every useful state of a minimal finite-language DFA lies on an accepted
     # word, and no path through them cycles; the other state is its sink.
-    _, useful, _ = _useful_walk(m)
     stack = [(m.initial, table.start(selected))]
     while stack:
         q, states = stack.pop()
@@ -305,25 +282,24 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
 def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
     """Counterexample-driven intersection refinement.
 
-    Keeps an accumulator that always contains the alpha intersection (it is
-    the intersection of a subset of the members).  Each round takes the
-    shortest word in acc \\ L(A): if no member rejects it, the word lies in
+    The intersection of the chosen members always contains the alpha
+    intersection.  Each round takes the shortest word that every chosen
+    member accepts and A rejects: if no member rejects it, the word lies in
     the full intersection and certifies primality; otherwise the tightest
-    rejecting member (the lowest bit) is folded in, which strictly shrinks
-    the accumulator.  Terminates with either acc == L(A) (composite,
-    returns ``None``) or a witness word that is the overall shortest (ties
-    broken by alphabet order)."""
-    acc = all_accepting_dfa(m.alphabet)
+    rejecting member (the lowest bit) is chosen too.  Terminates with either
+    no such word (composite, returns ``None``) or a witness word that is the
+    overall shortest (ties broken by alphabet order)."""
+    chosen = [m]  # A, then the chosen members
     while True:
-        same, w = equivalent(acc, m)
-        if same:
+        w = _shortest_word(
+            chosen, lambda acc: not acc[0] and all(acc[1:]), MAX_FOLD_STATES
+        )
+        if w is None:
             return None
-        assert w is not None
         rejecting = selected & ~table.accept_mask(w)
         if not rejecting:
             return w
-        tightest = table.reps[(rejecting & -rejecting).bit_length() - 1]
-        acc = intersect_all([acc, tightest], m.alphabet)
+        chosen.append(table.reps[(rejecting & -rejecting).bit_length() - 1])
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:

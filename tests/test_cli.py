@@ -114,6 +114,15 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    def test_oracle_certifies_ternary_index_four(self, tmp_path):
+        # {eps} | {a,b,c}^2: the products of its chosen reps pass 10^4 states
+        words = [()] + [(x, y) for x in "abc" for y in "abc"]
+        f = tmp_path / "eps_or_two.dfa"
+        f.write_text(serialize_dfa(language_dfa(words, ("a", "b", "c"))))
+        r = run_cli(["oracle", str(f)])
+        assert r.returncode == 0
+        assert r.stdout.strip() == "status=Prime branch=oracle witness=a a a a a a"
+
 
 class TestClassify:
     def test_fig4_summary(self, fig4_file):
@@ -265,18 +274,28 @@ class TestSweep:
         assert "2147483648" in r.stderr and "cap is 2000000" in r.stderr
 
     @pytest.mark.parametrize(
-        "option, value",
+        "option, value, command",
         [
-            ("--alphabet-size", "0"),
-            ("--alphabet-size", "9"),
-            ("--max-n", "-1"),
-            ("--samples", "-1"),
-            ("--max-index", "0"),
-            ("--max-factor-states", "0"),
+            *(
+                pytest.param(option, value, "sweep", id=f"{option}-{value}")
+                for option, value in [
+                    ("--alphabet-size", "0"),
+                    ("--alphabet-size", "9"),
+                    ("--max-n", "-1"),
+                    ("--samples", "-1"),
+                    ("--max-index", "0"),
+                    ("--max-factor-states", "0"),
+                ]
+            ),
+            ("--max-factors", "-1", "decompose"),
+            ("--max-words", "-1", "decompose"),
+            ("--max-factor-states", "0", "oracle"),
+            ("--max-factor-states", "-1", "oracle"),
         ],
     )
-    def test_out_of_range_option_is_usage_error(self, option, value):
-        r = run_cli(["sweep", "--family", "random", option, value])
+    def test_out_of_range_option_is_usage_error(self, option, value, command, swap_file):
+        args = ["sweep", "--family", "random"] if command == "sweep" else [command, swap_file]
+        r = run_cli([*args, option, value])
         assert r.returncode == 3 and r.stdout == ""
         assert f"Invalid value for '{option}'" in r.stderr
         assert "Traceback" not in r.stderr

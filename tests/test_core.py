@@ -185,6 +185,14 @@ class TestProduct:
         with pytest.raises(ResourceLimitError, match=r"10403 .*10000"):
             intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
 
+    def test_shortest_word_cap_names_cap_and_count(self):
+        # 10403 reachable pairs, and no pair satisfies the goal
+        cap = core.MAX_FOLD_STATES
+        with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
+            core._shortest_word(
+                (mod_counter_dfa(101), mod_counter_dfa(103)), lambda acc: False, cap
+            )
+
 
 def _pairwise_fold(dfas):
     """Reference for ``intersect_all``: minimize after every pair product."""
@@ -268,7 +276,7 @@ class TestIntersectAll:
             if kind == "becomes-empty":
                 assert got.accepting == frozenset()
 
-    @pytest.mark.parametrize("rest", [1, 4])  # 1: the oracle's two-DFA folds
+    @pytest.mark.parametrize("rest", [1, 4])  # 1: a two-DFA fold
     def test_finite_fold_builds_no_product(self, monkeypatch, rest):
         rng = random.Random(5)
         # a minimal first DFA, and one the fold must minimize first

@@ -1,12 +1,14 @@
-"""Brute-force oracle: enumeration, language table, verifiers."""
+"""Brute-force oracle: language table, refinement, verifiers."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
+import primedfa.core as core
 from primedfa import (
     COMPOSITE,
     PRIME,
@@ -17,7 +19,6 @@ from primedfa import (
     accepts,
     decide_intersection_primality,
     dnf_decomposition,
-    enumerate_dfas,
     index_of,
     intersection_decomposition,
     minimize,
@@ -33,21 +34,6 @@ from primedfa.oracle import _language_table, _members
 from conftest import BINARY, all_words, language_dfa
 
 AB = ("a", "b")
-
-
-class TestEnumeration:
-    def test_count_matches_formula(self):
-        for k in (1, 2):
-            got = sum(1 for _ in enumerate_dfas(k, BINARY))
-            assert got == k ** (k * 2) * 2**k
-
-    def test_all_yielded_dfas_are_valid(self):
-        for a in enumerate_dfas(2, BINARY):
-            assert a.initial == 0 and a.state_count == 2
-
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_dfas(6, ("a", "b", "c")))
 
 
 def _word_counts(rep: Dfa, depth: int) -> int:
@@ -129,24 +115,58 @@ class TestParentWitnesses:
         assert v.status == PRIME and v.witness == ("1",)
         assert verify_witness(a, ("1",))
 
+    def test_ternary_epsilon_or_two_letters(self):
+        # index 4, over the 3-state table; the pairwise products of the reps
+        # the refinement chooses here pass 10^4 states
+        a = language_dfa([()] + list(itertools.product("abc", repeat=2)), ("a", "b", "c"))
+        v = oracle_primality(a)
+        assert index_of(a) == 4
+        assert v.status == PRIME and v.witness == ("a",) * 6
+        assert verify_witness(a, v.witness)
+
+
+def _small_binary_languages():
+    """Every binary language of one to three words of length <= 2 whose
+    minimal DFA has at most 5 states."""
+    universe = list(all_words(BINARY, 2))
+    for r in range(1, 4):
+        for subset in itertools.combinations(universe, r):
+            a = language_dfa(list(subset), BINARY)
+            if a.state_count <= 5:
+                yield subset, a
+
 
 class TestOraclePrimality:
     def test_agrees_with_decision_procedure_exhaustively(self):
-        # every nonempty finite binary language with words of length <= 2
-        universe = list(all_words(BINARY, 2))
         checked = 0
-        for r in range(1, len(universe) + 1):
-            if r > 3:
-                break
-            for subset in itertools.combinations(universe, r):
-                a = language_dfa(list(subset), BINARY)
-                if a.state_count > 5:
-                    continue
-                got = oracle_primality(a)
-                want = decide_intersection_primality(a)
-                assert got.status == want.status, (subset, got, want)
-                checked += 1
+        for subset, a in _small_binary_languages():
+            got = oracle_primality(a)
+            want = decide_intersection_primality(a)
+            assert got.status == want.status, (subset, got, want)
+            checked += 1
         assert checked > 50
+
+    def test_builds_no_product_and_minimizes_only_the_input(self, monkeypatch):
+        real = core.minimize
+        minimized = []
+
+        def counting(a):
+            minimized.append(a)
+            return real(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("primedfa") and getattr(module, "minimize", None) is real:
+                monkeypatch.setattr(module, "minimize", counting)
+
+        def no_product(*args):
+            raise AssertionError("product called")
+
+        monkeypatch.setattr(core, "product", no_product)
+        inputs = [a for _, a in _small_binary_languages()]
+        for a in inputs + [mod_counter_dfa(2)]:  # the last is infinite
+            minimized.clear()
+            oracle_primality(a)
+            assert len(minimized) == 1 and minimized[0] is a
 
     def test_prime_witness_verifies(self, prime5):
         v = oracle_primality(prime5)

@@ -17,6 +17,7 @@ from .core import (
     Dfa,
     DfaError,
     Word,
+    _useful_order,
     _useful_walk,
     minimize,
     run,
@@ -128,18 +129,8 @@ def is_simple_cosafety(a: Dfa) -> bool:
     # Every state of m is reachable from the initial state, and no path
     # leaves the sink, so the other states are reachable from one another
     # exactly when all of them reach the initial state: one backward search.
-    inverse: list[list[int]] = [[] for _ in range(m.state_count)]
-    for q, row in enumerate(m.delta):
-        for t in row:
-            inverse[t].append(q)
-    seen = {sink, m.initial}
-    stack = [m.initial]
-    while stack:
-        for p in inverse[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return len(seen) == m.state_count
+    reaches_initial = _useful_order(m.delta, (m.initial,))[0]
+    return all(r or q == sink for q, r in enumerate(reaches_initial))
 
 
 def uniform_max_word_letter(p: LinearProfile) -> str | None:

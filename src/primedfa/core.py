@@ -126,7 +126,10 @@ def accepts(a: Dfa, w: Word) -> bool:
 # initial <id>
 # accepting <id> ...          (list may be empty)
 # trans <from> <sym> <to>     (exactly k * |alphabet| lines)
-# end
+# end                         (each header line at most once)
+
+
+_HEADERS = frozenset({"dfa", "alphabet", "states", "initial", "accepting"})
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -136,6 +139,7 @@ def parse_dfa(text: str) -> Dfa:
     initial = None
     accepting: frozenset[int] | None = None
     table: dict[tuple[int, str], int] = {}
+    headers: set[str] = set()
     saw_end = False
 
     def fail(lineno: int, msg: str) -> None:
@@ -149,6 +153,10 @@ def parse_dfa(text: str) -> Dfa:
             fail(lineno, "content after 'end'")
         parts = line.split()
         kw = parts[0]
+        if kw in _HEADERS:
+            if kw in headers:
+                fail(lineno, f"duplicate {kw!r} directive")
+            headers.add(kw)
         if kw == "dfa":
             if len(parts) != 2:
                 fail(lineno, "expected 'dfa <name>'")
@@ -160,21 +168,21 @@ def parse_dfa(text: str) -> Dfa:
             if len(set(alphabet)) != len(alphabet):
                 fail(lineno, "duplicate alphabet symbol")
         elif kw == "states":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 fail(lineno, "expected 'states <k>'")
             state_count = int(parts[1])
             if state_count < 1:
                 fail(lineno, "state count must be positive")
         elif kw == "initial":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 fail(lineno, "expected 'initial <id>'")
             initial = int(parts[1])
         elif kw == "accepting":
-            if not all(p.isdigit() for p in parts[1:]):
+            if not all(p.isdecimal() for p in parts[1:]):
                 fail(lineno, "accepting ids must be integers")
             accepting = frozenset(int(p) for p in parts[1:])
         elif kw == "trans":
-            if len(parts) != 4 or not (parts[1].isdigit() and parts[3].isdigit()):
+            if len(parts) != 4 or not (parts[1].isdecimal() and parts[3].isdecimal()):
                 fail(lineno, "expected 'trans <from> <sym> <to>'")
             src, sym, dst = int(parts[1]), parts[2], int(parts[3])
             if alphabet is None:

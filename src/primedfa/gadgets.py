@@ -76,6 +76,7 @@ def parse_digraph(text: str) -> Digraph:
     node_count = None
     edges: list[tuple[int, int]] = []
     s = t = None
+    headers: set[str] = set()
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,6 +85,10 @@ def parse_digraph(text: str) -> Digraph:
         if ended:
             raise ParseError(f"line {lineno}: content after end")
         parts = line.split()
+        if parts[0] in ("digraph", "nodes", "s", "t"):
+            if parts[0] in headers:
+                raise ParseError(f"line {lineno}: duplicate {parts[0]!r} directive")
+            headers.add(parts[0])
         try:
             if parts[0] == "digraph" and len(parts) == 2:
                 name = parts[1]

@@ -11,9 +11,10 @@ same language twice changes nothing, so they work from a cached table of
 each.  The table is bit-sliced: every set of reps is one integer mask, bit
 i standing for rep i, and one primitive, ``accept_mask``, runs a word on
 all reps at once and returns the mask of those that accept it.  Alpha
-selection is the AND of the accept masks of the words of a finite L(A);
-an infinite L(A) takes one shortest-word search per rep, as does each round
-of the refinement.  Verdicts are identical to the literal definition.
+selection takes the same steps along the minimal DFA of A, in one
+reachability fixpoint for a finite or infinite L(A); each round of the
+refinement is one shortest-word search.  Verdicts are identical to the
+literal definition.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ def _mask(members: Iterable[int], size: int) -> int:
     for i in members:
         digits[size - 1 - i] = ord("1")
     return int(digits, 2)
-
-
-def _members(mask: int) -> list[int]:
-    """Set bits of ``mask``, lowest first."""
-    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
 @dataclass(frozen=True)
@@ -233,10 +229,11 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
 
 def _alpha_members(a: Dfa, limits: OracleLimits):
     """The mask (over the language table) of the alpha(A) reps: one per
-    distinct language with fewer states than ind(A) containing L(A).  For a
-    finite L(A) it is the AND of the accept masks of its words, walked with
-    shared prefixes; an infinite L(A) takes one search per rep for a word of
-    L(A) that the rep rejects."""
+    distinct language with fewer states than ind(A) containing L(A), that is,
+    left in an accepting state by every word of L(A).  One worklist fixpoint
+    over the useful states of the minimal DFA ``m``, for a finite or infinite
+    L(A): ``reach[q]`` is the run vector of the selected reps over all words
+    leading ``m`` to ``q``, merged by OR, and ``q`` is queued when it grows."""
     m = minimize(a)
     ind = m.state_count
     if ind - 1 > limits.max_factor_states:
@@ -255,28 +252,25 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     table = _language_table(a.alphabet, max_states)
     selected = table.smaller[ind]
 
-    _, useful, topo = _useful_walk(m)
-    if topo is None:  # L(A) is infinite
-        reps = table.reps
-        contain = (
-            i for i in _members(selected)
-            if _shortest_word(
-                (m, reps[i]), lambda acc: acc[0] and not acc[1], MAX_FOLD_STATES
-            ) is None
-        )
-        return m, _mask(contain, len(reps)), table
-
-    # Every useful state of a minimal finite-language DFA lies on an accepted
-    # word, and no path through them cycles; the other state is its sink.
-    stack = [(m.initial, table.start(selected))]
-    while stack:
-        q, states = stack.pop()
-        if q in m.accepting:
-            selected &= table.accepted(states)
+    useful = _useful_walk(m)[1]
+    reach = [[0] * len(table.final) for _ in m.delta]
+    reach[m.initial] = table.start(selected)
+    work = {m.initial: None}  # a set that pops the last state it added
+    while work:
+        q, _ = work.popitem()
         for x, t in enumerate(m.delta[q]):
             if useful[t]:
-                stack.append((t, table.step(states, x)))
-    return m, selected, table
+                nxt = [u | v for u, v in zip(reach[t], table.step(reach[q], x))]
+                if nxt != reach[t]:
+                    reach[t] = nxt
+                    work[t] = None
+    # Accepting states are useful, so reached.  Every bit of ``reach`` is a
+    # selected rep, so ``^`` drops the rejecting ones (``~`` is slower here).
+    rejecting = 0
+    for q in m.accepting:
+        for here, fin in zip(reach[q], table.final):
+            rejecting |= here ^ (here & fin)
+    return m, selected ^ rejecting, table
 
 
 def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
@@ -327,7 +321,7 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
     which every extension is rejected)."""
     n = p.n
     if n < 1:
-        raise ResourceLimitError("oracle_cep: undefined for n = 0")
+        raise DfaError("oracle_cep: undefined for n = 0")
     spine = [p.sigma(i, i + 1) for i in range(n)]
     count = 1
     for s in spine:

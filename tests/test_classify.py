@@ -226,6 +226,13 @@ class TestCep:
         with pytest.raises(DfaError, match="n = 0"):
             has_cep(p)
 
+    def test_oracle_n_zero_is_a_domain_error(self):
+        # ResourceLimitError subclasses DfaError, so check the exact type
+        p = linear_profile(language_dfa([()], AB))
+        with pytest.raises(DfaError, match="n = 0") as exc:
+            oracle_cep(p)
+        assert type(exc.value) is DfaError
+
     def test_breach_word_is_always_accepted_max_word(self):
         rng = random.Random(101)
         found = 0

@@ -105,6 +105,14 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "error:" in r.stderr
 
+    def test_non_ascii_digit_is_input_error(self, tmp_path):
+        # str.isdigit accepts superscript two, but int() does not
+        f = tmp_path / "bad.dfa"
+        f.write_text(FIG4_DOC.replace("states 5", "states \u00b2"), encoding="utf-8")
+        r = run_cli(["classify", str(f)])
+        assert r.returncode == 3
+        assert "line 3: expected 'states <k>'" in r.stderr
+
     def test_unknown_option_is_usage_error(self, fig4_file):
         assert run_cli(["prime", "--mode=bogus", fig4_file]).returncode == 3
 
@@ -122,6 +130,13 @@ class TestExitCodes:
         r = run_cli(["oracle", str(f)])
         assert r.returncode == 0
         assert r.stdout.strip() == "status=Prime branch=oracle witness=a a a a a a"
+
+    def test_oracle_certifies_infinite_mod_counter(self, tmp_path):
+        f = tmp_path / "mod5.dfa"
+        f.write_text(run_cli(["factory", "modcounter", "--mod", "5"]).stdout)
+        r = run_cli(["oracle", str(f)])
+        assert r.returncode == 0
+        assert r.stdout == "status=Prime branch=oracle witness=1 1 1\n"
 
 
 class TestClassify:

@@ -86,6 +86,16 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="duplicate"):
             parse_dfa(doc)
 
+    @pytest.mark.parametrize(
+        "line", ["dfa y", "alphabet a b", "states 2", "initial 1", "accepting 0"]
+    )
+    def test_repeated_header_rejected(self, line):
+        # the repeat sits just before the first transition, on line 6
+        doc = VALID_DOC.replace("trans 0 a 1", f"{line}\ntrans 0 a 1", 1)
+        assert doc.splitlines()[5] == line
+        with pytest.raises(ParseError, match=f"^line 6: duplicate '{line.split()[0]}' directive$"):
+            parse_dfa(doc)
+
     def test_out_of_range_state_rejected(self):
         doc = VALID_DOC.replace("trans 1 b 0", "trans 1 b 7")
         with pytest.raises(ParseError, match="out of range"):

@@ -89,6 +89,15 @@ class TestDigraph:
         with pytest.raises(ParseError, match="unrecognized"):
             parse_digraph("vertex 2\nend\n")
 
+    @pytest.mark.parametrize("line", ["digraph h", "nodes 3", "s 1", "t 0"])
+    def test_repeated_header_rejected(self, line):
+        doc = GRAPH_DOC.replace("end", f"{line}\nend")
+        lineno = len(doc.splitlines()) - 1  # the repeat sits just before end
+        with pytest.raises(
+            ParseError, match=f"^line {lineno}: duplicate '{line.split()[0]}' directive$"
+        ):
+            parse_digraph(doc)
+
     def test_reachability(self):
         assert digraph_reachable(parse_digraph(GRAPH_DOC))
         assert not digraph_reachable(Digraph(2, (), 0, 1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 
@@ -30,8 +31,9 @@ from primedfa import (
     verify_decomposition,
     verify_witness,
 )
-from primedfa.oracle import _language_table, _members
-from conftest import BINARY, all_words, language_dfa
+import primedfa.oracle as oracle
+from primedfa.oracle import DEFAULT_LIMITS, _alpha_members, _language_table, _mask
+from conftest import BINARY, all_words, language_dfa, random_dfa, random_finite_dfa
 
 AB = ("a", "b")
 
@@ -80,7 +82,48 @@ class TestLanguageTable:
             m = minimize(r)
             assert (m.delta, m.initial, m.accepting) == (r.delta, r.initial, r.accepting)
         for k, mask in enumerate(table.smaller):
-            assert _members(mask) == [i for i, r in enumerate(reps) if r.state_count < k]
+            assert mask == _mask((i for i, r in enumerate(reps) if r.state_count < k), len(reps))
+
+
+def _alpha_reference(m: Dfa) -> int:
+    """The alpha(A) mask of the minimal DFA ``m`` by one shortest-word
+    search per rep with fewer states than ind(A) for a word of L(A) that the
+    rep rejects: a containment check independent of the fixpoint."""
+    table = _language_table(m.alphabet, max(1, m.state_count - 1))
+    contain = (
+        i
+        for i, rep in enumerate(table.reps)
+        if rep.state_count < m.state_count
+        and core._shortest_word((m, rep), lambda acc: acc[0] and not acc[1]) is None
+    )
+    return _mask(contain, len(table.reps))
+
+
+class TestAlphaMembers:
+    def test_matches_per_rep_containment_on_random_dfas(self):
+        rng = random.Random(1201)
+        kinds = {"empty": 0, "finite": 0, "infinite": 0}
+        while sum(kinds.values()) < 48:
+            alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+            if rng.random() < 0.5:
+                a = random_dfa(rng, max_states=5, alphabet=alphabet)
+            else:
+                a = random_finite_dfa(rng, max_n=3, max_words=4, alphabet=alphabet)
+            m = minimize(a)
+            if m.state_count > (4 if len(alphabet) == 3 else 5):
+                continue  # over the default index or enumeration cap
+            n = core.longest_word_length(m)
+            kinds["empty" if n is None else "infinite" if n == math.inf else "finite"] += 1
+            assert _alpha_members(a, DEFAULT_LIMITS)[1] == _alpha_reference(m), serialize_dfa(a)
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_infinite_language_runs_no_shortest_word_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("_shortest_word called")
+
+        monkeypatch.setattr(oracle, "_shortest_word", no_search)
+        _, selected, _ = _alpha_members(mod_counter_dfa(5), DEFAULT_LIMITS)
+        assert selected.bit_count() == 53
 
 
 class TestParentWitnesses:

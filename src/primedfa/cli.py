@@ -13,7 +13,7 @@ import pathlib
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 
@@ -75,8 +75,7 @@ EXIT_INPUT = 3
 
 @dataclass
 class CommandReport:
-    command: str
-    fields: list[tuple[str, str]] = field(default_factory=list)
+    fields: list[tuple[str, str]]
     exit_code: int = EXIT_OK
 
     def text(self) -> str:
@@ -138,7 +137,7 @@ def classify(dfa_file: str, as_json: bool) -> None:
             fields.append(("cep", str(cep).lower()))
             if breach is not None:
                 fields.append(("breach", _render_word(breach)))
-    _emit(CommandReport("classify", fields), as_json)
+    _emit(CommandReport(fields), as_json)
 
 
 _DECIDERS = {
@@ -161,7 +160,7 @@ def prime(mode: str, dfa_file: str, as_json: bool) -> None:
     if v.witness is not None:
         fields.append(("witness", _render_word(v.witness)))
     _emit(
-        CommandReport("prime", fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE),
+        CommandReport(fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE),
         as_json,
     )
 
@@ -175,12 +174,12 @@ def witness(dfa_file: str, as_json: bool) -> None:
     v = decide_intersection_primality(a)
     if not v.is_prime:
         _emit(
-            CommandReport("witness", [("status", v.status), ("branch", v.branch)], EXIT_NEGATIVE),
+            CommandReport([("status", v.status), ("branch", v.branch)], EXIT_NEGATIVE),
             as_json,
         )
         return
     w = intersection_witness(a)
-    _emit(CommandReport("witness", [("witness", _render_word(w))]), as_json)
+    _emit(CommandReport([("witness", _render_word(w))]), as_json)
 
 
 def _file_safe(name: str) -> str:
@@ -219,7 +218,6 @@ def decompose(
     if v.is_prime:
         _emit(
             CommandReport(
-                "decompose",
                 [("status", v.status), ("branch", v.branch), ("error", "input is prime")],
                 EXIT_NEGATIVE,
             ),
@@ -243,7 +241,7 @@ def decompose(
             stem = f"term_{ti:03d}_factor_{fi:02d}" if mode == "dnf" else f"factor_{k:03d}"
             (out / f"{stem}_{_file_safe(f.name)}.dfa").write_text(serialize_dfa(f))
         fields.append(("out", str(out)))
-    _emit(CommandReport("decompose", fields, EXIT_OK if ok else EXIT_NEGATIVE), as_json)
+    _emit(CommandReport(fields, EXIT_OK if ok else EXIT_NEGATIVE), as_json)
 
 
 @cli.command()
@@ -257,7 +255,7 @@ def oracle(max_factor_states: int, dfa_file: str, as_json: bool) -> None:
     fields = [("status", v.status), ("branch", v.branch)]
     if v.witness is not None:
         fields.append(("witness", _render_word(v.witness)))
-    _emit(CommandReport("oracle", fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE), as_json)
+    _emit(CommandReport(fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE), as_json)
 
 
 @cli.command("minimize")
@@ -279,7 +277,7 @@ def equiv(dfa_file_a: str, dfa_file_b: str, as_json: bool) -> None:
     fields = [("equivalent", str(same).lower())]
     if not same:
         fields.append(("witness", _render_word(word)))
-    _emit(CommandReport("equiv", fields, EXIT_OK if same else EXIT_NEGATIVE), as_json)
+    _emit(CommandReport(fields, EXIT_OK if same else EXIT_NEGATIVE), as_json)
 
 
 @cli.command()
@@ -402,8 +400,8 @@ def sweep(
     disagreements: list[str] = []
     for m in instances:
         total += 1
-        v = decide_intersection_primality(m)
         try:
+            v = decide_intersection_primality(m)
             o = oracle_primality(m, limits)
         except ResourceLimitError:
             skipped += 1
@@ -423,7 +421,7 @@ def sweep(
     ]
     if family == "random":
         fields.insert(1, ("seed", str(seed)))
-    report = CommandReport("sweep", fields, EXIT_OK if not disagreements else EXIT_NEGATIVE)
+    report = CommandReport(fields, EXIT_OK if not disagreements else EXIT_NEGATIVE)
     _emit(report, as_json)
     for line in sorted(disagreements):
         click.echo(f"disagreement: {line}")

@@ -89,25 +89,23 @@ def parse_digraph(text: str) -> Digraph:
             if parts[0] in headers:
                 raise ParseError(f"line {lineno}: duplicate {parts[0]!r} directive")
             headers.add(parts[0])
-        try:
-            if parts[0] == "digraph" and len(parts) == 2:
-                name = parts[1]
-            elif parts[0] == "nodes" and len(parts) == 2:
-                node_count = int(parts[1])
-            elif parts[0] == "edge" and len(parts) == 3:
-                edges.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "s" and len(parts) == 2:
-                s = int(parts[1])
-            elif parts[0] == "t" and len(parts) == 2:
-                t = int(parts[1])
-            elif parts[0] == "end" and len(parts) == 1:
-                ended = True
-            else:
-                raise ParseError(f"line {lineno}: unrecognized directive {parts[0]!r}")
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed integer") from None
+        # isdecimal, not int(), decides: int() also takes signs and "_".
+        if parts[0] in ("nodes", "edge", "s", "t") and not all(map(str.isdecimal, parts[1:])):
+            raise ParseError(f"line {lineno}: malformed integer")
+        if parts[0] == "digraph" and len(parts) == 2:
+            name = parts[1]
+        elif parts[0] == "nodes" and len(parts) == 2:
+            node_count = int(parts[1])
+        elif parts[0] == "edge" and len(parts) == 3:
+            edges.append((int(parts[1]), int(parts[2])))
+        elif parts[0] == "s" and len(parts) == 2:
+            s = int(parts[1])
+        elif parts[0] == "t" and len(parts) == 2:
+            t = int(parts[1])
+        elif parts[0] == "end" and len(parts) == 1:
+            ended = True
+        else:
+            raise ParseError(f"line {lineno}: unrecognized directive {parts[0]!r}")
     if not ended:
         raise ParseError("missing end directive")
     if node_count is None or s is None or t is None:

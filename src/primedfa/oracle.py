@@ -10,9 +10,11 @@ same language twice changes nothing, so they work from a cached table of
 *distinct languages* of small DFAs, one minimal representative ("rep")
 each.  The table is bit-sliced: every set of reps is one integer mask, bit
 i standing for rep i, and one primitive, ``accept_mask``, runs a word on
-all reps at once and returns the mask of those that accept it.  Alpha
-selection takes the same steps along the minimal DFA of A, in one
-reachability fixpoint for a finite or infinite L(A); each round of the
+all reps at once and returns the mask of those that accept it.  Each rep
+is kept as a flat tuple (state count, accepting ids, transition table);
+only the refinement reads a rep as a ``Dfa``, built by ``rep(i)`` on first
+use.  Alpha selection takes the same steps along the minimal DFA of A, in
+one reachability fixpoint for a finite or infinite L(A); each round of the
 refinement is one shortest-word search.  Verdicts are identical to the
 literal definition.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .classify import LinearProfile
@@ -59,13 +61,17 @@ DEFAULT_LIMITS = OracleLimits()
 
 
 def _canonical_tables(k: int, width: int):
-    """Transition tables (row-major) where state ids first appear in
-    increasing order.  Every reachable k-state DFA is isomorphic to one with
-    such a table, so crossing these with all accepting sets covers every
-    language of a k-state DFA with all states reachable."""
+    """Transition tables (row-major) of k-state DFAs with all states
+    reachable, state ids first appearing in increasing order: one per
+    isomorphism class, so crossing them with all accepting sets covers every
+    language of such a DFA.  A branch is cut when row r starts before state r
+    has appeared, as rows 0..r-1 then reach only states below r (the
+    canonical strings of Almeida, Moreira & Reis 2007)."""
     def rec(flat: list[int], high: int):
         if len(flat) == k * width:
             yield tuple(flat)
+            return
+        if len(flat) % width == 0 and len(flat) // width > high:
             return
         for v in range(min(high + 1, k - 1) + 1):
             flat.append(v)
@@ -73,19 +79,6 @@ def _canonical_tables(k: int, width: int):
             flat.pop()
 
     yield from rec([], 0)
-
-
-def _all_reachable(k: int, width: int, flat) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for s in range(width):
-            t = flat[q * width + s]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen) == k
 
 
 def _signatures(k: int, width: int, flat, depth: int) -> list[int]:
@@ -121,13 +114,25 @@ class _LangTable:
     """Every distinct language of a DFA with <= max_states states, one
     minimal rep each, tightest first: ordered by the number of words up to
     length 2 * max_states - 2 the language accepts, then by size, then by
-    serialization.  Bit i of every mask stands for ``reps[i]``."""
+    serialization.  Bit i of every mask stands for rep i, kept flat as
+    ``flats[i]`` = (state count, accepting ids, row-major transition table)
+    with initial state 0.  Only the refinement reads a rep as a DFA:
+    ``rep(i)`` builds that ``Dfa`` on first use and keeps it."""
 
-    reps: list
-    letters: dict  # symbol -> letter position
+    flats: list
+    letters: dict  # symbol -> letter position, in alphabet order
     trans: tuple  # trans[q][x]: pairs (t, reps whose state q goes to t on x)
     final: tuple  # final[q]: reps whose state q accepts
     smaller: tuple  # smaller[k]: reps with fewer than k states
+    dfas: dict = field(default_factory=dict, compare=False)  # i -> rep(i)
+
+    def rep(self, i: int) -> Dfa:
+        if i not in self.dfas:
+            k, accepting, flat = self.flats[i]
+            w = len(self.letters)
+            delta = tuple(flat[q * w : (q + 1) * w] for q in range(k))
+            self.dfas[i] = Dfa(tuple(self.letters), delta, 0, frozenset(accepting))
+        return self.dfas[i]
 
     def start(self, among: int) -> list[int]:
         """Run vector of the reps in ``among`` before any letter: entry q is
@@ -172,36 +177,23 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     width = len(alphabet)
     depth = max(2 * max_states - 2, 1)
 
-    by_sig: dict[int, Dfa] = {}
+    by_sig: dict[int, tuple] = {}
     for k in range(1, max_states + 1):
         for flat in _canonical_tables(k, width):
-            if not _all_reachable(k, width, flat):
-                continue
-            delta = tuple(
-                tuple(flat[q * width : (q + 1) * width]) for q in range(k)
-            )
             for s, sig in enumerate(_signatures(k, width, flat, depth)):
                 if sig not in by_sig:
-                    accepting = frozenset(q for q in range(k) if s >> q & 1)
-                    by_sig[sig] = Dfa(alphabet, delta, 0, accepting)
+                    by_sig[sig] = (k, tuple(q for q in range(k) if s >> q & 1), flat)
     # State ids are single digits, so sorted accepting ids, then the table,
     # order reps of one size exactly as their serializations would.
-    order = sorted(
-        by_sig.items(),
-        key=lambda e: (
-            e[0].bit_count(), e[1].state_count, sorted(e[1].accepting), e[1].delta
-        ),
-    )
-    reps = [r for _, r in order]
+    flats = [r for _, r in sorted(by_sig.items(), key=lambda e: (e[0].bit_count(), e[1]))]
 
-    n = len(reps)
+    n = len(flats)
     moves: dict[tuple[int, int, int], list[int]] = {}
     finals: list[list[int]] = [[] for _ in range(max_states)]
-    for i, r in enumerate(reps):
-        for q, row in enumerate(r.delta):
-            for x, t in enumerate(row):
-                moves.setdefault((q, x, t), []).append(i)
-        for q in r.accepting:
+    for i, (_, accepting, flat) in enumerate(flats):
+        for j, t in enumerate(flat):
+            moves.setdefault((j // width, j % width, t), []).append(i)
+        for q in accepting:
             finals[q].append(i)
     trans = tuple(
         tuple(
@@ -215,11 +207,11 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
         for q in range(max_states)
     )
     smaller = tuple(
-        _mask((i for i, r in enumerate(reps) if r.state_count < k), n)
+        _mask((i for i, (size, _, _) in enumerate(flats) if size < k), n)
         for k in range(max_states + 2)
     )
     return _LangTable(
-        reps=reps,
+        flats=flats,
         letters={sym: x for x, sym in enumerate(alphabet)},
         trans=trans,
         final=tuple(_mask(f, n) for f in finals),
@@ -241,7 +233,7 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
             f"alpha computation needs factors up to {ind - 1} states, cap is "
             f"{limits.max_factor_states}"
         )
-    max_states = max(1, min(limits.max_factor_states, ind - 1))
+    max_states = max(1, ind - 1)
     width = len(a.alphabet)
     budget = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
     if budget > limits.max_enumerated_dfas:
@@ -293,7 +285,7 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
         rejecting = selected & ~table.accept_mask(w)
         if not rejecting:
             return w
-        chosen.append(table.reps[(rejecting & -rejecting).bit_length() - 1])
+        chosen.append(table.rep((rejecting & -rejecting).bit_length() - 1))
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:

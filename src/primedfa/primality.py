@@ -50,6 +50,7 @@ from .factories import (
 
 PRIME = "Prime"
 COMPOSITE = "Composite"
+MAX_WITNESS_LETTERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,13 @@ def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
 
 def _uniform_witness(p: LinearProfile, sigma: str) -> Word:
     # Pumping exponent: any common multiple of the possible loop lengths
-    # (<= n+1) works; lcm keeps the word short.
+    # (<= n+1) works; lcm keeps the word short, yet past the cap from n = 16.
     exponent = p.n + math.lcm(*range(1, p.n + 2))
+    if exponent > MAX_WITNESS_LETTERS:
+        raise ResourceLimitError(
+            f"uniform witness {sigma}^{exponent} has {exponent} letters, "
+            f"cap is {MAX_WITNESS_LETTERS}"
+        )
     return (sigma,) * exponent
 
 

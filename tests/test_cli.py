@@ -122,6 +122,14 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_uniform_witness_past_cap_is_exit_two(self, tmp_path, n):
+        f = tmp_path / "uniform.dfa"
+        f.write_text(serialize_dfa(language_dfa([("a",) * n], ("a", "b"))))
+        r = run_cli(["prime", str(f)])
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: uniform witness a^") and "cap is 1000000" in r.stderr
+
     def test_oracle_certifies_ternary_index_four(self, tmp_path):
         # {eps} | {a,b,c}^2: the products of its chosen reps pass 10^4 states
         words = [()] + [(x, y) for x in "abc" for y in "abc"]
@@ -314,6 +322,13 @@ class TestSweep:
         assert r.returncode == 3 and r.stdout == ""
         assert f"Invalid value for '{option}'" in r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_random_sweep_skips_uniform_witness_past_cap(self):
+        # unary languages with n >= 16 have a uniform witness of > 10^6 letters
+        args = ["sweep", "--family", "random", "--samples", "30", "--max-n", "20"]
+        r = run_cli([*args, "--alphabet-size", "1"])
+        assert r.returncode == 0 and r.stderr == ""
+        assert "disagreements=0" in r.stdout and "skipped=0" not in r.stdout
 
     def test_random_sweep_deterministic(self):
         args = [

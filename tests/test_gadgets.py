@@ -98,6 +98,15 @@ class TestDigraph:
         ):
             parse_digraph(doc)
 
+    @pytest.mark.parametrize(
+        "line, bad", [("nodes 3", "nodes 1_0"), ("edge 0 1", "edge +0 0_1"), ("t 2", "t \u00b2")]
+    )
+    def test_malformed_integer_rejected(self, line, bad):
+        # int() takes signs and underscores, and rejects superscript two
+        lineno = GRAPH_DOC.splitlines().index(line) + 1
+        with pytest.raises(ParseError, match=f"^line {lineno}: malformed integer$"):
+            parse_digraph(GRAPH_DOC.replace(line, bad))
+
     def test_reachability(self):
         assert digraph_reachable(parse_digraph(GRAPH_DOC))
         assert not digraph_reachable(Digraph(2, (), 0, 1))

@@ -58,6 +58,43 @@ TABLES = [(BINARY, 4), (("a", "b", "c"), 3)]
 
 
 class TestLanguageTable:
+    @pytest.mark.parametrize(
+        "k,width", [(k, w) for k in range(1, 5) for w in (1, 2)] + [(k, 3) for k in range(1, 4)]
+    )
+    def test_canonical_tables_are_the_reachable_first_appearance_tables(self, k, width):
+        def first_appearance(flat):
+            high = 0
+            for t in flat:
+                if t > high + 1:
+                    return False
+                high = max(high, t)
+            return True
+
+        def reachable(flat):
+            seen, stack = {0}, [0]
+            while stack:
+                q = stack.pop()
+                for t in flat[q * width : (q + 1) * width]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            return len(seen) == k
+
+        brute = [
+            flat
+            for flat in itertools.product(range(k), repeat=k * width)
+            if first_appearance(flat) and reachable(flat)
+        ]
+        assert list(oracle._canonical_tables(k, width)) == brute
+
+    def test_build_constructs_no_dfa(self, monkeypatch):
+        def no_dfa(self):
+            raise AssertionError("Dfa constructed")
+
+        monkeypatch.setattr(Dfa, "__post_init__", no_dfa)
+        table = _language_table.__wrapped__(BINARY, 4)
+        assert len(table.flats) == 57068
+
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_accept_mask_matches_per_rep_runs(self, alphabet, max_states):
         table = _language_table(alphabet, max_states)
@@ -66,13 +103,13 @@ class TestLanguageTable:
         for length in lengths:  # most beyond the signature depth 2 * max_states - 2
             w = tuple(rng.choice(alphabet) for _ in range(length))
             got = table.accept_mask(w)
-            for i, rep in enumerate(table.reps):
+            for i, rep in enumerate(map(table.rep, range(len(table.flats)))):
                 assert (got >> i & 1) == accepts(rep, w), (w, i)
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_reps_are_distinct_minimal_and_tightest_first(self, alphabet, max_states):
         table = _language_table(alphabet, max_states)
-        reps = table.reps
+        reps = list(map(table.rep, range(len(table.flats))))
         assert len(reps) == {BINARY: 57068, ("a", "b", "c"): 42042}[alphabet]
         assert len({(r.delta, r.accepting) for r in reps}) == len(reps)
         depth = 2 * max_states - 2
@@ -92,11 +129,11 @@ def _alpha_reference(m: Dfa) -> int:
     table = _language_table(m.alphabet, max(1, m.state_count - 1))
     contain = (
         i
-        for i, rep in enumerate(table.reps)
+        for i, rep in enumerate(map(table.rep, range(len(table.flats))))
         if rep.state_count < m.state_count
         and core._shortest_word((m, rep), lambda acc: acc[0] and not acc[1]) is None
     )
-    return _mask(contain, len(table.reps))
+    return _mask(contain, len(table.flats))
 
 
 class TestAlphaMembers:

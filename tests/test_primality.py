@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -54,6 +55,15 @@ class TestIntersectionVerdicts:
         v = decide_intersection_primality(a)
         assert v.status == PRIME and v.branch == "linear+sigma-n"
         assert v.witness == ("a", "a", "a")
+
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_uniform_witness_past_cap_is_resource_limit(self, n):
+        # a^(n + lcm(1..n+1)) passes 10^6 letters from n = 16 on
+        length = n + math.lcm(*range(1, n + 2))
+        a = language_dfa([("a",) * n], AB)
+        message = rf"a\^{length} has {length} letters, cap is 1000000$"
+        with pytest.raises(ResourceLimitError, match=message):
+            decide_intersection_primality(a)
 
     def test_fig4_prime_with_golden_witness(self, fig4):
         v = decide_intersection_primality(fig4)

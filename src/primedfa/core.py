@@ -12,15 +12,18 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 
 Word = tuple[str, ...]
 
 EPSILON: Word = ()
 
-# Largest product ``intersect_all`` minimizes, and most (class, state) pairs
-# one step of its finite fold memoizes (pairs on a self-loop sink of the
-# factor are not walked, so not counted); minimizing is the costly step.
-# Also the most nodes an oracle ``_shortest_word`` search stores.
+# Most states a pair product of ``intersect_all`` or of the union fold of
+# ``verify_decomposition`` may reach: ``product`` raises before it stores
+# state 10,001, so before minimizing, the costly step.  Also the most
+# (class, state) pairs one step of the finite fold memoizes (pairs on a
+# self-loop sink of the factor are not walked, so not counted), and the
+# most nodes an oracle ``_shortest_word`` search stores.
 MAX_FOLD_STATES = 10**4
 
 
@@ -58,6 +61,7 @@ class Dfa:
 
     def __post_init__(self) -> None:
         _alphabet_index(self.alphabet)
+        _check_token("name", self.name)
         k = len(self.delta)
         if k == 0:
             raise DfaError("DFA needs at least one state")
@@ -91,12 +95,18 @@ def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
     if len(set(alphabet)) != len(alphabet):
         raise DfaError("alphabet has duplicate symbols")
     for sym in alphabet:
-        if not isinstance(sym, str) or sym.split() != [sym] or "#" in sym:
-            raise DfaError(
-                f"alphabet symbol {sym!r} is not a nonempty string free of "
-                "whitespace and '#'"
-            )
+        _check_token("alphabet symbol", sym)
     return {sym: i for i, sym in enumerate(alphabet)}
+
+
+def _check_token(what: str, s) -> None:
+    """Raises ``DfaError`` unless ``s`` is one token of the text formats: a
+    nonempty string free of whitespace (they split on it) and of ``#`` (it
+    starts a comment)."""
+    if not isinstance(s, str) or s.split() != [s] or "#" in s:
+        raise DfaError(
+            f"{what} {s!r} is not a nonempty string free of whitespace and '#'"
+        )
 
 
 def run(a: Dfa, w: Word) -> int:
@@ -252,8 +262,9 @@ def serialize_dfa(a: Dfa) -> str:
 
 def to_dot(a: Dfa) -> str:
     """GraphViz rendering: accepting states double-circled, initial marked
-    with an entry arrow, parallel edges merged into comma-separated labels."""
-    lines = [f'digraph "{a.name}" {{', "  rankdir=LR;", '  __start [shape=point, label=""];']
+    with an entry arrow, parallel edges merged into comma-separated labels.
+    The name and the labels are quoted, ``\\`` and ``"`` escaped."""
+    lines = [f"digraph {_dot_string(a.name)} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in range(a.state_count):
         shape = "doublecircle" if q in a.accepting else "circle"
         lines.append(f"  {q} [shape={shape}];")
@@ -263,10 +274,14 @@ def to_dot(a: Dfa) -> str:
         for i, sym in enumerate(a.alphabet):
             merged.setdefault(a.delta[q][i], []).append(sym)
         for dst in sorted(merged):
-            label = ",".join(merged[dst])
-            lines.append(f'  {q} -> {dst} [label="{label}"];')
+            label = _dot_string(",".join(merged[dst]))
+            lines.append(f"  {q} -> {dst} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +296,21 @@ def _check_same_alphabet(a: Dfa, b: Dfa) -> None:
         )
 
 
-def product(a: Dfa, b: Dfa, mode: str) -> Dfa:
+def product(a: Dfa, b: Dfa, mode: str, cap: int | None = None) -> Dfa:
     """Pair construction for ``intersect``, ``union`` or ``difference``.
 
     Only the reachable part of the pair space is materialized; pair states
-    are numbered in BFS discovery order with letters taken in alphabet order.
+    are numbered in BFS discovery order with letters taken in alphabet order
+    (the order of ``_product_walk``).  With a ``cap``, raises
+    ``ResourceLimitError`` before storing a pair state past ``cap``.
     """
-    _check_same_alphabet(a, b)
     if mode not in ("intersect", "union", "difference"):
         raise DfaError(f"unknown product mode {mode!r}")
-
-    start = (a.initial, b.initial)
-    number = {start: 0}
-    order = [start]
-    queue = deque([start])
-    rows: list[tuple[int, ...]] = []
-    while queue:
-        pa, pb = queue.popleft()
-        row = []
-        for i in range(len(a.alphabet)):
-            nxt = (a.delta[pa][i], b.delta[pb][i])
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(number[nxt])
-        rows.append(tuple(row))
+    order = [node for node, _ in _product_walk((a, b), cap)]
+    number = dict(zip(order, range(len(order))))
+    rows = tuple(
+        tuple(map(number.__getitem__, zip(a.delta[pa], b.delta[pb]))) for pa, pb in order
+    )
 
     accepting = set()
     for idx, (pa, pb) in enumerate(order):
@@ -323,7 +327,7 @@ def product(a: Dfa, b: Dfa, mode: str) -> Dfa:
     op = {"intersect": "&", "union": "|", "difference": "-"}[mode]
     return Dfa(
         alphabet=a.alphabet,
-        delta=tuple(rows),
+        delta=rows,
         initial=0,
         accepting=frozenset(accepting),
         name=f"({a.name}{op}{b.name})",
@@ -341,15 +345,7 @@ def complement(a: Dfa) -> Dfa:
 
 
 def reachable_states(a: Dfa) -> set[int]:
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        q = queue.popleft()
-        for t in a.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+    return {q for (q,), _ in _product_walk((a,))}
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -368,8 +364,7 @@ def minimize(a: Dfa) -> Dfa:
     rounds as there are states.
 
     The result is kept on the input, so minimizing the same DFA object
-    again costs nothing.  When the acyclic pass ran, the result also keeps
-    its class table (``intersect_all`` folds from it)."""
+    again costs nothing."""
     if getattr(a, "_minimal", False):
         return a
     cached = getattr(a, "_minimized", None)
@@ -378,12 +373,8 @@ def minimize(a: Dfa) -> Dfa:
     delta = a.delta
     _, topo = _useful_order(delta, a.accepting)
     if topo is not None:
-        # A successor's class is known before its predecessors' because the
-        # pass runs against the edges; states off the order are dead.
         rows, final, intern = _class_table(len(a.alphabet))
-        block = [0] * len(delta)
-        for q in reversed(topo):
-            block[q] = intern(q in a.accepting, tuple(block[t] for t in delta[q]))
+        block = _acyclic_classes(a, topo, intern)
     else:
         # Moore partition refinement.
         block = [1 if q in a.accepting else 0 for q in range(len(delta))]
@@ -403,17 +394,27 @@ def minimize(a: Dfa) -> Dfa:
         for q, row in enumerate(delta):
             rows[block[q]] = tuple(block[t] for t in row)
             final[block[q]] = q in a.accepting
-    m = _canonical(
-        rows, final, block[a.initial], a.alphabet, a.name, finite=topo is not None
-    )
+    m = _canonical(rows, final, block[a.initial], a.alphabet, a.name)
     object.__setattr__(a, "_minimized", m)
     return m
 
 
-def _class_table(width: int, seed=None):
-    """A class table over ``width`` letters and its interning rule; empty,
-    or a copy of the table ``seed`` = (rows, final) that an earlier
-    ``_class_table`` built.
+def _acyclic_classes(a: Dfa, topo: list[int], intern) -> list[int]:
+    """The class of every state of ``a``, interned by ``intern`` (of a
+    ``_class_table``) in one reverse topological pass over ``topo``, the
+    useful states of ``a`` in topological order (as ``_useful_order``
+    returns them).  A successor's class is known before its predecessors'
+    because the pass runs against the edges; states off ``topo`` are dead,
+    class 0."""
+    delta, accepting = a.delta, a.accepting
+    block = [0] * len(delta)
+    for q in reversed(topo):
+        block[q] = intern(q in accepting, tuple(block[t] for t in delta[q]))
+    return block
+
+
+def _class_table(width: int):
+    """An empty class table over ``width`` letters and its interning rule.
 
     ``rows[c]`` holds the successor classes of class ``c`` and ``final[c]``
     its acceptance; class 0 is the empty language.  ``intern(accepting,
@@ -422,13 +423,8 @@ def _class_table(width: int, seed=None):
     Daciuk, Mihov, Watson & Watson 2000): a rejecting row whose successors
     are all class 0 is class 0 itself.  Interned in successor-first order,
     the table is minimal, and every class stays valid as it grows."""
-    if seed is None:
-        rows, final = [(0,) * width], [False]
-    else:
-        rows, final = list(seed[0]), list(seed[1])
-    registry: tuple[dict, dict] = ({}, {})  # one dict per acceptance
-    for c, row in enumerate(rows):
-        registry[final[c]][row] = c
+    rows, final = [(0,) * width], [False]
+    registry: tuple[dict, dict] = ({rows[0]: 0}, {})  # one dict per acceptance
 
     def intern(accepting: bool, successors: tuple[int, ...]) -> int:
         classes = registry[accepting]
@@ -442,14 +438,11 @@ def _class_table(width: int, seed=None):
     return rows, final, intern
 
 
-def _canonical(
-    rows, final, start: int, alphabet: tuple[str, ...], name: str, finite: bool
-) -> Dfa:
-    """The canonical form of a minimal class table (as ``_class_table``
-    builds it when ``finite``).  The classes reachable from ``start`` are
+def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) -> Dfa:
+    """The canonical form of a minimal class table (as ``_class_table`` and
+    Moore refinement build it).  The classes reachable from ``start`` are
     renumbered in BFS discovery order, letters in alphabet order, and the
-    result is marked minimal (``minimize`` returns it as it is); when
-    ``finite``, it keeps ``(rows, final, start)`` for ``intersect_all``."""
+    result is marked minimal (``minimize`` returns it as it is)."""
     number = {start: 0}
     order = [start]
     for c in order:
@@ -465,8 +458,6 @@ def _canonical(
         name=name,
     )
     object.__setattr__(m, "_minimal", True)
-    if finite:
-        object.__setattr__(m, "_table", (rows, final, start))
     return m
 
 
@@ -475,49 +466,36 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     the all-accepting DFA when ``dfas`` is empty.  The result is named
     ``((d0&d1)&d2)...`` after the DFAs.
 
-    The fold starts from ``minimize(dfas[0])`` and takes the DFAs in order.
-    While the partial intersection has no class table (its language is not
-    known to be finite), each step minimizes the pair product of the partial
-    intersection with the next DFA, and raises ``ResourceLimitError`` as soon
-    as that product exceeds ``MAX_FOLD_STATES`` states, before minimizing
-    it.  Once it has one, the rest of the fold runs on one class table,
-    seeded from it, without building a DFA per step: every step
-    (``_fold_step``) interns into that table, so a class of an earlier step
-    is a class of the next one.  There the cap counts the pairs a step
-    memoizes; pairs on a self-loop sink of the next DFA are not walked and
-    not counted."""
+    The fold starts from ``dfas[0]`` and takes the DFAs in order.  While the
+    useful states of the partial intersection lie on a cycle, each step
+    builds the pair product of its minimal DFA with the next DFA, which
+    raises ``ResourceLimitError`` before it stores pair state
+    ``MAX_FOLD_STATES`` + 1.  Once they are acyclic (the language is
+    finite), its states are interned into one class table by the reverse
+    topological pass of ``minimize``, and the rest of the fold runs on that
+    table without building a DFA per step: every step
+    (``_fold_step``) interns into it, so a class of an earlier step is a
+    class of the next one.  There the cap counts the pairs a step memoizes;
+    pairs on a self-loop sink of the next DFA are not walked and not
+    counted."""
     if any(f.alphabet != alphabet for f in dfas):
         raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
     if not dfas:
         return all_accepting_dfa(alphabet)
-    acc = minimize(dfas[0])
+    acc = dfas[0]
     for i in range(1, len(dfas)):
-        table = getattr(acc, "_table", None)
-        if table is not None:
-            rows, final, intern = _class_table(len(alphabet), table[:2])
-            start = table[2]
+        topo = _useful_order(acc.delta, acc.accepting)[1]
+        if topo is not None:
+            rows, final, intern = _class_table(len(alphabet))
+            start = _acyclic_classes(acc, topo, intern)[acc.initial]
             for d in dfas[i:]:
                 start = _fold_step(rows, final, intern, start, d)
             name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
                 f"&{f.name})" for f in dfas[1:]
             )
-            return _canonical(rows, final, start, alphabet, name, finite=True)
-        acc = _fold_pair(acc, dfas[i], "intersect")
-    return acc
-
-
-def _fold_pair(a: Dfa, b: Dfa, mode: str) -> Dfa:
-    """Minimal DFA of ``product(a, b, mode)``, for mode ``intersect`` or
-    ``union``; raises ``ResourceLimitError`` as soon as the product exceeds
-    ``MAX_FOLD_STATES`` states, before minimizing it."""
-    step = product(a, b, mode)
-    if step.state_count > MAX_FOLD_STATES:
-        fold = "intersection" if mode == "intersect" else mode
-        raise ResourceLimitError(
-            f"{fold} fold reached {step.state_count} states, "
-            f"cap is {MAX_FOLD_STATES}"
-        )
-    return minimize(step)
+            return _canonical(rows, final, start, alphabet, name)
+        acc = product(minimize(acc), dfas[i], "intersect", MAX_FOLD_STATES)
+    return minimize(acc)
 
 
 def _fold_step(
@@ -587,39 +565,48 @@ def index_of(a: Dfa) -> int:
     return minimize(a).state_count
 
 
-def _shortest_word(dfas: Sequence[Dfa], goal, cap: int | None = None) -> Word | None:
-    """The least word in length-then-alphabet order whose acceptances, one
-    bool per DFA of ``dfas`` (all over one alphabet), satisfy ``goal``, or
-    ``None``.  Breadth-first search over the product of ``dfas``, which is
-    never built: nodes are tuples of states, reached in the order of their
-    least words.  With a ``cap``, raises ``ResourceLimitError`` before
-    storing a node past ``cap`` nodes."""
-    alphabet = dfas[0].alphabet
+def _product_walk(dfas: Sequence[Dfa], cap: int | None = None):
+    """Breadth-first walk over the product of ``dfas`` (all over one
+    alphabet), which is never built.  Yields ``(node, parent)`` for every
+    reachable node, a tuple of states, in the order of their least words
+    (length, then alphabet order); ``parent`` maps every node stored so far
+    to ``(node before it, letter position)``, the start node to ``None``.
+    A node is expanded when the walk resumes after yielding it.  With a
+    ``cap``, raises ``ResourceLimitError`` before storing a node past
+    ``cap`` nodes."""
     for d in dfas[1:]:
         _check_same_alphabet(dfas[0], d)
     deltas = [d.delta for d in dfas]
-    finals = [d.accepting for d in dfas]
-    start = tuple(d.initial for d in dfas)
-    parent = {start: None}  # node -> (node before it, letter position)
+    start = tuple([d.initial for d in dfas])
+    parent = {start: None}
     order = [start]
     for node in order:
+        yield node, parent
+        for x, nxt in enumerate(zip(*map(getitem, deltas, node))):  # successors by letter
+            if nxt not in parent:
+                if cap is not None and len(parent) >= cap:
+                    raise ResourceLimitError(
+                        f"product of {len(dfas)} DFAs reached {len(parent) + 1} "
+                        f"states, cap is {cap}"
+                    )
+                parent[nxt] = (node, x)
+                order.append(nxt)
+
+
+def _shortest_word(dfas: Sequence[Dfa], goal, cap: int | None = None) -> Word | None:
+    """The least word in length-then-alphabet order whose acceptances, one
+    bool per DFA of ``dfas`` (all over one alphabet), satisfy ``goal``, or
+    ``None``: the first node of ``_product_walk(dfas, cap)`` that satisfies
+    it, read back along its parents."""
+    alphabet = dfas[0].alphabet
+    finals = [d.accepting for d in dfas]
+    for node, parent in _product_walk(dfas, cap):
         if goal(tuple([q in f for q, f in zip(node, finals)])):
             word = []
             while parent[node] is not None:
                 node, x = parent[node]
                 word.append(alphabet[x])
             return tuple(reversed(word))
-        rows = [delta[q] for delta, q in zip(deltas, node)]
-        for x in range(len(alphabet)):
-            nxt = tuple([row[x] for row in rows])
-            if nxt not in parent:
-                if cap is not None and len(parent) >= cap:
-                    raise ResourceLimitError(
-                        f"shortest-word search reached {len(parent) + 1} "
-                        f"product states, cap is {cap}"
-                    )
-                parent[nxt] = (node, x)
-                order.append(nxt)
     return None
 
 
@@ -763,17 +750,13 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
 def all_accepting_dfa(alphabet: tuple[str, ...]) -> Dfa:
     """One-state DFA recognizing every word over ``alphabet``; minimal, and
     exactly what ``minimize`` returns for it."""
-    return _canonical(
-        [(0,) * len(alphabet)], [True], 0, alphabet, "sigma-star", finite=False
-    )
+    return _canonical([(0,) * len(alphabet)], [True], 0, alphabet, "sigma-star")
 
 
 def empty_language_dfa(alphabet: tuple[str, ...]) -> Dfa:
     """Minimal DFA recognizing the empty language, exactly what ``minimize``
     returns for it."""
-    return _canonical(
-        [(0,) * len(alphabet)], [False], 0, alphabet, "empty", finite=True
-    )
+    return _canonical([(0,) * len(alphabet)], [False], 0, alphabet, "empty")
 
 
 def trie_dfa(words, alphabet) -> Dfa:

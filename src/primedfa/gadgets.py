@@ -19,6 +19,7 @@ from .core import (
     Dfa,
     DfaError,
     ParseError,
+    _check_token,
     empty_language_dfa,
     is_finite_language,
 )
@@ -37,6 +38,7 @@ class Digraph:
     name: str = "digraph"
 
     def __post_init__(self) -> None:
+        _check_token("digraph name", self.name)
         if self.node_count < 1:
             raise DfaError("digraph must have at least one node")
         out: list[list[int]] = [[] for _ in range(self.node_count)]

@@ -33,7 +33,6 @@ from .core import (
     DfaError,
     ResourceLimitError,
     Word,
-    _fold_pair,
     _shortest_word,
     _useful_walk,
     accepts,
@@ -41,6 +40,7 @@ from .core import (
     equivalent,
     intersect_all,
     minimize,
+    product,
     run,
 )
 from .primality import COMPOSITE, PRIME, Decomposition, PrimalityVerdict
@@ -360,7 +360,7 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
     folds = (intersect_all(term, a.alphabet) for term in terms)
     acc = next(folds, None) or empty_language_dfa(a.alphabet)
     for f in folds:
-        acc = _fold_pair(acc, f, "union")
+        acc = minimize(product(acc, f, "union", MAX_FOLD_STATES))
 
     same, word = equivalent(acc, minimize(a))
     if not same:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from primedfa import parse_dfa, serialize_dfa, verify_decomposition
+from primedfa import Dfa, parse_dfa, serialize_dfa, verify_decomposition
 from primedfa.primality import Decomposition
 from conftest import language_dfa
 
@@ -236,6 +236,13 @@ class TestRoundTripCommands:
         r = run_cli(["dot", fig4_file])
         assert r.returncode == 0
         assert r.stdout.startswith("digraph") and "doublecircle" in r.stdout
+
+    def test_dot_escapes_quote_symbol(self, tmp_path):
+        doc = tmp_path / "quote.dfa"
+        doc.write_text(serialize_dfa(Dfa(('"', "b"), ((0, 0),), 0, frozenset({0}), name="q")))
+        r = run_cli(["dot", str(doc)])
+        assert r.returncode == 0
+        assert '  0 -> 0 [label="\\",b"];' in r.stdout.splitlines()
 
 
 class TestFactory:

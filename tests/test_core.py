@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -123,6 +124,16 @@ class TestParseSerialize:
         a = Dfa(("a1", "(x)", "\u00e9"), ((0, 0, 0),), 0, frozenset({0}))
         assert parse_dfa(serialize_dfa(a)) == a
 
+    @pytest.mark.parametrize("name", ["my dfa", "", "x#y", " a", "a\n", "\t", None])
+    def test_names_that_cannot_round_trip_are_rejected(self, name):
+        with pytest.raises(DfaError, match="name"):
+            Dfa(BINARY, ((0, 0),), 0, frozenset(), name=name)
+
+    def test_library_built_names_round_trip(self):
+        a = singleton_dfa(("0", "1"), BINARY)
+        for b in (a, product(a, complement(a), "intersect"), minimize(complement(a))):
+            assert parse_dfa(serialize_dfa(b)).name == b.name
+
     def test_isomorphic_but_renumbered_serialize_differently(self):
         a = Dfa(BINARY, ((1, 1), (1, 1)), 0, frozenset({1}))
         b = Dfa(BINARY, ((0, 0), (0, 0)), 1, frozenset({0}))
@@ -140,6 +151,16 @@ class TestDot:
         d = to_dot(fig4)
         assert d.count("doublecircle") == 4
         assert "__start -> 0" in d
+
+    def test_quotes_and_backslashes_escaped(self):
+        a = Dfa(('"', "b", "\\"), ((0, 0, 0),), 0, frozenset(), name='q"\\x')
+        d = to_dot(a)
+        assert d.startswith('digraph "q\\"\\\\x" {')
+        assert '  0 -> 0 [label="\\",b,\\\\"];' in d.splitlines()
+        # every quoted string ends at an unescaped quote
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for line in d.splitlines():
+            assert '"' not in quoted.sub("", line)
 
 
 class TestRunAccepts:
@@ -184,6 +205,38 @@ class TestProduct:
         a = random_dfa(random.Random(4), 5)
         assert equivalent(product(a, all_accepting_dfa(BINARY), "intersect"), a)[0]
 
+    @pytest.mark.parametrize("mode", ["intersect", "union", "difference"])
+    def test_numbering_is_bfs_discovery_order(self, mode):
+        ok = {
+            "intersect": lambda x, y: x and y,
+            "union": lambda x, y: x or y,
+            "difference": lambda x, y: x and not y,
+        }[mode]
+        op = {"intersect": "&", "union": "|", "difference": "-"}[mode]
+        rng = random.Random(mode)
+        for _ in range(300):
+            alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+            a, b = (_shuffled(random_dfa(rng, 5, alphabet), rng) for _ in range(2))
+            # reference: FIFO queue, letters in alphabet order
+            start = (a.initial, b.initial)
+            number, queue, rows = {start: 0}, [start], []
+            for pa, pb in queue:
+                row = []
+                for x in range(len(alphabet)):
+                    pair = (a.delta[pa][x], b.delta[pb][x])
+                    if pair not in number:
+                        number[pair] = len(queue)
+                        queue.append(pair)
+                    row.append(number[pair])
+                rows.append(tuple(row))
+            accepting = {
+                i for i, (pa, pb) in enumerate(queue) if ok(pa in a.accepting, pb in b.accepting)
+            }
+            p = product(a, b, mode)
+            assert (p.delta, p.initial, p.accepting, p.name) == (
+                tuple(rows), 0, frozenset(accepting), f"({a.name}{op}{b.name})"
+            )
+
     def test_alphabet_mismatch(self):
         a = random_dfa(random.Random(5), 3)
         b = random_dfa(random.Random(5), 3, alphabet=("x", "y"))
@@ -192,8 +245,22 @@ class TestProduct:
 
     def test_intersect_all_cap_names_cap_and_size(self):
         # coprime counters: the intersection needs 101 * 103 = 10403 states
-        with pytest.raises(ResourceLimitError, match=r"10403 .*10000"):
+        with pytest.raises(ResourceLimitError, match=r"10001 .*10000"):
             intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
+
+    def test_intersect_all_cap_fires_before_the_product_is_built(self, monkeypatch):
+        sizes = []
+        real = Dfa.__post_init__
+
+        def recording(self):
+            sizes.append(len(self.delta))
+            real(self)
+
+        monkeypatch.setattr(Dfa, "__post_init__", recording)
+        cap = core.MAX_FOLD_STATES
+        with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
+            intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)
+        assert sizes and max(sizes) <= cap
 
     def test_shortest_word_cap_names_cap_and_count(self):
         # 10403 reachable pairs, and no pair satisfies the goal

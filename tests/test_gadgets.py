@@ -75,6 +75,11 @@ class TestDigraph:
                 g.t,
             )
 
+    @pytest.mark.parametrize("name", ["my graph", "", "x#y", " a", "a\n", "\t", None])
+    def test_names_that_cannot_round_trip_are_rejected(self, name):
+        with pytest.raises(DfaError, match="name"):
+            Digraph(2, ((0, 1),), 0, 1, name=name)
+
     def test_outdegree_limit(self):
         with pytest.raises(DfaError, match="outdegree"):
             Digraph(4, ((0, 1), (0, 2), (0, 3)), 0, 3)

@@ -332,8 +332,24 @@ class TestVerifyDecomposition:
     def test_union_fold_cap_names_cap_and_size(self):
         # coprime counters: the union needs 101 * 103 = 10403 states
         d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
-        with pytest.raises(ResourceLimitError, match=r"union fold reached 10403 .*10000"):
+        with pytest.raises(ResourceLimitError, match=r"product of 2 DFAs reached 10001 .*10000"):
             verify_decomposition(mod_counter_dfa(101), d)
+
+    def test_union_fold_cap_fires_before_the_product_is_built(self, monkeypatch):
+        d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
+        a = mod_counter_dfa(101)
+        sizes = []
+        real = Dfa.__post_init__
+
+        def recording(self):
+            sizes.append(len(self.delta))
+            real(self)
+
+        monkeypatch.setattr(Dfa, "__post_init__", recording)
+        cap = core.MAX_FOLD_STATES
+        with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
+            verify_decomposition(a, d)
+        assert sizes and max(sizes) <= cap
 
     def test_unknown_mode_rejected(self):
         a = language_dfa([("a",)], AB)

@@ -365,13 +365,20 @@ def minimize(a: Dfa) -> Dfa:
 
     The result is kept on the input, so minimizing the same DFA object
     again costs nothing."""
+    return _minimize(a)
+
+
+def _minimize(a: Dfa, cyclic: bool = False) -> Dfa:
+    """``minimize``; with ``cyclic`` the caller has found that the useful
+    states of ``a`` lie on a cycle, and Moore refinement runs without
+    looking again."""
     if getattr(a, "_minimal", False):
         return a
     cached = getattr(a, "_minimized", None)
     if cached is not None:
         return cached
     delta = a.delta
-    _, topo = _useful_order(delta, a.accepting)
+    topo = None if cyclic else _useful_order(delta, a.accepting)[1]
     if topo is not None:
         rows, final, intern = _class_table(len(a.alphabet))
         block = _acyclic_classes(a, topo, intern)
@@ -494,7 +501,7 @@ def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
                 f"&{f.name})" for f in dfas[1:]
             )
             return _canonical(rows, final, start, alphabet, name)
-        acc = product(minimize(acc), dfas[i], "intersect", MAX_FOLD_STATES)
+        acc = product(_minimize(acc, cyclic=True), dfas[i], "intersect", MAX_FOLD_STATES)
     return minimize(acc)
 
 

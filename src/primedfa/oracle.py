@@ -13,7 +13,11 @@ i standing for rep i, and one primitive, ``accept_mask``, runs a word on
 all reps at once and returns the mask of those that accept it.  Each rep
 is kept as a flat tuple (state count, accepting ids, transition table);
 only the refinement reads a rep as a ``Dfa``, built by ``rep(i)`` on first
-use.  Alpha selection takes the same steps along the minimal DFA of A, in
+use.  A run depends only on the table and the word, so the table also keeps
+the mask of every word it has run, within a fixed byte budget
+(``WORD_CACHE_BYTES``); the refinement and ``verify_witness`` share those
+runs, as do all calls of a process, since the table itself is cached.
+Alpha selection takes the same steps along the minimal DFA of A, in
 one reachability fixpoint for a finite or infinite L(A); each round of the
 refinement is one shortest-word search.  Verdicts are identical to the
 literal definition.
@@ -53,6 +57,10 @@ class OracleLimits:
 
 
 DEFAULT_LIMITS = OracleLimits()
+
+# Bytes a language table's word cache may hold: every entry counts one bit
+# per rep for its mask plus 8 per letter of its word (a tuple slot).
+WORD_CACHE_BYTES = 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +125,9 @@ class _LangTable:
     serialization.  Bit i of every mask stands for rep i, kept flat as
     ``flats[i]`` = (state count, accepting ids, row-major transition table)
     with initial state 0.  Only the refinement reads a rep as a DFA:
-    ``rep(i)`` builds that ``Dfa`` on first use and keeps it."""
+    ``rep(i)`` builds that ``Dfa`` on first use and keeps it.  ``masks``
+    keeps ``accept_mask(w)`` by word, ``held`` the bytes its entries count
+    (at most ``WORD_CACHE_BYTES``)."""
 
     flats: list
     letters: dict  # symbol -> letter position, in alphabet order
@@ -125,6 +135,8 @@ class _LangTable:
     final: tuple  # final[q]: reps whose state q accepts
     smaller: tuple  # smaller[k]: reps with fewer than k states
     dfas: dict = field(default_factory=dict, compare=False)  # i -> rep(i)
+    masks: dict = field(default_factory=dict, compare=False)  # w -> accept_mask(w)
+    held: int = field(default=0, compare=False)
 
     def rep(self, i: int) -> Dfa:
         if i not in self.dfas:
@@ -155,11 +167,27 @@ class _LangTable:
         return out
 
     def accept_mask(self, w: Word) -> int:
-        """The reps that accept ``w``: one bit-sliced run over all reps."""
-        states = self.start(self.smaller[-1])
-        for sym in w:
-            states = self.step(states, self.letters[sym])
-        return self.accepted(states)
+        """The reps that accept ``w``: one bit-sliced run over all reps,
+        kept in ``masks`` under ``tuple(w)``.  An entry counts one bit per rep
+        plus 8 bytes per letter; the cache is cleared when the next entry
+        would take it past ``WORD_CACHE_BYTES``, and a word whose entry alone
+        would pass it (one of 10^6 letters, say) is not kept."""
+        w = tuple(w)
+        got = self.masks.get(w)
+        if got is None:
+            states = self.start(self.smaller[-1])
+            for sym in w:
+                states = self.step(states, self.letters[sym])
+            got = self.accepted(states)
+            cost = (len(self.flats) + 7) // 8 + 8 * len(w)
+            if cost <= WORD_CACHE_BYTES:
+                held = self.held + cost
+                if held > WORD_CACHE_BYTES:
+                    self.masks.clear()
+                    held = cost
+                self.masks[w] = got
+                object.__setattr__(self, "held", held)
+        return got
 
 
 @lru_cache(maxsize=None)

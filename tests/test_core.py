@@ -416,6 +416,28 @@ class TestIntersectAll:
         assert (got.delta, got.accepting, got.name) == (want.delta, want.accepting, want.name)
         assert got.accepting == frozenset()
 
+    def test_one_useful_order_per_cyclic_step(self, monkeypatch):
+        # cofinite partial intersections: every step is cyclic, and the
+        # last product is minimized once more after the fold
+        rng = random.Random(11)
+        dfas = [complement(_shuffled(random_finite_dfa(rng), rng)) for _ in range(5)]
+        real, calls = core._useful_order, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_useful_order", counting)
+        got = intersect_all(dfas, BINARY)
+        assert len(calls) == len(dfas)
+        kept = dfas[0]._minimized  # the first DFA keeps its minimal DFA
+        monkeypatch.undo()
+        want = _pairwise_fold(dfas)
+        assert minimize(dfas[0]) is kept
+        assert (got.delta, got.initial, got.accepting, got.name) == (
+            want.delta, want.initial, want.accepting, want.name
+        )
+
     def test_deep_finite_fold(self):
         # a longest word of 5,000 letters: the fold must not recurse per letter
         word = ("0",) * 4999 + ("1",)

@@ -122,6 +122,87 @@ class TestLanguageTable:
             assert mask == _mask((i for i, r in enumerate(reps) if r.state_count < k), len(reps))
 
 
+def _run_reference(table, w) -> int:
+    """The mask of the reps of ``table`` that accept ``w``, rep by rep."""
+    n = len(table.flats)
+    return _mask((i for i in range(n) if accepts(table.rep(i), w)), n)
+
+
+def _mask_bytes(table) -> int:
+    return (len(table.flats) + 7) // 8
+
+
+class TestWordCache:
+    @pytest.mark.parametrize(
+        "alphabet,max_states",
+        [(BINARY, 1), (BINARY, 2), (BINARY, 3), (("a", "b", "c"), 1), (("a", "b", "c"), 2)],
+    )
+    def test_cached_masks_match_per_rep_runs(self, alphabet, max_states):
+        table = _language_table.__wrapped__(alphabet, max_states)  # cold
+        rng = random.Random(max_states)
+        long = 2 * max_states + 3  # past the signature depth 2 * max_states - 2
+        words = [()] + [
+            tuple(rng.choice(alphabet) for _ in range(rng.randint(1, long))) for _ in range(12)
+        ]
+        words += [(alphabet[-1],) * long, words[3], words[5]]  # repeats
+        for round_ in ("cold", "warm"):
+            for w in words + [list(w) for w in words[:6]]:  # list words too
+                want = _run_reference(table, w)
+                assert table.accept_mask(w) == want, (round_, w)
+                assert table.masks[tuple(w)] == want
+
+    def test_budget_holds_and_answers_stay_correct(self, monkeypatch):
+        table = _language_table.__wrapped__(BINARY, 3)
+        budget = 3 * _mask_bytes(table) + 100  # three entries of short words
+        monkeypatch.setattr(oracle, "WORD_CACHE_BYTES", budget)
+        words = list(all_words(BINARY, 4))  # 31 distinct words
+        for w in words + words[::-1]:
+            assert table.accept_mask(w) == _run_reference(table, w), w
+            held = sum(_mask_bytes(table) + 8 * len(v) for v in table.masks)
+            assert table.held == held <= budget
+            assert tuple(w) in table.masks
+        assert len(table.masks) < len(words)
+
+        long = ("0",) * budget  # its entry alone passes the budget
+        kept = dict(table.masks)
+        assert table.accept_mask(long) == _run_reference(table, long)
+        assert long not in table.masks and table.masks == kept
+
+    def test_uniform_word_of_a_million_letters_is_not_kept(self):
+        table = _language_table.__wrapped__(BINARY, 1)  # two reps
+        w = ("0",) * 10**6
+        assert table.accept_mask(w) == _run_reference(table, ("0",))
+        assert not table.masks and table.held == 0
+
+    def test_order_of_calls_does_not_change_answers(self):
+        # every 7th binary language of words of length <= 3 with index <= 5,
+        # part of the criterion-1 family
+        universe = list(all_words(BINARY, 3))
+        languages = []
+        for bits in range(1, 1 << len(universe), 7):
+            m = language_dfa([universe[i] for i in range(len(universe)) if bits >> i & 1], BINARY)
+            if m.state_count <= 5:
+                languages.append(m)
+        assert len(languages) > 100
+
+        def answers(order):
+            _language_table.cache_clear()
+            out = {}
+            for i in order:
+                a = languages[i]
+                v = oracle_primality(a)
+                probes = [w for w in all_words(BINARY, 4) if not accepts(a, w)][:6]
+                checks = tuple(verify_witness(a, w) for w in probes)
+                out[i] = (v.status, v.witness, v.witness and verify_witness(a, v.witness), checks)
+            return out
+
+        forward = answers(range(len(languages)))
+        shuffled = list(range(len(languages)))
+        random.Random(15).shuffle(shuffled)
+        assert answers(shuffled) == forward
+        assert any(status == PRIME for status, *_ in forward.values())
+
+
 def _alpha_reference(m: Dfa) -> int:
     """The alpha(A) mask of the minimal DFA ``m`` by one shortest-word
     search per rep with fewer states than ind(A) for a word of L(A) that the

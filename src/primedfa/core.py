@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import getitem
@@ -142,6 +142,33 @@ def accepts(a: Dfa, w: Word) -> bool:
 _HEADERS = frozenset({"dfa", "alphabet", "states", "initial", "accepting"})
 
 
+def _directives(text: str, headers: frozenset[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tokens)`` of each directive before the closing ``end``
+    of a DFA or digraph document, skipping comments and blank lines.  Raises
+    ``ParseError`` on a repeated header, on ``end`` not alone on its line, on
+    anything after ``end`` and on a missing ``end``."""
+    seen: set[str] = set()
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
+        kw = parts[0]
+        if kw == "end":
+            if len(parts) > 1:
+                raise ParseError(f"line {lineno}: expected 'end'")
+            for lineno, raw in lines:
+                if raw.partition("#")[0].split():
+                    raise ParseError(f"line {lineno}: content after 'end'")
+            return
+        if kw in headers:
+            if kw in seen:
+                raise ParseError(f"line {lineno}: duplicate {kw!r} directive")
+            seen.add(kw)
+        yield lineno, parts
+    raise ParseError("missing 'end'")
+
+
 def parse_dfa(text: str) -> Dfa:
     name = None
     alphabet: tuple[str, ...] | None = None
@@ -149,24 +176,12 @@ def parse_dfa(text: str) -> Dfa:
     initial = None
     accepting: frozenset[int] | None = None
     table: dict[tuple[int, str], int] = {}
-    headers: set[str] = set()
-    saw_end = False
 
     def fail(lineno: int, msg: str) -> None:
         raise ParseError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if saw_end:
-            fail(lineno, "content after 'end'")
-        parts = line.split()
+    for lineno, parts in _directives(text, _HEADERS):
         kw = parts[0]
-        if kw in _HEADERS:
-            if kw in headers:
-                fail(lineno, f"duplicate {kw!r} directive")
-            headers.add(kw)
         if kw == "dfa":
             if len(parts) != 2:
                 fail(lineno, "expected 'dfa <name>'")
@@ -206,13 +221,9 @@ def parse_dfa(text: str) -> Dfa:
             if (src, sym) in table:
                 fail(lineno, f"duplicate transition for state {src}, letter {sym}")
             table[(src, sym)] = dst
-        elif kw == "end":
-            saw_end = True
         else:
             fail(lineno, f"unknown keyword {kw!r}")
 
-    if not saw_end:
-        raise ParseError("missing 'end'")
     if name is None or alphabet is None or state_count is None:
         raise ParseError("document must define dfa, alphabet and states")
     if initial is None:

@@ -347,9 +347,8 @@ def factor_extension(p: LinearProfile, d: int, w: Word) -> Dfa:
     if case.tag == "A1":
         # Positions d+1..m-1 supply the advancing letters: all occurrences of
         # the last letter plus the earliest non-occurrences, n - d in total.
-        l = sum(1 for sym in w[d : m - 1] if sym == last)
         s_pos = [i for i in range(d + 1, m) if w[i - 1] == last]  # 1-based
-        t_pos = [i for i in range(d + 1, m) if w[i - 1] != last][: n - d - l]
+        t_pos = [i for i in range(d + 1, m) if w[i - 1] != last][: n - d - case.l]
         marks = sorted(s_pos + t_pos)
         assert len(marks) == n - d
         for q in range(n + 1):

@@ -20,6 +20,7 @@ from .core import (
     DfaError,
     ParseError,
     _check_token,
+    _directives,
     empty_language_dfa,
     is_finite_language,
 )
@@ -78,19 +79,7 @@ def parse_digraph(text: str) -> Digraph:
     node_count = None
     edges: list[tuple[int, int]] = []
     s = t = None
-    headers: set[str] = set()
-    ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise ParseError(f"line {lineno}: content after end")
-        parts = line.split()
-        if parts[0] in ("digraph", "nodes", "s", "t"):
-            if parts[0] in headers:
-                raise ParseError(f"line {lineno}: duplicate {parts[0]!r} directive")
-            headers.add(parts[0])
+    for lineno, parts in _directives(text, frozenset({"digraph", "nodes", "s", "t"})):
         # isdecimal, not int(), decides: int() also takes signs and "_".
         if parts[0] in ("nodes", "edge", "s", "t") and not all(map(str.isdecimal, parts[1:])):
             raise ParseError(f"line {lineno}: malformed integer")
@@ -104,12 +93,8 @@ def parse_digraph(text: str) -> Digraph:
             s = int(parts[1])
         elif parts[0] == "t" and len(parts) == 2:
             t = int(parts[1])
-        elif parts[0] == "end" and len(parts) == 1:
-            ended = True
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {parts[0]!r}")
-    if not ended:
-        raise ParseError("missing end directive")
     if node_count is None or s is None or t is None:
         raise ParseError("missing nodes/s/t directive")
     return Digraph(node_count, tuple(edges), s, t, name=name)

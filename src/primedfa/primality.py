@@ -116,29 +116,34 @@ def _analysis(
     return n, p
 
 
-def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
-    m = minimize(a)
+def _intersection_branch(m: Dfa) -> tuple[str, str, str | Word | None]:
+    """Status and branch of the minimal DFA ``m``, in the order the paper
+    tests them, with the uniform letter ('linear+sigma-n') or the breach
+    word ('safety+noCEP') that a Prime witness is built from."""
     n, p = _analysis(m, "decide_intersection_primality")
     if n is None:
-        return PrimalityVerdict(PRIME, "empty-language")
+        return PRIME, "empty-language", None
     if p is None:
-        return PrimalityVerdict(COMPOSITE, "non-linear")
+        return COMPOSITE, "non-linear", None
     sigma = uniform_max_word_letter(p)
     if sigma is not None:
-        return PrimalityVerdict(
-            PRIME,
-            "linear+sigma-n",
-            witness=_uniform_witness(p, sigma),
-            notes=f"uniform letter {sigma}",
-        )
+        return PRIME, "linear+sigma-n", sigma
     if not is_safety(m):
-        return PrimalityVerdict(COMPOSITE, "non-safety")
+        return COMPOSITE, "non-safety", None
     cep, breach = has_cep(p)
-    if cep:
-        return PrimalityVerdict(COMPOSITE, "CEP")
-    return PrimalityVerdict(
-        PRIME, "safety+noCEP", witness=_breach_witness(p, breach)
-    )
+    return (COMPOSITE, "CEP", None) if cep else (PRIME, "safety+noCEP", breach)
+
+
+def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
+    m = minimize(a)
+    status, branch, detail = _intersection_branch(m)
+    _, p = _analysis(m)
+    if branch == "linear+sigma-n":
+        witness = _uniform_witness(p, detail)
+        return PrimalityVerdict(status, branch, witness, f"uniform letter {detail}")
+    if branch == "safety+noCEP":
+        return PrimalityVerdict(status, branch, _breach_witness(p, detail))
+    return PrimalityVerdict(status, branch)
 
 
 def _uniform_witness(p: LinearProfile, sigma: str) -> Word:
@@ -218,20 +223,20 @@ def _nonsafety_families(
 
 def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     m = minimize(a)
-    v = decide_intersection_primality(m)
-    if v.is_prime:
+    status, branch, _ = _intersection_branch(m)
+    if status == PRIME:
         raise DfaError("intersection_decomposition: input is prime")
     bound = m.state_count - 1
     alphabet = a.alphabet
     n, p = _analysis(m)
 
-    if v.branch == "non-linear":
+    if branch == "non-linear":
         rejected = enumerate_language(complement(m), n, caps.max_words)
         factors = itertools.chain(
             (length_cap_dfa(n, alphabet),),
             (complement(singleton_dfa(w, alphabet)) for w in rejected),
         )
-    elif v.branch == "CEP":
+    elif branch == "CEP":
         factors = itertools.chain(
             (factor_loop_zero(p),),
             (factor_chain(p, c) for c in all_index_chains(n)),
@@ -267,8 +272,8 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         raise DfaError("union_decomposition: input is union-prime")
     n, _ = _analysis(m)
     words = enumerate_language(m, n, caps.max_factors)
-    factors = (singleton_dfa(w, a.alphabet) for w in words)
-    return Decomposition("union", m.state_count - 1, _dedup(factors, caps.max_factors))
+    factors = [singleton_dfa(w, a.alphabet) for w in words]
+    return Decomposition("union", m.state_count - 1, factors)
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
@@ -290,26 +295,19 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         raise DfaError("dnf_decomposition: input is DNF-prime")
     n, _ = _analysis(m)
     words = enumerate_language(m, n, caps.max_factors)
-
-    if v.branch == "non-linear":
-        terms = [[singleton_dfa(w, a.alphabet)] for w in words]
-        return Decomposition("dnf", m.state_count, terms)
-
-    # linear without a uniform max word: short words stay singletons, each
-    # longest word becomes {w}* intersected with an exact letter count.
-    terms = []
-    for w in words:
-        if len(w) < n:
-            terms.append([singleton_dfa(w, a.alphabet)])
-        else:
-            sigma = w[0]
-            count = sum(1 for s in w if s == sigma)
-            terms.append(
-                [
-                    star_word_dfa(w, a.alphabet),
-                    letter_count_dfa(sigma, count, a.alphabet),
-                ]
-            )
+    # Every word is a singleton term, except that on a linear input (no
+    # uniform max word) each longest word w becomes {w}* intersected with an
+    # exact count of its first letter.
+    linear = v.branch == "no-sigma-n"
+    terms = [
+        [
+            star_word_dfa(w, a.alphabet),
+            letter_count_dfa(w[0], w.count(w[0]), a.alphabet),
+        ]
+        if linear and len(w) == n
+        else [singleton_dfa(w, a.alphabet)]
+        for w in words
+    ]
     return Decomposition("dnf", m.state_count, terms)
 
 

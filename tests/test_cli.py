@@ -210,6 +210,22 @@ class TestDecompose:
         assert len(written) == 1 + int(r.stdout.split("factors=")[1].split()[0])
         assert all(f.parent == out for f in written if f != doc)
 
+    @pytest.mark.parametrize(
+        "doc, mode, line, code",
+        [
+            ("swap", "cap", "mode=intersection bound=4 factors=6 verified=true", 0),
+            ("swap", "cup", "mode=union bound=4 factors=2 verified=true", 0),
+            ("swap", "dnf", "mode=dnf bound=5 factors=2 terms=2 verified=true", 0),
+            ("fig4", "cap", "status=Prime branch=safety+noCEP error=input is prime", 1),
+            ("fig4", "cup", "status=Prime branch=linear error=input is prime", 1),
+            ("fig4", "dnf", "mode=dnf bound=5 factors=17 terms=13 verified=true", 0),
+        ],
+    )
+    def test_golden_lines(self, swap_file, fig4_file, doc, mode, line, code):
+        path = {"swap": swap_file, "fig4": fig4_file}[doc]
+        r = run_cli(["decompose", f"--mode={mode}", path])
+        assert (r.stdout, r.returncode) == (line + "\n", code)
+
     def test_prime_input_refused(self, fig4_file):
         r = run_cli(["decompose", "--mode=cap", fig4_file])
         assert r.returncode == 1

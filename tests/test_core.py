@@ -74,6 +74,9 @@ class TestParseSerialize:
         assert a.state_count == 3
         assert a.alphabet == ("a", "b")
         assert a.accepting == frozenset({2})
+        # comment-only and blank lines anywhere before end are skipped
+        noisy = "".join(f"# note\n\n  \t# x y\n{line}\n" for line in VALID_DOC.splitlines())
+        assert parse_dfa(noisy) == a
 
     def test_missing_transition_message(self):
         doc = "\n".join(
@@ -81,6 +84,13 @@ class TestParseSerialize:
         )
         with pytest.raises(ParseError, match=r"incomplete transition function at state 1, letter b"):
             parse_dfa(doc)
+        # the closing end line: missing, followed by content, not alone
+        with pytest.raises(ParseError, match="^missing 'end'$"):
+            parse_dfa(VALID_DOC.replace("end", "# end"))
+        with pytest.raises(ParseError, match="^line 15: content after 'end'$"):
+            parse_dfa(VALID_DOC + "\n# done\ntrans 0 a 1\n")
+        with pytest.raises(ParseError, match="^line 12: expected 'end'$"):
+            parse_dfa(VALID_DOC.replace("end", "end now please"))
 
     def test_duplicate_transition_rejected(self):
         doc = VALID_DOC.replace("trans 1 b 0", "trans 1 b 0\ntrans 1 b 2")

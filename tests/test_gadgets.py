@@ -93,6 +93,16 @@ class TestDigraph:
             parse_digraph("nodes 2\ns 0\nt 1\n")
         with pytest.raises(ParseError, match="unrecognized"):
             parse_digraph("vertex 2\nend\n")
+        # the closing end line: missing, followed by content, not alone
+        with pytest.raises(ParseError, match="^missing 'end'$"):
+            parse_digraph("nodes 2\ns 0\nt 1\n")
+        with pytest.raises(ParseError, match="^line 10: content after 'end'$"):
+            parse_digraph(GRAPH_DOC + "\n# done\nedge 1 0\n")
+        with pytest.raises(ParseError, match="^line 7: expected 'end'$"):
+            parse_digraph(GRAPH_DOC.replace("end", "end now"))
+        # comment-only and blank lines anywhere before end are skipped
+        noisy = "".join(f"# note\n\n  \t# x y\n{line}\n" for line in GRAPH_DOC.splitlines())
+        assert parse_digraph(noisy) == parse_digraph(GRAPH_DOC)
 
     @pytest.mark.parametrize("line", ["digraph h", "nodes 3", "s 1", "t 0"])
     def test_repeated_header_rejected(self, line):

@@ -142,6 +142,13 @@ class TestIntersectionDecomposition:
         with pytest.raises(DfaError, match="prime"):
             intersection_decomposition(fig4)
 
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_uniform_chain_raises_prime_without_witness(self, n):
+        # the uniform witness a^(n + lcm(1..n+1)) is past its cap here
+        a = language_dfa([("a",) * n], AB)
+        with pytest.raises(DfaError, match="^intersection_decomposition: input is prime$"):
+            intersection_decomposition(a)
+
     # `decompose --out` numbers its factor files in this order.
     def test_factor_order_non_linear(self):
         a = language_dfa([("a", "b"), ("b", "a")], AB)

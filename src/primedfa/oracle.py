@@ -385,10 +385,14 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
                 f"factor {idx} ({f.name}): size {f.state_count} > {d.bound}"
             )
 
-    folds = (intersect_all(term, a.alphabet) for term in terms)
-    acc = next(folds, None) or empty_language_dfa(a.alphabet)
-    for f in folds:
-        acc = minimize(product(acc, f, "union", MAX_FOLD_STATES))
+    # Balanced union fold: neighbours are unioned level by level, so no
+    # product is taken with the whole union accumulated so far.
+    level = [intersect_all(term, a.alphabet) for term in terms]
+    while len(level) > 1:
+        pairs = zip(level[0::2], level[1::2])
+        odd = level[-1:] if len(level) % 2 else []
+        level = [minimize(product(x, y, "union", MAX_FOLD_STATES)) for x, y in pairs] + odd
+    acc = level[0] if level else empty_language_dfa(a.alphabet)
 
     same, word = equivalent(acc, minimize(a))
     if not same:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .classify import (
@@ -27,6 +27,9 @@ from .core import (
     DfaError,
     ResourceLimitError,
     Word,
+    _alphabet_index,
+    _canonical,
+    _class_table,
     complement,
     enumerate_language,
     intersect_all,
@@ -191,6 +194,61 @@ def _dedup(factors: Iterable[Dfa], cap: int) -> list[Dfa]:
     return list(kept.values())
 
 
+def _rejection_groups(
+    rejected: list[Word], alphabet: tuple[str, ...], bound: int
+) -> Iterator[Dfa]:
+    """Complements of the minimal DFAs of consecutive groups of the words
+    ``rejected``, taken in lexicographic order of their letters' alphabet
+    positions.  Each has at most ``bound`` states, provided that the
+    minimal DFA of every single word (|w| + 2 states) fits within it.
+
+    The words are inserted one at a time into a group held in one
+    ``_class_table``: the classes along the word's path are re-interned
+    bottom-up, so the group's root class is its minimal DFA whatever the
+    insertion order (Daciuk, Mihov, Watson & Watson 2000).  A group closes
+    when the next word would take the classes reachable from its root, the
+    empty class included, past ``bound``; that word starts the next group.
+    The factor of group k is named ``not(group_k)``."""
+    rows, final, intern = _class_table(len(alphabet))
+    index = _alphabet_index(alphabet)
+
+    def insert(root: int, w: list[int]) -> int:
+        path = [root]
+        for x in w:
+            path.append(rows[path[-1]][x])
+        c = intern(True, rows[path[-1]])
+        for c_prev, x in zip(reversed(path[:-1]), reversed(w)):
+            successors = list(rows[c_prev])
+            successors[x] = c
+            c = intern(final[c_prev], tuple(successors))
+        return c
+
+    def fits(root: int) -> bool:
+        order, seen = [root], {root}
+        for c in order:
+            for t in rows[c]:
+                if t not in seen:
+                    if len(order) == bound:
+                        return False
+                    seen.add(t)
+                    order.append(t)
+        return True
+
+    def factor(root: int, k: int) -> Dfa:
+        return complement(_canonical(rows, final, root, alphabet, f"group_{k}"))
+
+    groups, root = 0, 0
+    for letters in sorted([index[s] for s in w] for w in rejected):
+        grown = insert(root, letters)
+        if root and not fits(grown):
+            yield factor(root, groups)
+            groups += 1
+            grown = insert(0, letters)
+        root = grown
+    if root:
+        yield factor(root, groups)
+
+
 def _nonsafety_families(
     p: LinearProfile, d: int, caps: Caps
 ) -> tuple[list[Dfa], list[Word]]:
@@ -222,6 +280,21 @@ def _nonsafety_families(
 
 
 def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
+    """Factors with at most index - 1 states each that intersect to exactly
+    L(a), for a composite ``a``, in the order of the branch's families.
+
+    A non-linear input with longest word n has index at least n + 3.  Its
+    certificate is ``length_cap_dfa(n)`` followed by grouped rejecting
+    factors: the rejected words of length <= n, in lexicographic order of
+    their letters' alphabet positions, are split into consecutive groups
+    whose minimal DFA has at most index - 1 states, and each factor is the
+    complement of one group's minimal DFA (``not(group_k)``).  Every
+    rejected word of length <= n is rejected by exactly one group factor,
+    and every group factor accepts all of L(a).  The CEP and non-safety
+    branches use the factor families of the linear profile.
+
+    ``caps.max_words`` bounds every word enumeration and ``caps.max_factors``
+    the factors drawn, before duplicates are dropped."""
     m = minimize(a)
     status, branch, _ = _intersection_branch(m)
     if status == PRIME:
@@ -234,7 +307,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         rejected = enumerate_language(complement(m), n, caps.max_words)
         factors = itertools.chain(
             (length_cap_dfa(n, alphabet),),
-            (complement(singleton_dfa(w, alphabet)) for w in rejected),
+            _rejection_groups(rejected, alphabet, bound),
         )
     elif branch == "CEP":
         factors = itertools.chain(

@@ -213,7 +213,7 @@ class TestDecompose:
     @pytest.mark.parametrize(
         "doc, mode, line, code",
         [
-            ("swap", "cap", "mode=intersection bound=4 factors=6 verified=true", 0),
+            ("swap", "cap", "mode=intersection bound=4 factors=3 verified=true", 0),
             ("swap", "cup", "mode=union bound=4 factors=2 verified=true", 0),
             ("swap", "dnf", "mode=dnf bound=5 factors=2 terms=2 verified=true", 0),
             ("fig4", "cap", "status=Prime branch=safety+noCEP error=input is prime", 1),

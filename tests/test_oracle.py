@@ -398,6 +398,19 @@ class TestVerifyDecomposition:
         ok, diag = verify_decomposition(a, d)
         assert not ok and diag.startswith("language mismatch at word:")
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 7, 8])
+    def test_union_fold_of_every_term_count(self, count):
+        # the balanced fold carries an odd term up a level for 5 and 7
+        words = ["", "a", "b", "ab", "ba", "bb", "aab", "bbb"][:count]
+        a = language_dfa([tuple(w) for w in words], AB)
+        terms = [singleton_dfa(tuple(w), AB) for w in words]
+        ok, diag = verify_decomposition(a, Decomposition("union", 5, terms))
+        assert ok and diag is None
+        if count:  # without its term, the last word is missing
+            ok, diag = verify_decomposition(a, Decomposition("union", 5, terms[:-1]))
+            missing = " ".join(words[-1]) or "<epsilon>"
+            assert (ok, diag) == (False, f"language mismatch at word: {missing}")
+
     def test_epsilon_rendered_in_diagnostic(self):
         a = language_dfa([()], AB)
         d = Decomposition("intersection", 5, [singleton_dfa(("a",), AB)])

@@ -151,12 +151,10 @@ class TestIntersectionDecomposition:
 
     # `decompose --out` numbers its factor files in this order.
     def test_factor_order_non_linear(self):
+        # rejected words eps a aa b | bb: the fifth would give group_0 5 states
         a = language_dfa([("a", "b"), ("b", "a")], AB)
-        rejected = [w for w in all_words(AB, 2) if not accepts(a, w)]
-        expected = ["lengthcap_2"]
-        expected += ["not(singleton_" + "".join(w) + ")" for w in rejected]
         d = intersection_decomposition(a)
-        assert [f.name for f in d.factors] == expected
+        assert [f.name for f in d.factors] == ["lengthcap_2", "not(group_0)", "not(group_1)"]
 
     def test_factor_order_non_safety(self):
         # {eps, 0, 1} | 0{0,1}^2 | 0{0,1}^2 1: n = 4, q_2 rejecting, and one
@@ -171,6 +169,30 @@ class TestIntersectionDecomposition:
         expected += ["ext_000111"]
         d = intersection_decomposition(a)
         assert [f.name for f in d.factors] == expected
+
+    @pytest.mark.parametrize("alphabet", [BINARY, ("a", "b", "c")])
+    def test_grouped_rejections_on_random_non_linear_adfas(self, alphabet):
+        rng = random.Random(1717)
+        checked = 0
+        while checked < 15:
+            a = minimize(random_finite_dfa(rng, max_n=6, max_words=8, alphabet=alphabet))
+            if decide_intersection_primality(a).branch != "non-linear":
+                continue
+            n = max(len(w) for w in all_words(alphabet, 6) if accepts(a, w))
+            rejected = [w for w in all_words(alphabet, n) if not accepts(a, w)]
+            d = intersection_decomposition(a)
+            cap, groups = d.factors[0], d.factors[1:]
+            assert cap.name == f"lengthcap_{n}"
+            assert all(f.state_count <= a.state_count - 1 for f in d.factors)
+            for w in rejected:
+                assert [accepts(f, w) for f in groups].count(False) == 1, w
+            for w in all_words(alphabet, n):
+                if accepts(a, w):
+                    assert all(accepts(f, w) for f in groups), w
+            ok, diag = verify_decomposition(a, d)
+            assert ok, diag
+            assert len(d.factors) <= 1 + len(rejected)
+            checked += 1
 
     def test_random_composite_minimal_adfas(self):
         rng = random.Random(321)

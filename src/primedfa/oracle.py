@@ -365,36 +365,27 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
 
 
 def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
-    """Checks the size bounds of every factor and the exact language equality
-    of the union of the intersection terms with L(A).  Returns (ok,
-    diagnostic)."""
-    try:
-        terms = d.terms
-    except DfaError as exc:
-        return False, str(exc)
-    strict = d.mode == "dnf"
-    for idx, f in enumerate(f for term in terms for f in term):
+    """Checks that every factor, in every mode, has fewer states than the
+    index of A, and that the union of the intersection terms is exactly
+    L(A).  Returns (ok, diagnostic)."""
+    m = minimize(a)
+    k = m.state_count
+    for idx, f in enumerate(f for term in d.terms for f in term):
         if f.alphabet != a.alphabet:
             return False, f"factor {idx} ({f.name}): alphabet mismatch"
-        if strict and f.state_count >= d.bound:
-            return False, (
-                f"factor {idx} ({f.name}): size {f.state_count} not < {d.bound}"
-            )
-        if not strict and f.state_count > d.bound:
-            return False, (
-                f"factor {idx} ({f.name}): size {f.state_count} > {d.bound}"
-            )
+        if f.state_count >= k:
+            return False, f"factor {idx} ({f.name}): size {f.state_count} not < index {k}"
 
     # Balanced union fold: neighbours are unioned level by level, so no
     # product is taken with the whole union accumulated so far.
-    level = [intersect_all(term, a.alphabet) for term in terms]
+    level = [intersect_all(term, a.alphabet) for term in d.terms]
     while len(level) > 1:
         pairs = zip(level[0::2], level[1::2])
         odd = level[-1:] if len(level) % 2 else []
         level = [minimize(product(x, y, "union", MAX_FOLD_STATES)) for x, y in pairs] + odd
     acc = level[0] if level else empty_language_dfa(a.alphabet)
 
-    same, word = equivalent(acc, minimize(a))
+    same, word = equivalent(acc, m)
     if not same:
         rendered = " ".join(word) if word else "<epsilon>"
         return False, f"language mismatch at word: {rendered}"

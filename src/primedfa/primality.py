@@ -70,9 +70,14 @@ class PrimalityVerdict:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """mode 'intersection'/'union': ``factors`` is a flat list of DFAs with
-    size <= bound.  mode 'dnf': ``factors`` is a list of terms, each term a
-    list of DFAs intersected before the outer union, with size < bound.
+    """A composite certificate: DFAs, each with fewer states than the index
+    of the input, that combine to exactly its language.
+
+    mode 'intersection'/'union': ``factors`` is a flat list of DFAs.  mode
+    'dnf': ``factors`` is a list of terms, each term a list of DFAs
+    intersected before the outer union.  ``bound`` is the figure
+    ``decompose`` reports: index - 1, or the index for 'dnf'; the verifier
+    reads the index off the input instead.
 
     ``terms`` reads every mode as that DNF shape, a union of intersection
     terms: one term holding all factors for 'intersection', one singleton
@@ -82,15 +87,17 @@ class Decomposition:
     bound: int
     factors: list
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("intersection", "union", "dnf"):
+            raise DfaError(f"unknown decomposition mode {self.mode!r}")
+
     @property
     def terms(self) -> list[list[Dfa]]:
         if self.mode == "intersection":
             return [self.factors]
         if self.mode == "union":
             return [[f] for f in self.factors]
-        if self.mode == "dnf":
-            return self.factors
-        raise DfaError(f"unknown decomposition mode {self.mode!r}")
+        return self.factors
 
 
 @dataclass(frozen=True)

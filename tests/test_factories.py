@@ -33,7 +33,7 @@ from primedfa import (
 )
 from primedfa.factories import IndexChain, classify_extension
 from primedfa.primality import _nonsafety_families
-from conftest import BINARY, all_words, language_dfa, random_linear_dfa
+from conftest import BINARY, all_words, random_linear_dfa
 
 AB = ("a", "b")
 

@@ -11,17 +11,20 @@ import pytest
 
 import primedfa.core as core
 from primedfa import (
-    COMPOSITE,
     PRIME,
     Decomposition,
     Dfa,
+    DfaError,
     OracleLimits,
     ResourceLimitError,
     accepts,
+    all_accepting_dfa,
     decide_intersection_primality,
     dnf_decomposition,
+    empty_language_dfa,
     index_of,
     intersection_decomposition,
+    length_cap_dfa,
     minimize,
     mod_counter_dfa,
     oracle_primality,
@@ -394,18 +397,21 @@ class TestVerifyDecomposition:
 
     def test_rejects_wrong_language_with_word_diagnostic(self):
         a = language_dfa([("a",)], AB)
-        d = Decomposition("intersection", 5, [singleton_dfa(("b",), AB)])
+        d = Decomposition("intersection", 2, [all_accepting_dfa(AB)])
         ok, diag = verify_decomposition(a, d)
         assert not ok and diag.startswith("language mismatch at word:")
 
     @pytest.mark.parametrize("count", [0, 1, 2, 5, 7, 8])
     def test_union_fold_of_every_term_count(self, count):
         # the balanced fold carries an odd term up a level for 5 and 7
-        words = ["", "a", "b", "ab", "ba", "bb", "aab", "bbb"][:count]
+        words = ["ab", "ba", "", "a", "b", "bb", "aab", "bbb"][:count]
         a = language_dfa([tuple(w) for w in words], AB)
         terms = [singleton_dfa(tuple(w), AB) for w in words]
         ok, diag = verify_decomposition(a, Decomposition("union", 5, terms))
-        assert ok and diag is None
+        if count == 1:  # a one-word language is union-prime
+            assert not ok and "not < index" in diag
+        else:
+            assert ok and diag is None
         if count:  # without its term, the last word is missing
             ok, diag = verify_decomposition(a, Decomposition("union", 5, terms[:-1]))
             missing = " ".join(words[-1]) or "<epsilon>"
@@ -413,7 +419,7 @@ class TestVerifyDecomposition:
 
     def test_epsilon_rendered_in_diagnostic(self):
         a = language_dfa([()], AB)
-        d = Decomposition("intersection", 5, [singleton_dfa(("a",), AB)])
+        d = Decomposition("intersection", 1, [empty_language_dfa(AB)])
         ok, diag = verify_decomposition(a, d)
         assert not ok and "<epsilon>" in diag
 
@@ -427,11 +433,11 @@ class TestVerifyDecomposition:
         # coprime counters: the union needs 101 * 103 = 10403 states
         d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
         with pytest.raises(ResourceLimitError, match=r"product of 2 DFAs reached 10001 .*10000"):
-            verify_decomposition(mod_counter_dfa(101), d)
+            verify_decomposition(mod_counter_dfa(107), d)
 
     def test_union_fold_cap_fires_before_the_product_is_built(self, monkeypatch):
         d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
-        a = mod_counter_dfa(101)
+        a = mod_counter_dfa(107)
         sizes = []
         real = Dfa.__post_init__
 
@@ -446,6 +452,25 @@ class TestVerifyDecomposition:
         assert sizes and max(sizes) <= cap
 
     def test_unknown_mode_rejected(self):
-        a = language_dfa([("a",)], AB)
-        ok, diag = verify_decomposition(a, Decomposition("xor", 5, []))
-        assert not ok and "unknown" in diag
+        with pytest.raises(DfaError, match="unknown"):
+            Decomposition("xor", 5, [])
+
+    @pytest.mark.parametrize("mode, bound", [("intersection", 5), ("union", 5), ("dnf", 6)])
+    def test_input_itself_is_not_a_factor(self, fig4, mode, bound):
+        # fig4 is prime; the bound a certificate declares does not count
+        factors = [[fig4]] if mode == "dnf" else [fig4]
+        ok, diag = verify_decomposition(fig4, Decomposition(mode, bound, factors))
+        assert (ok, diag) == (False, "factor 0 (fig4): size 5 not < index 5")
+
+    @pytest.mark.parametrize("mode", ["intersection", "union", "dnf"])
+    def test_factor_size_is_checked_against_the_index(self, fig4, mode):
+        k = index_of(fig4)
+        for m in (k - 2, k - 3):  # words of length <= m: m + 2 states
+            f = length_cap_dfa(m, fig4.alphabet)
+            d = Decomposition(mode, k, [[f]] if mode == "dnf" else [f])
+            ok, diag = verify_decomposition(fig4, d)
+            if f.state_count == k:
+                assert (ok, diag) == (False, f"factor 0 ({f.name}): size {k} not < index {k}")
+            else:
+                assert f.state_count == k - 1
+                assert not ok and diag.startswith("language mismatch at word:")

@@ -30,6 +30,7 @@ from .core import (
     _alphabet_index,
     _canonical,
     _class_table,
+    all_accepting_dfa,
     complement,
     enumerate_language,
     intersect_all,
@@ -81,7 +82,8 @@ class Decomposition:
 
     ``terms`` reads every mode as that DNF shape, a union of intersection
     terms: one term holding all factors for 'intersection', one singleton
-    term per factor for 'union', ``factors`` itself for 'dnf'."""
+    term per factor for 'union', ``factors`` itself for 'dnf'.  A mode or a
+    shape of ``factors`` that does not match it is rejected when built."""
 
     mode: str
     bound: int
@@ -90,6 +92,10 @@ class Decomposition:
     def __post_init__(self) -> None:
         if self.mode not in ("intersection", "union", "dnf"):
             raise DfaError(f"unknown decomposition mode {self.mode!r}")
+        for term in self.terms:
+            if not isinstance(term, list) or not all(isinstance(f, Dfa) for f in term):
+                shape = "a list of terms, each a list" if self.mode == "dnf" else "a list"
+                raise DfaError(f"{self.mode} decomposition: factors must be {shape} of DFAs")
 
     @property
     def terms(self) -> list[list[Dfa]]:
@@ -187,16 +193,22 @@ def intersection_witness(a: Dfa) -> Word:
     return v.witness
 
 
-def _dedup(factors: Iterable[Dfa], cap: int) -> list[Dfa]:
-    """First factor of each transition structure; all share one alphabet.
-    Draws ``factors`` lazily and raises ``ResourceLimitError`` when the
+def _capped(factors: Iterable[Dfa], cap: int) -> Iterator[Dfa]:
+    """Draws ``factors`` lazily and raises ``ResourceLimitError`` when the
     (cap+1)-th is drawn, before any further factor is built."""
-    kept: dict[tuple, Dfa] = {}
     for count, f in enumerate(factors, 1):
         if count > cap:
             raise ResourceLimitError(
                 f"factor emission exceeded cap of {cap} after {count} factors"
             )
+        yield f
+
+
+def _dedup(factors: Iterable[Dfa], cap: int) -> list[Dfa]:
+    """First factor of each transition structure; all share one alphabet.
+    Draws ``factors`` through ``_capped``."""
+    kept: dict[tuple, Dfa] = {}
+    for f in _capped(factors, cap):
         kept.setdefault((f.delta, f.initial, f.accepting), f)
     return list(kept.values())
 
@@ -260,9 +272,20 @@ def _nonsafety_families(
     p: LinearProfile, d: int, caps: Caps
 ) -> tuple[list[Dfa], list[Word]]:
     """Non-safety branch for the profile ``p`` with interior rejecting state
-    ``q_d``: the distinct base factors (every family but the extension
-    factors), and the words longer than n that all of them accept, each of
-    which needs one extension factor."""
+    ``q_d``: the factors of the certificate, and the words longer than n
+    that all base factors (every family but the extension factors) accept,
+    each of which gets one extension factor.
+
+    The families are drawn lazily in the order loop-back, loop_d, letter
+    positions, index chains, subsequence excluders, extension factors, and
+    folded into one running intersection.  A factor is kept only when it
+    shrinks that intersection; one that contains it would leave it
+    unchanged, so the kept factors intersect to what every factor drawn
+    does.  Every factor contains L(A), so drawing stops once the
+    intersection is L(A); when that happens before the extension factors,
+    no word survives.  Otherwise the survivors are read off the
+    intersection of every base factor.  ``caps.max_factors`` counts the
+    factors drawn."""
     n, alphabet = p.n, p.alphabet
 
     def letter_positions():
@@ -271,19 +294,33 @@ def _nonsafety_families(
             assert gaps, "no uniform max word implies a gap for every letter"
             yield factor_letter_position(p, sym, max(gaps))
 
+    survivors: list[Word] = []
+
+    def extensions():
+        # Drawn after the last base factor, so ``acc`` is their intersection.
+        words = enumerate_language(acc, max(n, 2 * n - 2), caps.max_words)
+        survivors.extend(w for w in words if len(w) > n)
+        for w in survivors:
+            yield factor_extension(p, d, w)
+
     rejected = enumerate_language(complement(p.base), n, caps.max_words)
-    factors = _dedup(
-        itertools.chain(
-            (factor_loop_zero(p), factor_loop_d(p, d)),
-            (factor_chain(p, c) for c in all_index_chains(n)),
-            letter_positions(),
-            (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
-        ),
-        caps.max_factors,
+    drawn = itertools.chain(
+        (factor_loop_zero(p), factor_loop_d(p, d)),
+        letter_positions(),
+        (factor_chain(p, c) for c in all_index_chains(n)),
+        (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
+        extensions(),
     )
-    combined = intersect_all(factors, alphabet)
-    words = enumerate_language(combined, max(n, 2 * n - 2), caps.max_words)
-    return factors, [w for w in words if len(w) > n]
+    target = minimize(p.base)
+    kept, acc = [], all_accepting_dfa(alphabet)
+    for f in _capped(drawn, caps.max_factors):
+        grown = intersect_all([acc, f], alphabet)
+        if (grown.delta, grown.accepting) != (acc.delta, acc.accepting):
+            kept.append(f)
+            acc = grown
+            if (acc.delta, acc.accepting) == (target.delta, target.accepting):
+                break
+    return kept, survivors
 
 
 def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
@@ -298,10 +335,13 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     complement of one group's minimal DFA (``not(group_k)``).  Every
     rejected word of length <= n is rejected by exactly one group factor,
     and every group factor accepts all of L(a).  The CEP and non-safety
-    branches use the factor families of the linear profile.
+    branches use the factor families of the linear profile.  The non-safety
+    branch keeps only the factors that shrink the intersection of those
+    before them, and stops drawing once it is L(a) (``_nonsafety_families``).
 
     ``caps.max_words`` bounds every word enumeration and ``caps.max_factors``
-    the factors drawn, before duplicates are dropped."""
+    the factors drawn, before duplicates or factors that do not shrink the
+    intersection are dropped."""
     m = minimize(a)
     status, branch, _ = _intersection_branch(m)
     if status == PRIME:
@@ -329,10 +369,8 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     else:  # non-safety
         d = interior_rejecting_state(p)
         assert d is not None
-        base, survivors = _nonsafety_families(p, d, caps)
-        factors = itertools.chain(
-            base, (factor_extension(p, d, w) for w in survivors)
-        )
+        factors, _ = _nonsafety_families(p, d, caps)
+        return Decomposition("intersection", bound, factors)
     return Decomposition("intersection", bound, _dedup(factors, caps.max_factors))
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -38,6 +40,13 @@ end
 
 SWAP_DOC = serialize_dfa(language_dfa([("a", "b"), ("b", "a")], ("a", "b")))
 
+# {eps, 0, 1} | 0{0,1}^2 | 0{0,1}^2 1: linear, non-safety (q_2 rejects);
+# its certificate ends with one extension factor
+SPINE = [("0", x, y) for x in "01" for y in "01"]
+NON_SAFETY_DOC = serialize_dfa(
+    language_dfa([(), ("0",), ("1",)] + SPINE + [w + ("1",) for w in SPINE], ("0", "1"))
+)
+
 GRAPH_DOC = """\
 digraph g
 nodes 2
@@ -48,12 +57,18 @@ end
 """
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, cwd=None):
+    # the subprocess imports this checkout's sources, as the test process does
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "primedfa.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -68,6 +83,13 @@ def fig4_file(tmp_path):
 def swap_file(tmp_path):
     f = tmp_path / "swap.dfa"
     f.write_text(SWAP_DOC)
+    return str(f)
+
+
+@pytest.fixture()
+def non_safety_file(tmp_path):
+    f = tmp_path / "non_safety.dfa"
+    f.write_text(NON_SAFETY_DOC)
     return str(f)
 
 
@@ -199,7 +221,7 @@ class TestDecompose:
         assert sorted(out.glob("term_*.dfa"))
 
     def test_factor_file_names_stay_inside_out_dir(self, tmp_path):
-        # letters ".." and "/" end up in factor names such as noseq_/..
+        # letters ".." and "/" end up in factor names such as letterpos_/_1
         doc = tmp_path / "slash.dfa"
         doc.write_text(serialize_dfa(language_dfa([(), ("/",), ("..", "/")], ("..", "/"))))
         out = tmp_path / "D"
@@ -209,6 +231,7 @@ class TestDecompose:
         written = sorted(tmp_path.rglob("*.dfa"))
         assert len(written) == 1 + int(r.stdout.split("factors=")[1].split()[0])
         assert all(f.parent == out for f in written if f != doc)
+        assert any("/" in parse_dfa(f.read_text()).name for f in written if f != doc)
 
     @pytest.mark.parametrize(
         "doc, mode, line, code",
@@ -219,10 +242,11 @@ class TestDecompose:
             ("fig4", "cap", "status=Prime branch=safety+noCEP error=input is prime", 1),
             ("fig4", "cup", "status=Prime branch=linear error=input is prime", 1),
             ("fig4", "dnf", "mode=dnf bound=5 factors=17 terms=13 verified=true", 0),
+            ("non-safety", "cap", "mode=intersection bound=5 factors=6 verified=true", 0),
         ],
     )
-    def test_golden_lines(self, swap_file, fig4_file, doc, mode, line, code):
-        path = {"swap": swap_file, "fig4": fig4_file}[doc]
+    def test_golden_lines(self, swap_file, fig4_file, non_safety_file, doc, mode, line, code):
+        path = {"swap": swap_file, "fig4": fig4_file, "non-safety": non_safety_file}[doc]
         r = run_cli(["decompose", f"--mode={mode}", path])
         assert (r.stdout, r.returncode) == (line + "\n", code)
 

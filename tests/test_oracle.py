@@ -455,6 +455,13 @@ class TestVerifyDecomposition:
         with pytest.raises(DfaError, match="unknown"):
             Decomposition("xor", 5, [])
 
+    @pytest.mark.parametrize("mode, nested", [("dnf", False), ("intersection", True), ("union", True)])
+    def test_factor_shape_must_match_mode(self, mode, nested):
+        # dnf takes a list of terms; intersection and union a flat list
+        a = singleton_dfa(("a",), AB)
+        with pytest.raises(DfaError, match=f"^{mode} decomposition: factors must be a list"):
+            Decomposition(mode, 3, [[a]] if nested else [a])
+
     @pytest.mark.parametrize("mode, bound", [("intersection", 5), ("union", 5), ("dnf", 6)])
     def test_input_itself_is_not_a_factor(self, fig4, mode, bound):
         # fig4 is prime; the bound a certificate declares does not count

@@ -16,24 +16,37 @@ from primedfa import (
     Digraph,
     ResourceLimitError,
     accepts,
+    all_accepting_dfa,
+    all_index_chains,
     decide_dnf_primality,
     decide_intersection_primality,
     decide_s_primality,
     decide_union_primality,
     dnf_decomposition,
     empty_language_dfa,
+    enumerate_language,
+    equivalent,
+    factor_chain,
+    factor_letter_position,
+    factor_loop_d,
+    factor_loop_zero,
     index_of,
+    interior_rejecting_state,
+    intersect_all,
     intersection_decomposition,
     intersection_witness,
+    linear_profile,
     minimize,
     mod_counter_dfa,
     parse_dfa,
     serialize_dfa,
     sprime_gadget,
+    subsequence_excluder,
     union_decomposition,
     verify_decomposition,
     verify_witness,
 )
+from primedfa.primality import _nonsafety_families
 from conftest import BINARY, all_words, language_dfa, random_finite_dfa, random_linear_dfa
 
 AB = ("a", "b")
@@ -156,19 +169,77 @@ class TestIntersectionDecomposition:
         d = intersection_decomposition(a)
         assert [f.name for f in d.factors] == ["lengthcap_2", "not(group_0)", "not(group_1)"]
 
-    def test_factor_order_non_safety(self):
+    @staticmethod
+    def _spine():
         # {eps, 0, 1} | 0{0,1}^2 | 0{0,1}^2 1: n = 4, q_2 rejecting, and one
         # word longer than n slips past the base families
         spine = [("0", x, y) for x in BINARY for y in BINARY]
-        a = language_dfa([(), ("0",), ("1",)] + spine + [w + ("1",) for w in spine], BINARY)
-        rejected = [w for w in all_words(BINARY, 4) if len(w) == 4 and not accepts(a, w)]
-        expected = ["loopzero", "loopd_2", "chain_0-4", "chain_0-1-4", "chain_0-2-4"]
-        expected += ["chain_0-3-4", "chain_0-1-2-4", "chain_0-1-3-4", "chain_0-2-3-4"]
-        expected += ["letterpos_0_4", "letterpos_1_1"]
-        expected += ["noseq_" + "".join(w) for w in rejected]
+        return language_dfa([(), ("0",), ("1",)] + spine + [w + ("1",) for w in spine], BINARY)
+
+    def test_factor_order_non_safety(self):
+        a = self._spine()
+        expected = ["loopzero", "loopd_2", "letterpos_0_4", "letterpos_1_1", "chain_0-4"]
         expected += ["ext_000111"]
         d = intersection_decomposition(a)
         assert [f.name for f in d.factors] == expected
+
+    @staticmethod
+    def _unpruned_nonsafety_families(p, d):
+        """Every base factor of the non-safety branch, none dropped."""
+        n = p.n
+        factors = [factor_loop_zero(p), factor_loop_d(p, d)]
+        for sym in p.alphabet:
+            gaps = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
+            factors.append(factor_letter_position(p, sym, max(gaps)))
+        factors += [factor_chain(p, c) for c in all_index_chains(n)]
+        rejected = [w for w in all_words(p.alphabet, n) if len(w) == n and not accepts(p.base, w)]
+        return factors + [subsequence_excluder(w, p.alphabet) for w in rejected]
+
+    def _non_safety_inputs(self, count):
+        """Two inputs with words that slip past the base families, then
+        ``count`` random non-safety minimal ADFAs (binary and ternary, n <= 6),
+        where such words are rare."""
+        yield self._spine()
+        rows = ((1, 2, 3), (4, 4, 4), (5, 5, 5), (1, 2, 2), (4, 4, 4), (1, 1, 4))
+        yield minimize(Dfa(("a", "b", "c"), rows, 0, frozenset({0, 1, 2, 3})))
+        rng = random.Random(1919)
+        drawn = 0
+        while drawn < count:
+            alphabet = BINARY if drawn % 2 else ("a", "b", "c")
+            a = random_linear_dfa(rng, rng.randint(2, 6), alphabet, safety=False)
+            if a is not None and decide_intersection_primality(a).branch == "non-safety":
+                drawn += 1
+                yield a
+
+    def test_pruned_non_safety_certificates(self):
+        with_survivors = 0
+        for a in self._non_safety_inputs(32):
+            alphabet = a.alphabet
+            p = linear_profile(a)
+            d = interior_rejecting_state(p)
+            full = intersect_all(self._unpruned_nonsafety_families(p, d), alphabet)
+            n = p.n
+            expected = [w for w in enumerate_language(full, 2 * n) if len(w) > n]
+            _, survivors = _nonsafety_families(p, d, Caps())
+            assert survivors == expected
+            with_survivors += bool(survivors)
+            dec = intersection_decomposition(a)
+            assert all(f.state_count < a.state_count for f in dec.factors)
+            acc = all_accepting_dfa(alphabet)
+            for f in dec.factors:
+                shrunk = intersect_all([acc, f], alphabet)
+                assert not equivalent(shrunk, acc)[0], f.name
+                acc = shrunk
+            assert verify_decomposition(a, dec) == (True, None)
+        assert with_survivors >= 2
+
+    def test_single_word_certificate_stays_small(self):
+        # {abcabcabca}: n = 10, 59,048 rejected words of length n over three
+        # letters, one subsequence excluder each if every family were kept
+        a = language_dfa([tuple("abcabcabca")], ("a", "b", "c"))
+        d = intersection_decomposition(a)
+        assert len(d.factors) <= 5
+        assert verify_decomposition(a, d) == (True, None)
 
     @pytest.mark.parametrize("alphabet", [BINARY, ("a", "b", "c")])
     def test_grouped_rejections_on_random_non_linear_adfas(self, alphabet):

@@ -63,7 +63,6 @@ from .primality import (
     decide_union_primality,
     dnf_decomposition,
     intersection_decomposition,
-    intersection_witness,
     union_decomposition,
 )
 
@@ -178,8 +177,9 @@ def witness(dfa_file: str, as_json: bool) -> None:
             as_json,
         )
         return
-    w = intersection_witness(a)
-    _emit(CommandReport([("witness", _render_word(w))]), as_json)
+    if v.witness is None:  # the empty language: prime, but no word witnesses it
+        raise DfaError("intersection_witness: defined only for non-empty prime inputs")
+    _emit(CommandReport([("witness", _render_word(v.witness))]), as_json)
 
 
 def _file_safe(name: str) -> str:

@@ -108,7 +108,11 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class Caps:
-    """Resource caps for decomposition emission."""
+    """Resource caps for decomposition emission.  ``max_words`` bounds every
+    word enumeration; ``max_factors`` bounds the words a union or DNF
+    decomposition enumerates, one factor or term each, and the factors an
+    intersection decomposition draws, counted before the profile branches
+    drop those that do not shrink their running intersection."""
 
     max_words: int = 10**6
     max_factors: int = 10**6
@@ -204,15 +208,6 @@ def _capped(factors: Iterable[Dfa], cap: int) -> Iterator[Dfa]:
         yield f
 
 
-def _dedup(factors: Iterable[Dfa], cap: int) -> list[Dfa]:
-    """First factor of each transition structure; all share one alphabet.
-    Draws ``factors`` through ``_capped``."""
-    kept: dict[tuple, Dfa] = {}
-    for f in _capped(factors, cap):
-        kept.setdefault((f.delta, f.initial, f.accepting), f)
-    return list(kept.values())
-
-
 def _rejection_groups(
     rejected: list[Word], alphabet: tuple[str, ...], bound: int
 ) -> Iterator[Dfa]:
@@ -268,57 +263,65 @@ def _rejection_groups(
         yield factor(root, groups)
 
 
-def _nonsafety_families(
-    p: LinearProfile, d: int, caps: Caps
-) -> tuple[list[Dfa], list[Word]]:
-    """Non-safety branch for the profile ``p`` with interior rejecting state
-    ``q_d``: the factors of the certificate, and the words longer than n
-    that all base factors (every family but the extension factors) accept,
-    each of which gets one extension factor.
+def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
+    """Intersection certificate of the composite linear minimal DFA ``m``
+    (the CEP or non-safety branch): the factors kept, and the words longer
+    than n that every base factor (every family but the extension factors)
+    accepts, each of which gets one extension factor.
 
-    The families are drawn lazily in the order loop-back, loop_d, letter
-    positions, index chains, subsequence excluders, extension factors, and
-    folded into one running intersection.  A factor is kept only when it
-    shrinks that intersection; one that contains it would leave it
-    unchanged, so the kept factors intersect to what every factor drawn
-    does.  Every factor contains L(A), so drawing stops once the
-    intersection is L(A); when that happens before the extension factors,
-    no word survives.  Otherwise the survivors are read off the
-    intersection of every base factor.  ``caps.max_factors`` counts the
-    factors drawn."""
-    n, alphabet = p.n, p.alphabet
+    The factor families of the linear profile are drawn lazily and folded
+    into one running intersection.  A factor is kept only when it shrinks
+    that intersection; one that contains it would leave it unchanged, so
+    the kept factors intersect to what every factor drawn does.  Every
+    factor contains L(m), so drawing stops once the intersection is L(m).
 
-    def letter_positions():
-        for sym in alphabet:
-            gaps = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
-            assert gaps, "no uniform max word implies a gap for every letter"
-            yield factor_letter_position(p, sym, max(gaps))
-
+    In the safety case (CEP) the draw order is loop-back, skips, index
+    chains; the skips usually close the fold, and no word survives.  With
+    an interior rejecting state ``q_d`` (non-safety) it is loop-back,
+    loop_d, letter positions, index chains, subsequence excluders,
+    extension factors.  When the base families close the fold, no word
+    survives; otherwise the survivors are read off the intersection of
+    every base factor.  ``caps.max_factors`` counts the factors drawn."""
+    n, p = _analysis(m)
+    d = interior_rejecting_state(p)
+    alphabet = p.alphabet
     survivors: list[Word] = []
+    if d is None:
+        drawn = itertools.chain(
+            (factor_loop_zero(p),),
+            (factor_skip(p, i, l) for i in range(n - 1) for l in range(2, n - i + 1)),
+            (factor_chain(p, c) for c in all_index_chains(n)),
+        )
+    else:
 
-    def extensions():
-        # Drawn after the last base factor, so ``acc`` is their intersection.
-        words = enumerate_language(acc, max(n, 2 * n - 2), caps.max_words)
-        survivors.extend(w for w in words if len(w) > n)
-        for w in survivors:
-            yield factor_extension(p, d, w)
+        def letter_positions():
+            for sym in alphabet:
+                gaps = [i for i in range(1, n + 1) if sym not in p.sigma(i - 1, i)]
+                assert gaps, "no uniform max word implies a gap for every letter"
+                yield factor_letter_position(p, sym, max(gaps))
 
-    rejected = enumerate_language(complement(p.base), n, caps.max_words)
-    drawn = itertools.chain(
-        (factor_loop_zero(p), factor_loop_d(p, d)),
-        letter_positions(),
-        (factor_chain(p, c) for c in all_index_chains(n)),
-        (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
-        extensions(),
-    )
-    target = minimize(p.base)
+        def extensions():
+            # Drawn after the last base factor, so ``acc`` is their intersection.
+            words = enumerate_language(acc, max(n, 2 * n - 2), caps.max_words)
+            survivors.extend(w for w in words if len(w) > n)
+            for w in survivors:
+                yield factor_extension(p, d, w)
+
+        rejected = enumerate_language(complement(p.base), n, caps.max_words)
+        drawn = itertools.chain(
+            (factor_loop_zero(p), factor_loop_d(p, d)),
+            letter_positions(),
+            (factor_chain(p, c) for c in all_index_chains(n)),
+            (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
+            extensions(),
+        )
     kept, acc = [], all_accepting_dfa(alphabet)
     for f in _capped(drawn, caps.max_factors):
         grown = intersect_all([acc, f], alphabet)
         if (grown.delta, grown.accepting) != (acc.delta, acc.accepting):
             kept.append(f)
             acc = grown
-            if (acc.delta, acc.accepting) == (target.delta, target.accepting):
+            if (acc.delta, acc.accepting) == (m.delta, m.accepting):
                 break
     return kept, survivors
 
@@ -334,44 +337,32 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     whose minimal DFA has at most index - 1 states, and each factor is the
     complement of one group's minimal DFA (``not(group_k)``).  Every
     rejected word of length <= n is rejected by exactly one group factor,
-    and every group factor accepts all of L(a).  The CEP and non-safety
-    branches use the factor families of the linear profile.  The non-safety
-    branch keeps only the factors that shrink the intersection of those
-    before them, and stops drawing once it is L(a) (``_nonsafety_families``).
+    and every group factor accepts all of L(a).  The groups hold disjoint,
+    non-empty word sets, so no two factors are equal.
+
+    The CEP and non-safety branches draw the factor families of the linear
+    profile into one running intersection, keep only the factors that
+    shrink it, and stop drawing once it is L(a) (``_profile_certificate``).
 
     ``caps.max_words`` bounds every word enumeration and ``caps.max_factors``
-    the factors drawn, before duplicates or factors that do not shrink the
-    intersection are dropped."""
+    the factors drawn, before factors that do not shrink the intersection
+    are dropped."""
     m = minimize(a)
     status, branch, _ = _intersection_branch(m)
     if status == PRIME:
         raise DfaError("intersection_decomposition: input is prime")
     bound = m.state_count - 1
-    alphabet = a.alphabet
-    n, p = _analysis(m)
-
     if branch == "non-linear":
+        n, _ = _analysis(m)
+        alphabet = a.alphabet
         rejected = enumerate_language(complement(m), n, caps.max_words)
-        factors = itertools.chain(
-            (length_cap_dfa(n, alphabet),),
-            _rejection_groups(rejected, alphabet, bound),
+        drawn = itertools.chain(
+            (length_cap_dfa(n, alphabet),), _rejection_groups(rejected, alphabet, bound)
         )
-    elif branch == "CEP":
-        factors = itertools.chain(
-            (factor_loop_zero(p),),
-            (factor_chain(p, c) for c in all_index_chains(n)),
-            (
-                factor_skip(p, i, l)
-                for i in range(n - 1)
-                for l in range(2, n - i + 1)
-            ),
-        )
-    else:  # non-safety
-        d = interior_rejecting_state(p)
-        assert d is not None
-        factors, _ = _nonsafety_families(p, d, caps)
-        return Decomposition("intersection", bound, factors)
-    return Decomposition("intersection", bound, _dedup(factors, caps.max_factors))
+        factors = list(_capped(drawn, caps.max_factors))
+    else:
+        factors, _ = _profile_certificate(m, caps)
+    return Decomposition("intersection", bound, factors)
 
 
 def decide_union_primality(a: Dfa) -> PrimalityVerdict:

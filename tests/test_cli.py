@@ -47,6 +47,9 @@ NON_SAFETY_DOC = serialize_dfa(
     language_dfa([(), ("0",), ("1",)] + SPINE + [w + ("1",) for w in SPINE], ("0", "1"))
 )
 
+# the prefixes of a b b b: linear, safety, CEP
+PREFIX_DOC = serialize_dfa(language_dfa([tuple("abbb"[:i]) for i in range(5)], ("a", "b")))
+
 GRAPH_DOC = """\
 digraph g
 nodes 2
@@ -90,6 +93,13 @@ def swap_file(tmp_path):
 def non_safety_file(tmp_path):
     f = tmp_path / "non_safety.dfa"
     f.write_text(NON_SAFETY_DOC)
+    return str(f)
+
+
+@pytest.fixture()
+def prefix_file(tmp_path):
+    f = tmp_path / "prefix.dfa"
+    f.write_text(PREFIX_DOC)
     return str(f)
 
 
@@ -196,6 +206,13 @@ class TestWitnessCommand:
         assert r.returncode == 1
         assert "status=Composite" in r.stdout
 
+    def test_empty_language_is_input_error(self, tmp_path):
+        f = tmp_path / "empty.dfa"
+        f.write_text(serialize_dfa(Dfa(("a",), ((0,),), 0, frozenset())))
+        r = run_cli(["witness", str(f)])
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == "error: intersection_witness: defined only for non-empty prime inputs\n"
+
 
 class TestDecompose:
     def test_writes_verified_factors(self, swap_file, tmp_path):
@@ -243,10 +260,18 @@ class TestDecompose:
             ("fig4", "cup", "status=Prime branch=linear error=input is prime", 1),
             ("fig4", "dnf", "mode=dnf bound=5 factors=17 terms=13 verified=true", 0),
             ("non-safety", "cap", "mode=intersection bound=5 factors=6 verified=true", 0),
+            ("prefix", "cap", "mode=intersection bound=5 factors=2 verified=true", 0),
         ],
     )
-    def test_golden_lines(self, swap_file, fig4_file, non_safety_file, doc, mode, line, code):
-        path = {"swap": swap_file, "fig4": fig4_file, "non-safety": non_safety_file}[doc]
+    def test_golden_lines(
+        self, swap_file, fig4_file, non_safety_file, prefix_file, doc, mode, line, code
+    ):
+        path = {
+            "swap": swap_file,
+            "fig4": fig4_file,
+            "non-safety": non_safety_file,
+            "prefix": prefix_file,
+        }[doc]
         r = run_cli(["decompose", f"--mode={mode}", path])
         assert (r.stdout, r.returncode) == (line + "\n", code)
 

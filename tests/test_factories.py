@@ -32,7 +32,7 @@ from primedfa import (
     verify_decomposition,
 )
 from primedfa.factories import IndexChain, classify_extension
-from primedfa.primality import _nonsafety_families
+from primedfa.primality import _profile_certificate
 from conftest import BINARY, all_words, random_linear_dfa
 
 AB = ("a", "b")
@@ -221,7 +221,7 @@ class TestExtensionFactors:
             if d is None:
                 continue
             n = p.n
-            _, survivors = _nonsafety_families(p, d, Caps())
+            _, survivors = _profile_certificate(a, Caps())
             for w in survivors:
                 f = factor_extension(p, d, w)
                 assert f.state_count == n + 1
@@ -242,7 +242,7 @@ class TestExtensionFactors:
         p, d, w = linear_profile(a), 3, ("c", "c", "c", "b", "a", "a")
         case = classify_extension(p, d, w)
         assert (p.n, case.tag, case.x) == (4, "A4", 2)
-        _, survivors = _nonsafety_families(p, d, Caps())
+        _, survivors = _profile_certificate(minimize(a), Caps())
         assert w in survivors
         for s in survivors:
             f = factor_extension(p, d, s)

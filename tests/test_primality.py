@@ -46,7 +46,7 @@ from primedfa import (
     verify_decomposition,
     verify_witness,
 )
-from primedfa.primality import _nonsafety_families
+from primedfa.primality import _profile_certificate
 from conftest import BINARY, all_words, language_dfa, random_finite_dfa, random_linear_dfa
 
 AB = ("a", "b")
@@ -195,32 +195,36 @@ class TestIntersectionDecomposition:
         rejected = [w for w in all_words(p.alphabet, n) if len(w) == n and not accepts(p.base, w)]
         return factors + [subsequence_excluder(w, p.alphabet) for w in rejected]
 
-    def _non_safety_inputs(self, count):
-        """Two inputs with words that slip past the base families, then
-        ``count`` random non-safety minimal ADFAs (binary and ternary, n <= 6),
-        where such words are rare."""
-        yield self._spine()
-        rows = ((1, 2, 3), (4, 4, 4), (5, 5, 5), (1, 2, 2), (4, 4, 4), (1, 1, 4))
-        yield minimize(Dfa(("a", "b", "c"), rows, 0, frozenset({0, 1, 2, 3})))
+    def _profile_inputs(self, branch, count):
+        """For 'non-safety', two inputs with words that slip past the base
+        families; then ``count`` random minimal ADFAs of ``branch`` (binary
+        and ternary, n <= 6), where such words are rare."""
+        if branch == "non-safety":
+            yield self._spine()
+            rows = ((1, 2, 3), (4, 4, 4), (5, 5, 5), (1, 2, 2), (4, 4, 4), (1, 1, 4))
+            yield minimize(Dfa(("a", "b", "c"), rows, 0, frozenset({0, 1, 2, 3})))
         rng = random.Random(1919)
         drawn = 0
         while drawn < count:
             alphabet = BINARY if drawn % 2 else ("a", "b", "c")
-            a = random_linear_dfa(rng, rng.randint(2, 6), alphabet, safety=False)
-            if a is not None and decide_intersection_primality(a).branch == "non-safety":
+            n = rng.randint(2, 6)
+            a = random_linear_dfa(rng, n, alphabet, safety=branch == "CEP")
+            if a is not None and decide_intersection_primality(a).branch == branch:
                 drawn += 1
                 yield a
 
-    def test_pruned_non_safety_certificates(self):
+    @pytest.mark.parametrize("branch", ["non-safety", "CEP"])
+    def test_pruned_profile_certificates(self, branch):
         with_survivors = 0
-        for a in self._non_safety_inputs(32):
+        for a in self._profile_inputs(branch, 32):
             alphabet = a.alphabet
             p = linear_profile(a)
             d = interior_rejecting_state(p)
-            full = intersect_all(self._unpruned_nonsafety_families(p, d), alphabet)
-            n = p.n
-            expected = [w for w in enumerate_language(full, 2 * n) if len(w) > n]
-            _, survivors = _nonsafety_families(p, d, Caps())
+            expected = []
+            if d is not None:
+                full = intersect_all(self._unpruned_nonsafety_families(p, d), alphabet)
+                expected = [w for w in enumerate_language(full, 2 * p.n) if len(w) > p.n]
+            _, survivors = _profile_certificate(a, Caps())
             assert survivors == expected
             with_survivors += bool(survivors)
             dec = intersection_decomposition(a)
@@ -231,7 +235,19 @@ class TestIntersectionDecomposition:
                 assert not equivalent(shrunk, acc)[0], f.name
                 acc = shrunk
             assert verify_decomposition(a, dec) == (True, None)
-        assert with_survivors >= 2
+        assert with_survivors >= (2 if branch == "non-safety" else 0)
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_long_prefix_closed_certificate_stays_small(self, n):
+        # the prefixes of a non-uniform ternary word: linear, safety, CEP,
+        # with 2^(n-1) - 1 index chains that the skips make unnecessary
+        rng = random.Random(n)
+        w = tuple(rng.choice("abc") for _ in range(n))
+        a = language_dfa([w[:i] for i in range(n + 1)], ("a", "b", "c"))
+        assert decide_intersection_primality(a).branch == "CEP"
+        d = intersection_decomposition(a)
+        assert len(d.factors) <= 3
+        assert verify_decomposition(a, d) == (True, None)
 
     def test_single_word_certificate_stays_small(self):
         # {abcabcabca}: n = 10, 59,048 rejected words of length n over three
@@ -484,7 +500,8 @@ class TestDecompositionCaps:
         0,
         frozenset({0, 16}),
     )
-    # prefixes of a b^15: linear, safety, CEP, n = 16, 2^15 - 1 index chains
+    # prefixes of a b^15: linear, safety, CEP, n = 16, 2^15 - 1 index chains;
+    # loopzero and skip_0_2 close the fold
     CEP = Dfa(
         AB,
         ((1, 17),) + tuple((17, i + 1) for i in range(1, 16)) + ((17, 17), (17, 17)),
@@ -513,12 +530,6 @@ class TestDecompositionCaps:
                 NON_SAFETY,
                 id="intersection_decomposition-non-safety",
             ),
-            pytest.param(
-                intersection_decomposition,
-                Caps(max_factors=100),
-                CEP,
-                id="intersection_decomposition-cep",
-            ),
         ],
     )
     def test_cap_fires_while_enumerating(self, decompose, caps, a):
@@ -526,3 +537,14 @@ class TestDecompositionCaps:
             decompose(a, caps)
         seen = int(str(err.value).split()[-2])  # "... after <seen> words"
         assert 100 < seen <= 200
+
+    def test_cap_fires_while_drawing_cep_factors(self):
+        with pytest.raises(
+            ResourceLimitError, match="^factor emission exceeded cap of 1 after 2 factors$"
+        ):
+            intersection_decomposition(self.CEP, Caps(max_factors=1))
+
+    def test_cep_decomposes_within_cap(self):
+        d = intersection_decomposition(self.CEP, Caps(max_factors=100))
+        assert [f.name for f in d.factors] == ["loopzero", "skip_0_2"]
+        assert verify_decomposition(self.CEP, d) == (True, None)

@@ -319,9 +319,9 @@ def product(a: Dfa, b: Dfa, mode: str, cap: int | None = None) -> Dfa:
         raise DfaError(f"unknown product mode {mode!r}")
     order = [node for node, _ in _product_walk((a, b), cap)]
     number = dict(zip(order, range(len(order))))
-    rows = tuple(
-        tuple(map(number.__getitem__, zip(a.delta[pa], b.delta[pb]))) for pa, pb in order
-    )
+    rows = tuple([
+        tuple([number[pair] for pair in zip(a.delta[pa], b.delta[pb])]) for pa, pb in order
+    ])
 
     accepting = set()
     for idx, (pa, pb) in enumerate(order):
@@ -427,7 +427,7 @@ def _acyclic_classes(a: Dfa, topo: list[int], intern) -> list[int]:
     delta, accepting = a.delta, a.accepting
     block = [0] * len(delta)
     for q in reversed(topo):
-        block[q] = intern(q in accepting, tuple(block[t] for t in delta[q]))
+        block[q] = intern(q in accepting, tuple([block[t] for t in delta[q]]))
     return block
 
 
@@ -435,14 +435,14 @@ def _class_table(width: int):
     """An empty class table over ``width`` letters and its interning rule.
 
     ``rows[c]`` holds the successor classes of class ``c`` and ``final[c]``
-    its acceptance; class 0 is the empty language.  ``intern(accepting,
-    successors)`` returns the class with that acceptance and those
-    successors, adding it when new (Revuz 1992, built on the fly as in
-    Daciuk, Mihov, Watson & Watson 2000): a rejecting row whose successors
-    are all class 0 is class 0 itself.  Interned in successor-first order,
-    the table is minimal, and every class stays valid as it grows."""
-    rows, final = [(0,) * width], [False]
-    registry: tuple[dict, dict] = ({rows[0]: 0}, {})  # one dict per acceptance
+    its acceptance; class 0 is the empty language, class 1 all words.
+    ``intern(accepting, successors)`` returns the class with that acceptance
+    and those successors, adding it when new (Revuz 1992, built on the fly
+    as in Daciuk, Mihov, Watson & Watson 2000), so rows of class 0 or 1 are
+    that class.  Interned in successor-first order, the table is minimal,
+    and every class stays valid as it grows."""
+    rows, final = [(0,) * width, (1,) * width], [False, True]
+    registry: tuple[dict, dict] = ({rows[0]: 0}, {rows[1]: 1})  # one dict per acceptance
 
     def intern(accepting: bool, successors: tuple[int, ...]) -> int:
         classes = registry[accepting]
@@ -470,7 +470,7 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
                 order.append(t)
     m = Dfa(
         alphabet=alphabet,
-        delta=tuple(tuple(number[t] for t in rows[c]) for c in order),
+        delta=tuple([tuple([number[t] for t in rows[c]]) for c in order]),
         initial=0,
         accepting=frozenset(i for i, c in enumerate(order) if final[c]),
         name=name,

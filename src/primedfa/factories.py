@@ -21,7 +21,7 @@ from .core import Dfa, DfaError, Word
 def _dfa(alphabet, rows, accepting, name, initial=0) -> Dfa:
     return Dfa(
         alphabet=tuple(alphabet),
-        delta=tuple(tuple(r) for r in rows),
+        delta=tuple([tuple(r) for r in rows]),
         initial=initial,
         accepting=frozenset(accepting),
         name=name,

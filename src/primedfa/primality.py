@@ -27,9 +27,9 @@ from .core import (
     DfaError,
     ResourceLimitError,
     Word,
-    _alphabet_index,
     _canonical,
     _class_table,
+    _useful_walk,
     all_accepting_dfa,
     complement,
     enumerate_language,
@@ -109,10 +109,10 @@ class Decomposition:
 @dataclass(frozen=True)
 class Caps:
     """Resource caps for decomposition emission.  ``max_words`` bounds every
-    word enumeration; ``max_factors`` bounds the words a union or DNF
-    decomposition enumerates, one factor or term each, and the factors an
-    intersection decomposition draws, counted before the profile branches
-    drop those that do not shrink their running intersection."""
+    word enumeration; ``max_factors`` bounds the factors or terms drawn,
+    counted before the profile branches drop those that do not shrink their
+    running intersection, the paths the pieces are split by, and the words
+    of a linear DNF decomposition that end at q_n, one term each."""
 
     max_words: int = 10**6
     max_factors: int = 10**6
@@ -208,59 +208,77 @@ def _capped(factors: Iterable[Dfa], cap: int) -> Iterator[Dfa]:
         yield f
 
 
-def _rejection_groups(
-    rejected: list[Word], alphabet: tuple[str, ...], bound: int
-) -> Iterator[Dfa]:
-    """Complements of the minimal DFAs of consecutive groups of the words
-    ``rejected``, taken in lexicographic order of their letters' alphabet
-    positions.  Each has at most ``bound`` states, provided that the
-    minimal DFA of every single word (|w| + 2 states) fits within it.
+def _pieces(m: Dfa, union: bool, bound: int, cap: int) -> Iterator[Dfa]:
+    """Minimal DFAs of at most ``bound`` states read off the non-linear
+    minimal DFA ``m``: pieces of L(m) that make up L(m) with ``union``, else
+    complements of rejecting pieces that intersect with the length cap n to
+    L(m).  A word stops at the last state of its run that is not dead; the
+    piece of a set S of states holds the words of L(m) that stop in S, or
+    the others that end at a rejecting state of S or leave S for the dead
+    state.  States are grouped in topological order while a piece fits, and
+    split by entering paths down to one word (README.md).  Over ``cap``
+    split paths raise ``ResourceLimitError``."""
+    n, useful, topo = _useful_walk(m)
+    delta, accepting = m.delta, m.accepting
+    rows, final, intern = _class_table(len(m.alphabet))
 
-    The words are inserted one at a time into a group held in one
-    ``_class_table``: the classes along the word's path are re-interned
-    bottom-up, so the group's root class is its minimal DFA whatever the
-    insertion order (Daciuk, Mihov, Watson & Watson 2000).  A group closes
-    when the next word would take the classes reachable from its root, the
-    empty class included, past ``bound``; that word starts the next group.
-    The factor of group k is named ``not(group_k)``."""
-    rows, final, intern = _class_table(len(alphabet))
-    index = _alphabet_index(alphabet)
+    def root(items: dict[int, list[tuple[int, ...]]]) -> int:
+        # items[r]: the letter paths from state r to the stops of its pieces
+        cls = [0] * len(delta)  # the dead state stays class 0
 
-    def insert(root: int, w: list[int]) -> int:
-        path = [root]
-        for x in w:
-            path.append(rows[path[-1]][x])
-        c = intern(True, rows[path[-1]])
-        for c_prev, x in zip(reversed(path[:-1]), reversed(w)):
-            successors = list(rows[c_prev])
-            successors[x] = c
-            c = intern(final[c_prev], tuple(successors))
-        return c
+        def copies(r: int) -> int:
+            # r, then the copies of the states its paths lead through: a copy
+            # follows the rest of the paths and starts the items of its state
+            made = [[r, items[r], []]]  # state, paths, row (a copy child as -index)
+            for q, paths, row in made:
+                for x, t in enumerate(delta[q]):
+                    if sub := [path[1:] for path in paths if path[:1] == (x,)]:
+                        row.append(-len(made))
+                        made.append([t, sub + items.get(t, []), []])
+                    else:  # t; on a dead letter after a stop all words, none for union
+                        row.append(cls[t] if useful[t] else int(() in paths and not union))
+            for node in reversed(made):  # children first
+                q, paths, row = node
+                row = tuple([made[-c][3] if c < 0 else c for c in row])
+                node.append(intern(() in paths and (q in accepting) == union, row))
+            return made[0][3]
 
-    def fits(root: int) -> bool:
-        order, seen = [root], {root}
-        for c in order:
-            for t in rows[c]:
-                if t not in seen:
-                    if len(order) == bound:
-                        return False
-                    seen.add(t)
-                    order.append(t)
-        return True
+        for q in reversed(topo):
+            cls[q] = copies(q) if q in items else intern(False, tuple([cls[t] for t in delta[q]]))
+        return cls[m.initial]
 
-    def factor(root: int, k: int) -> Dfa:
-        return complement(_canonical(rows, final, root, alphabet, f"group_{k}"))
+    def fits(c: int) -> bool:  # at most ``bound`` classes reachable from c
+        order, seen = [c], {c}
+        for d in order:
+            order += (new := set(rows[d]) - seen)
+            seen |= new
+        return len(order) <= bound
 
-    groups, root = 0, 0
-    for letters in sorted([index[s] for s in w] for w in rejected):
-        grown = insert(root, letters)
-        if root and not fits(grown):
-            yield factor(root, groups)
-            groups += 1
-            grown = insert(0, letters)
-        root = grown
-    if root:
-        yield factor(root, groups)
+    def piece(c: int, k: int) -> Dfa:
+        d = _canonical(rows, final, c, m.alphabet, f"piece_{k}")
+        return d if union else complement(d)
+
+    group, top, k, tried = {}, 0, 0, 0
+    for q in topo:
+        if (q in accepting) != union and (union or all(useful[t] for t in delta[q])):
+            continue  # no word of a piece stops at q
+        pending = [(q, ())]
+        while pending:
+            r, path = pending.pop()
+            grown = {**group, r: group.get(r, []) + [path]}
+            if fits(c := root(grown)):
+                group, top = grown, c
+            elif group and fits(c := root({r: [path]})):  # it starts the next group
+                yield piece(top, k)
+                group, top, k = {r: [path]}, c, k + 1
+            else:  # split by the edges into r; one word of length <= n fits
+                edges = [(p, x) for p in topo for x, t in enumerate(delta[p]) if t == r]
+                assert edges or not union and len(path) >= n
+                if (tried := tried + len(edges)) > cap:
+                    raise ResourceLimitError(f"split paths exceeded cap of {cap} after {tried}")
+                pending += [(p, (x,) + path) for p, x in reversed(edges)]
+    if group:
+        yield piece(top, k)
 
 
 def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
@@ -300,20 +318,21 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
                 assert gaps, "no uniform max word implies a gap for every letter"
                 yield factor_letter_position(p, sym, max(gaps))
 
-        def extensions():
+        def excluders_then_extensions():
+            # Drawn after the chains, so no word is enumerated when they close the fold.
+            rejected = enumerate_language(complement(p.base), n, caps.max_words)
+            yield from (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n)
             # Drawn after the last base factor, so ``acc`` is their intersection.
             words = enumerate_language(acc, max(n, 2 * n - 2), caps.max_words)
             survivors.extend(w for w in words if len(w) > n)
             for w in survivors:
                 yield factor_extension(p, d, w)
 
-        rejected = enumerate_language(complement(p.base), n, caps.max_words)
         drawn = itertools.chain(
             (factor_loop_zero(p), factor_loop_d(p, d)),
             letter_positions(),
             (factor_chain(p, c) for c in all_index_chains(n)),
-            (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n),
-            extensions(),
+            excluders_then_extensions(),
         )
     kept, acc = [], all_accepting_dfa(alphabet)
     for f in _capped(drawn, caps.max_factors):
@@ -331,14 +350,10 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     L(a), for a composite ``a``, in the order of the branch's families.
 
     A non-linear input with longest word n has index at least n + 3.  Its
-    certificate is ``length_cap_dfa(n)`` followed by grouped rejecting
-    factors: the rejected words of length <= n, in lexicographic order of
-    their letters' alphabet positions, are split into consecutive groups
-    whose minimal DFA has at most index - 1 states, and each factor is the
-    complement of one group's minimal DFA (``not(group_k)``).  Every
-    rejected word of length <= n is rejected by exactly one group factor,
-    and every group factor accepts all of L(a).  The groups hold disjoint,
-    non-empty word sets, so no two factors are equal.
+    certificate is ``length_cap_dfa(n)`` followed by the complements of
+    rejecting pieces read off its states (``not(piece_k)``, ``_pieces``):
+    each accepts L(a), and each rejected word of length <= n is rejected by
+    exactly one of them.
 
     The CEP and non-safety branches draw the factor families of the linear
     profile into one running intersection, keep only the factors that
@@ -354,11 +369,8 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     bound = m.state_count - 1
     if branch == "non-linear":
         n, _ = _analysis(m)
-        alphabet = a.alphabet
-        rejected = enumerate_language(complement(m), n, caps.max_words)
-        drawn = itertools.chain(
-            (length_cap_dfa(n, alphabet),), _rejection_groups(rejected, alphabet, bound)
-        )
+        pieces = _pieces(m, False, bound, caps.max_factors)
+        drawn = itertools.chain((length_cap_dfa(n, a.alphabet),), pieces)
         factors = list(_capped(drawn, caps.max_factors))
     else:
         factors, _ = _profile_certificate(m, caps)
@@ -379,10 +391,8 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     v = decide_union_primality(m)
     if v.is_prime:
         raise DfaError("union_decomposition: input is union-prime")
-    n, _ = _analysis(m)
-    words = enumerate_language(m, n, caps.max_factors)
-    factors = [singleton_dfa(w, a.alphabet) for w in words]
-    return Decomposition("union", m.state_count - 1, factors)
+    pieces = _pieces(m, True, m.state_count - 1, caps.max_factors)
+    return Decomposition("union", m.state_count - 1, list(_capped(pieces, caps.max_factors)))
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
@@ -402,21 +412,21 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     v = decide_dnf_primality(m)
     if v.is_prime:
         raise DfaError("dnf_decomposition: input is DNF-prime")
-    n, _ = _analysis(m)
-    words = enumerate_language(m, n, caps.max_factors)
-    # Every word is a singleton term, except that on a linear input (no
-    # uniform max word) each longest word w becomes {w}* intersected with an
-    # exact count of its first letter.
-    linear = v.branch == "no-sigma-n"
-    terms = [
-        [
-            star_word_dfa(w, a.alphabet),
-            letter_count_dfa(w[0], w.count(w[0]), a.alphabet),
-        ]
-        if linear and len(w) == n
-        else [singleton_dfa(w, a.alphabet)]
-        for w in words
-    ]
+    if v.branch == "non-linear":  # the union pieces as one-factor terms
+        terms = [[f] for f in union_decomposition(m, caps).factors]
+        return Decomposition("dnf", m.state_count, terms)
+    # Linear: one term for the words that do not end at q_n (it joins the sink),
+    # then per word w that does {w}, or {w}* with an exact count of w[0] if |w| = n.
+    n, p = _analysis(m)
+    alphabet, delta = a.alphabet, p.base.delta
+    shorter = minimize(Dfa(alphabet, delta, 0, p.accepting - {n}, "shorter"))
+    terms = [[shorter]] if shorter.accepting else []
+    for w in enumerate_language(Dfa(alphabet, delta, 0, frozenset({n})), n, caps.max_factors):
+        if len(w) < n:
+            terms.append([singleton_dfa(w, alphabet)])
+        else:
+            count = letter_count_dfa(w[0], w.count(w[0]), alphabet)
+            terms.append([star_word_dfa(w, alphabet), count])
     return Decomposition("dnf", m.state_count, terms)
 
 

@@ -63,7 +63,8 @@ def random_linear_dfa(rng: random.Random, n: int, alphabet=BINARY, safety=True) 
 @pytest.fixture(scope="session")
 def fig4() -> Dfa:
     """Five-state linear DFA over three letters whose longest words are
-    a1 a2 a3, a2 a3 a3 and a1 a3 a3 (all length 3, no uniform letter)."""
+    a1 a2 a3, a1 a3 a3, a2 a2 a3 and a2 a3 a3 (all length 3, no uniform
+    letter)."""
     return Dfa(
         alphabet=("a1", "a2", "a3"),
         delta=(

@@ -258,7 +258,7 @@ class TestDecompose:
             ("swap", "dnf", "mode=dnf bound=5 factors=2 terms=2 verified=true", 0),
             ("fig4", "cap", "status=Prime branch=safety+noCEP error=input is prime", 1),
             ("fig4", "cup", "status=Prime branch=linear error=input is prime", 1),
-            ("fig4", "dnf", "mode=dnf bound=5 factors=17 terms=13 verified=true", 0),
+            ("fig4", "dnf", "mode=dnf bound=5 factors=10 terms=6 verified=true", 0),
             ("non-safety", "cap", "mode=intersection bound=5 factors=6 verified=true", 0),
             ("prefix", "cap", "mode=intersection bound=5 factors=2 verified=true", 0),
         ],

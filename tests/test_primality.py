@@ -164,10 +164,13 @@ class TestIntersectionDecomposition:
 
     # `decompose --out` numbers its factor files in this order.
     def test_factor_order_non_linear(self):
-        # rejected words eps a aa b | bb: the fifth would give group_0 5 states
+        # piece_0 holds the rejected words that stop at q0 and after a (eps,
+        # a, aa...); those that stop after b would give it 5 states, so they
+        # start piece_1 (b, bb...).  The words that stop at the accepting
+        # state (ab..., ba...) are longer than n: the length cap rejects them.
         a = language_dfa([("a", "b"), ("b", "a")], AB)
         d = intersection_decomposition(a)
-        assert [f.name for f in d.factors] == ["lengthcap_2", "not(group_0)", "not(group_1)"]
+        assert [f.name for f in d.factors] == ["lengthcap_2", "not(piece_0)", "not(piece_1)"]
 
     @staticmethod
     def _spine():
@@ -247,6 +250,38 @@ class TestIntersectionDecomposition:
         assert decide_intersection_primality(a).branch == "CEP"
         d = intersection_decomposition(a)
         assert len(d.factors) <= 3
+        assert verify_decomposition(a, d) == (True, None)
+
+    @staticmethod
+    def _two_word_trie(n):
+        # two ternary words of length n with different first and last letters:
+        # non-linear, 2n + 1 states
+        rng = random.Random(n)
+        while True:
+            u, v = (tuple(rng.choice("abc") for _ in range(n)) for _ in range(2))
+            if u[0] != v[0] and u[-1] != v[-1]:
+                return language_dfa([u, v], ("a", "b", "c"))
+
+    @pytest.mark.parametrize(
+        "decompose, most",
+        [(intersection_decomposition, 5), (union_decomposition, 2), (dnf_decomposition, 2)],
+    )
+    def test_two_word_trie_certificate_stays_small(self, decompose, most):
+        # 2n + 1 states; its rejected words of length <= n number about 3^50
+        a = self._two_word_trie(50)
+        assert decide_intersection_primality(a).branch == "non-linear"
+        d = decompose(a)
+        assert sum(len(term) for term in d.terms) <= most
+        assert verify_decomposition(a, d) == (True, None)
+
+    def test_long_singleton_certifies(self):
+        # {w} with |w| = 80: non-safety; the fold closes before the
+        # subsequence excluders, so the rejected words are never enumerated
+        rng = random.Random(80)
+        w = tuple(rng.choice("abc") for _ in range(80))
+        a = language_dfa([w], ("a", "b", "c"))
+        assert decide_intersection_primality(a).branch == "non-safety"
+        d = intersection_decomposition(a)
         assert verify_decomposition(a, d) == (True, None)
 
     def test_single_word_certificate_stays_small(self):
@@ -359,6 +394,17 @@ class TestDnfPrimality:
             ok, diag = verify_decomposition(a, dnf_decomposition(a))
             assert ok, diag
             checked += 1
+
+    def test_long_prefix_closed_language_takes_few_terms(self):
+        # the prefixes of a ternary word of length 300: one term for the
+        # words shorter than n, one for the word that ends at q_n
+        rng = random.Random(300)
+        w = tuple(rng.choice("abc") for _ in range(300))
+        a = language_dfa([w[:i] for i in range(301)], ("a", "b", "c"))
+        d = dnf_decomposition(a)
+        assert [t[0].name for t in d.factors][0] == "shorter"
+        assert len(d.factors) <= 3
+        assert verify_decomposition(a, d) == (True, None)
 
     def test_intersection_prime_but_dnf_composite(self, prime5):
         # safety + no CEP gives intersection primality, but without a
@@ -493,7 +539,7 @@ class TestDecompositionCaps:
         frozenset({16, 18}),
     )
     # {eps} | a{a,b}^14 b: linear, non-safety, no uniform letter, n = 16,
-    # 16,385 words
+    # 16,385 words, 16,384 of them ending at q_16
     NON_SAFETY = Dfa(
         AB,
         ((1, 17),) + tuple((i + 1, i + 1) for i in range(1, 15)) + ((17, 16), (17, 17), (17, 17)),
@@ -508,26 +554,26 @@ class TestDecompositionCaps:
         0,
         frozenset(range(17)),
     )
+    # linear, non-safety, ternary, n = 8: its certificate keeps subsequence
+    # excluders, so the fold reaches the enumeration of the rejected words
+    EXCLUDED = Dfa(
+        ("a", "b", "c"),
+        ((1, 1, 2), (3, 4, 4), (5, 6, 7), (8, 5, 8), (2, 5, 9))
+        + ((5, 5, 5), (3, 9, 5), (5, 3, 3), (5, 5, 5), (3, 7, 7)),
+        0,
+        frozenset({0, 4, 6, 7, 8}),
+    )
 
     @pytest.mark.parametrize(
         "decompose, caps, a",
         [
             pytest.param(
-                intersection_decomposition,
-                Caps(max_words=100),
-                WIDE,
-                id="intersection_decomposition-caps0",
-            ),
-            pytest.param(
-                union_decomposition, Caps(max_factors=100), WIDE, id="union_decomposition-caps1"
-            ),
-            pytest.param(
-                dnf_decomposition, Caps(max_factors=100), WIDE, id="dnf_decomposition-caps2"
+                dnf_decomposition, Caps(max_factors=100), NON_SAFETY, id="dnf_decomposition-linear"
             ),
             pytest.param(
                 intersection_decomposition,
                 Caps(max_words=100),
-                NON_SAFETY,
+                EXCLUDED,
                 id="intersection_decomposition-non-safety",
             ),
         ],
@@ -537,6 +583,33 @@ class TestDecompositionCaps:
             decompose(a, caps)
         seen = int(str(err.value).split()[-2])  # "... after <seen> words"
         assert 100 < seen <= 200
+
+    @pytest.mark.parametrize(
+        "decompose", [intersection_decomposition, union_decomposition, dnf_decomposition]
+    )
+    def test_cap_fires_while_drawing_pieces(self, decompose):
+        with pytest.raises(
+            ResourceLimitError, match="^factor emission exceeded cap of 1 after 2 factors$"
+        ):
+            decompose(self.WIDE, Caps(max_factors=1))
+
+    def test_cap_fires_while_splitting_pieces(self):
+        # {ab, ba}: 3 factors, but the piece of the accepting state is split
+        # by 4 paths (ab, ba and the two edges into that state)
+        a = language_dfa([("a", "b"), ("b", "a")], AB)
+        assert len(intersection_decomposition(a, Caps(max_factors=4)).factors) == 3
+        with pytest.raises(ResourceLimitError, match="^split paths exceeded cap of 3 after 4$"):
+            intersection_decomposition(a, Caps(max_factors=3))
+
+    @pytest.mark.parametrize(
+        "decompose, most",
+        [(intersection_decomposition, 3), (union_decomposition, 2), (dnf_decomposition, 2)],
+    )
+    def test_wide_certifies_from_states(self, decompose, most):
+        # 65,537 words; the pieces are read off the 19 states of the minimal DFA
+        d = decompose(self.WIDE)
+        assert sum(len(term) for term in d.terms) <= most
+        assert verify_decomposition(self.WIDE, d) == (True, None)
 
     def test_cap_fires_while_drawing_cep_factors(self):
         with pytest.raises(

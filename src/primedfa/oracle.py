@@ -385,6 +385,10 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
         level = [minimize(product(x, y, "union", MAX_FOLD_STATES)) for x, y in pairs] + odd
     acc = level[0] if level else empty_language_dfa(a.alphabet)
 
+    # Both are canonical minimal DFAs, so equal tables accept the same words;
+    # the search runs only to find the least word on which they differ.
+    if (acc.delta, acc.initial, acc.accepting) == (m.delta, m.initial, m.accepting):
+        return True, None
     same, word = equivalent(acc, m)
     if not same:
         rendered = " ".join(word) if word else "<epsilon>"

@@ -217,19 +217,46 @@ def _pieces(m: Dfa, union: bool, bound: int, cap: int) -> Iterator[Dfa]:
     the others that end at a rejecting state of S or leave S for the dead
     state.  States are grouped in topological order while a piece fits, and
     split by entering paths down to one word (README.md).  Over ``cap``
-    split paths raise ``ResourceLimitError``."""
+    split paths raise ``ResourceLimitError``.
+
+    A trial adds one stop to the classes of the group, or of an empty
+    group, and re-interns only the stop's state and its ancestors, whose
+    classes are the only ones it changes (as an incremental insertion into
+    a minimal acyclic automaton does; Daciuk, Mihov, Watson & Watson 2000).  A split
+    walks back without trials while a state has one entering edge: the
+    piece behind that edge is the same language, so its trials would fail
+    again.  Every skipped edge still counts as a split path."""
     n, useful, topo = _useful_walk(m)
     delta, accepting = m.delta, m.accepting
     rows, final, intern = _class_table(len(m.alphabet))
+    position = [0] * len(delta)
+    into: list[list[tuple[int, int]]] = [[] for _ in delta]  # edges (p, x), p in topological order
+    for i, p in enumerate(topo):
+        position[p] = i
+        for x, t in enumerate(delta[p]):
+            into[t].append((p, x))
 
-    def root(items: dict[int, list[tuple[int, ...]]]) -> int:
-        # items[r]: the letter paths from state r to the stops of its pieces
-        cls = [0] * len(delta)  # the dead state stays class 0
+    def above(r: int) -> list[int]:  # r and the states that reach it, successors first
+        order, seen = [r], {r}
+        for q in order:
+            for p, _ in into[q]:
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+        return sorted(order, key=position.__getitem__, reverse=True)
+
+    def root(items: dict[int, list[tuple[int, ...]]], cls: list[int], states: list[int]) -> int:
+        # items[r]: the letter paths from state r to the stops of its pieces;
+        # cls: the class of every state, re-interned in place for ``states``
+        # (a changed state and its ancestors, successors first); dead is 0
 
         def copies(r: int) -> int:
             # r, then the copies of the states its paths lead through: a copy
             # follows the rest of the paths and starts the items of its state
-            made = [[r, items[r], []]]  # state, paths, row (a copy child as -index)
+            if (paths := items[r]) == [()]:  # a stop and no path through r: one row
+                row = [cls[t] if useful[t] else int(not union) for t in delta[r]]
+                return intern((r in accepting) == union, tuple(row))
+            made = [[r, paths, []]]  # state, paths, row (a copy child as -index)
             for q, paths, row in made:
                 for x, t in enumerate(delta[q]):
                     if sub := [path[1:] for path in paths if path[:1] == (x,)]:
@@ -243,39 +270,51 @@ def _pieces(m: Dfa, union: bool, bound: int, cap: int) -> Iterator[Dfa]:
                 node.append(intern(() in paths and (q in accepting) == union, row))
             return made[0][3]
 
-        for q in reversed(topo):
+        for q in states:
             cls[q] = copies(q) if q in items else intern(False, tuple([cls[t] for t in delta[q]]))
         return cls[m.initial]
 
-    def fits(c: int) -> bool:  # at most ``bound`` classes reachable from c
+    def reach(c: int) -> list[int]:  # the classes reachable from c
         order, seen = [c], {c}
         for d in order:
             order += (new := set(rows[d]) - seen)
             seen |= new
-        return len(order) <= bound
+        return order
+
+    def fits(c: int) -> bool:
+        return len(reach(c)) <= bound
 
     def piece(c: int, k: int) -> Dfa:
-        d = _canonical(rows, final, c, m.alphabet, f"piece_{k}")
-        return d if union else complement(d)
+        if union:
+            return _canonical(rows, final, c, m.alphabet, f"piece_{k}")
+        # The complement of a minimal complete DFA is minimal: the same table.
+        negated = {d: not final[d] for d in reach(c)}
+        return _canonical(rows, negated, c, m.alphabet, f"not(piece_{k})")
 
-    group, top, k, tried = {}, 0, 0, 0
+    group, classes, top, k, tried = {}, [0] * len(delta), 0, 0, 0
     for q in topo:
         if (q in accepting) != union and (union or all(useful[t] for t in delta[q])):
             continue  # no word of a piece stops at q
         pending = [(q, ())]
         while pending:
             r, path = pending.pop()
+            states = above(r)
             grown = {**group, r: group.get(r, []) + [path]}
-            if fits(c := root(grown)):
-                group, top = grown, c
-            elif group and fits(c := root({r: [path]})):  # it starts the next group
-                yield piece(top, k)
-                group, top, k = {r: [path]}, c, k + 1
+            if fits(c := root(grown, cls := classes.copy(), states)):
+                group, classes, top = grown, cls, c
+            elif group and fits(c := root({r: [path]}, cls := [0] * len(delta), states)):
+                yield piece(top, k)  # r starts the next group
+                group, classes, top, k = {r: [path]}, cls, c, k + 1
             else:  # split by the edges into r; one word of length <= n fits
-                edges = [(p, x) for p in topo for x, t in enumerate(delta[p]) if t == r]
+                edges = into[r]
+                while True:
+                    if (tried := tried + len(edges)) > cap:
+                        raise ResourceLimitError(f"split paths exceeded cap of {cap} after {tried}")
+                    if len(edges) != 1:
+                        break
+                    [(r, x)] = edges  # the same piece one edge back: walk on
+                    path, edges = (x,) + path, into[r]
                 assert edges or not union and len(path) >= n
-                if (tried := tried + len(edges)) > cap:
-                    raise ResourceLimitError(f"split paths exceeded cap of {cap} after {tried}")
                 pending += [(p, (x,) + path) for p, x in reversed(edges)]
     if group:
         yield piece(top, k)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -50,6 +51,14 @@ from primedfa.primality import _profile_certificate
 from conftest import BINARY, all_words, language_dfa, random_finite_dfa, random_linear_dfa
 
 AB = ("a", "b")
+
+
+def _chain_input(n):
+    # {w, w[:n-2] c c}, w random over {a, b}: n + 3 states, and the states
+    # of w[:n-2] have one entering edge each
+    rng = random.Random(n)
+    w = tuple(rng.choice("ab") for _ in range(n))
+    return language_dfa([w, w[: n - 2] + ("c", "c")], ("a", "b", "c"))
 
 
 class TestIntersectionVerdicts:
@@ -274,6 +283,17 @@ class TestIntersectionDecomposition:
         assert sum(len(term) for term in d.terms) <= most
         assert verify_decomposition(a, d) == (True, None)
 
+    @pytest.mark.parametrize(
+        "decompose", [intersection_decomposition, union_decomposition, dnf_decomposition]
+    )
+    def test_chain_input_certifies(self, decompose):
+        # a split walks back along the chain without a trial per edge
+        a = _chain_input(300)
+        assert a.state_count == 303
+        assert decide_intersection_primality(a).branch == "non-linear"
+        d = decompose(a)
+        assert verify_decomposition(a, d) == (True, None)
+
     def test_long_singleton_certifies(self):
         # {w} with |w| = 80: non-safety; the fold closes before the
         # subsequence excluders, so the rejected words are never enumerated
@@ -329,6 +349,31 @@ class TestIntersectionDecomposition:
                 continue
             self._check(a)
             checked += 1
+
+
+class TestCertificateLock:
+    # sha256 over the cap, cup and dnf certificates (factor names, tables and
+    # order) of the inputs below.  A deliberate change to the certificates
+    # changes it: check the new certificates, then set DIGEST to the value
+    # this test reports.
+    DIGEST = "86eac186c003324a96bea200fcaec8636580dfcacaf76ccb99f3311c59e22a5e"
+
+    def test_non_linear_certificates_unchanged(self):
+        rng = random.Random(2222)
+        digest = hashlib.sha256()
+        drawn = 0
+        while drawn < 240:
+            alphabet = BINARY if drawn % 2 else ("a", "b", "c")
+            a = minimize(random_finite_dfa(rng, max_n=7, max_words=8, alphabet=alphabet))
+            if not a.accepting or decide_union_primality(a).branch != "non-linear":
+                continue
+            for decompose in (intersection_decomposition, union_decomposition, dnf_decomposition):
+                d = decompose(a)
+                for term in d.terms:
+                    tables = [(f.name, f.delta, f.initial, sorted(f.accepting)) for f in term]
+                    digest.update(repr((d.mode, d.bound, tables)).encode())
+            drawn += 1
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestUnionPrimality:
@@ -600,6 +645,16 @@ class TestDecompositionCaps:
         assert len(intersection_decomposition(a, Caps(max_factors=4)).factors) == 3
         with pytest.raises(ResourceLimitError, match="^split paths exceeded cap of 3 after 4$"):
             intersection_decomposition(a, Caps(max_factors=3))
+
+    def test_chain_walk_counts_every_split_path(self):
+        # the edges a split walks back along without trials still count
+        a = _chain_input(100)
+        with pytest.raises(
+            ResourceLimitError, match="^split paths exceeded cap of 100 after 101$"
+        ):
+            intersection_decomposition(a, Caps(max_factors=100))
+        d = intersection_decomposition(a, Caps(max_factors=200))
+        assert verify_decomposition(a, d) == (True, None)
 
     @pytest.mark.parametrize(
         "decompose, most",

@@ -23,7 +23,8 @@ EPSILON: Word = ()
 # state 10,001, so before minimizing, the costly step.  Also the most
 # (class, state) pairs one step of the finite fold memoizes (pairs on a
 # self-loop sink of the factor are not walked, so not counted), and the
-# most nodes an oracle ``_shortest_word`` search stores.
+# most nodes an oracle ``_shortest_word`` search stores: the nodes where a
+# chosen rep is dead are stored and counted, though never expanded.
 MAX_FOLD_STATES = 10**4
 
 
@@ -583,7 +584,9 @@ def index_of(a: Dfa) -> int:
     return minimize(a).state_count
 
 
-def _product_walk(dfas: Sequence[Dfa], cap: int | None = None):
+def _product_walk(
+    dfas: Sequence[Dfa], cap: int | None = None, live: Sequence[Sequence[bool]] | None = None
+):
     """Breadth-first walk over the product of ``dfas`` (all over one
     alphabet), which is never built.  Yields ``(node, parent)`` for every
     reachable node, a tuple of states, in the order of their least words
@@ -591,7 +594,11 @@ def _product_walk(dfas: Sequence[Dfa], cap: int | None = None):
     to ``(node before it, letter position)``, the start node to ``None``.
     A node is expanded when the walk resumes after yielding it.  With a
     ``cap``, raises ``ResourceLimitError`` before storing a node past
-    ``cap`` nodes."""
+    ``cap`` nodes.  With ``live``, one list per DFA saying which of its
+    states can still reach acceptance, a node past the start with a state
+    that cannot is stored (and counted by the cap) but neither yielded nor
+    expanded; the other nodes keep their order, as a dead state leads only
+    to dead states."""
     for d in dfas[1:]:
         _check_same_alphabet(dfas[0], d)
     deltas = [d.delta for d in dfas]
@@ -608,17 +615,21 @@ def _product_walk(dfas: Sequence[Dfa], cap: int | None = None):
                         f"states, cap is {cap}"
                     )
                 parent[nxt] = (node, x)
-                order.append(nxt)
+                if live is None or all(map(getitem, live, nxt)):
+                    order.append(nxt)
 
 
-def _shortest_word(dfas: Sequence[Dfa], goal, cap: int | None = None) -> Word | None:
+def _shortest_word(
+    dfas: Sequence[Dfa], goal, cap: int | None = None, live: Sequence[Sequence[bool]] | None = None
+) -> Word | None:
     """The least word in length-then-alphabet order whose acceptances, one
     bool per DFA of ``dfas`` (all over one alphabet), satisfy ``goal``, or
-    ``None``: the first node of ``_product_walk(dfas, cap)`` that satisfies
-    it, read back along its parents."""
+    ``None``: the first node of ``_product_walk(dfas, cap, live)`` that
+    satisfies it, read back along its parents.  With ``live``, ``goal`` must
+    fail wherever a DFA is in a dead state."""
     alphabet = dfas[0].alphabet
     finals = [d.accepting for d in dfas]
-    for node, parent in _product_walk(dfas, cap):
+    for node, parent in _product_walk(dfas, cap, live):
         if goal(tuple([q in f for q, f in zip(node, finals)])):
             word = []
             while parent[node] is not None:

@@ -18,9 +18,11 @@ the mask of every word it has run, within a fixed byte budget
 (``WORD_CACHE_BYTES``); the refinement and ``verify_witness`` share those
 runs, as do all calls of a process, since the table itself is cached.
 Alpha selection takes the same steps along the minimal DFA of A, in
-one reachability fixpoint for a finite or infinite L(A); each round of the
-refinement is one shortest-word search.  Verdicts are identical to the
-literal definition.
+one reachability fixpoint for a finite or infinite L(A), run once per input:
+the table keeps the last minimal DFA and its mask, so ``verify_witness``
+after ``oracle_primality`` reuses it.  Each round of the refinement is one
+shortest-word search that does not expand a node where a chosen rep is in a
+dead state.  Verdicts are identical to the literal definition.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class _LangTable:
     with initial state 0.  Only the refinement reads a rep as a DFA:
     ``rep(i)`` builds that ``Dfa`` on first use and keeps it.  ``masks``
     keeps ``accept_mask(w)`` by word, ``held`` the bytes its entries count
-    (at most ``WORD_CACHE_BYTES``)."""
+    (at most ``WORD_CACHE_BYTES``), ``last`` the minimal DFA
+    ``_alpha_members`` last selected for and its alpha mask."""
 
     flats: list
     letters: dict  # symbol -> letter position, in alphabet order
@@ -137,6 +140,7 @@ class _LangTable:
     dfas: dict = field(default_factory=dict, compare=False)  # i -> rep(i)
     masks: dict = field(default_factory=dict, compare=False)  # w -> accept_mask(w)
     held: int = field(default=0, compare=False)
+    last: tuple = field(default=(None, 0), compare=False)
 
     def rep(self, i: int) -> Dfa:
         if i not in self.dfas:
@@ -253,7 +257,10 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     left in an accepting state by every word of L(A).  One worklist fixpoint
     over the useful states of the minimal DFA ``m``, for a finite or infinite
     L(A): ``reach[q]`` is the run vector of the selected reps over all words
-    leading ``m`` to ``q``, merged by OR, and ``q`` is queued when it grows."""
+    leading ``m`` to ``q``, merged by OR, and ``q`` is queued when it grows.
+    A second call for the same ``m`` right after the first (``verify_witness``
+    after ``oracle_primality``) reads the mask off ``table.last``, once both
+    limits have been checked."""
     m = minimize(a)
     ind = m.state_count
     if ind - 1 > limits.max_factor_states:
@@ -270,6 +277,8 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
             f"stands for {budget} automata, cap is {limits.max_enumerated_dfas}"
         )
     table = _language_table(a.alphabet, max_states)
+    if table.last[0] is m:
+        return m, table.last[1], table
     selected = table.smaller[ind]
 
     useful = _useful_walk(m)[1]
@@ -290,7 +299,9 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     for q in m.accepting:
         for here, fin in zip(reach[q], table.final):
             rejecting |= here ^ (here & fin)
-    return m, selected ^ rejecting, table
+    selected ^= rejecting
+    object.__setattr__(table, "last", (m, selected))
+    return m, selected, table
 
 
 def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
@@ -302,18 +313,28 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
     the full intersection and certifies primality; otherwise the tightest
     rejecting member (the lowest bit) is chosen too.  Terminates with either
     no such word (composite, returns ``None``) or a witness word that is the
-    overall shortest (ties broken by alphabet order)."""
+    overall shortest (ties broken by alphabet order).
+
+    A search node where a chosen member sits in a dead state is stored (the
+    ``MAX_FOLD_STATES`` cap counts it) but not expanded: that member rejects
+    every extension, so no goal lies below it, and since dead states lead
+    only to dead states every other node keeps its least word.  The search
+    finds the same word as over the whole product.  A is never pruned, as
+    the goal needs it to reject."""
     chosen = [m]  # A, then the chosen members
+    live = [(True,) * m.state_count]
     while True:
         w = _shortest_word(
-            chosen, lambda acc: not acc[0] and all(acc[1:]), MAX_FOLD_STATES
+            chosen, lambda acc: not acc[0] and all(acc[1:]), MAX_FOLD_STATES, live
         )
         if w is None:
             return None
         rejecting = selected & ~table.accept_mask(w)
         if not rejecting:
             return w
-        chosen.append(table.rep((rejecting & -rejecting).bit_length() - 1))
+        rep = table.rep((rejecting & -rejecting).bit_length() - 1)
+        chosen.append(rep)
+        live.append(_useful_walk(rep)[1])
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:

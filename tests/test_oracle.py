@@ -131,6 +131,18 @@ def _run_reference(table, w) -> int:
     return _mask((i for i in range(n) if accepts(table.rep(i), w)), n)
 
 
+def _criterion1_sample() -> list[Dfa]:
+    """Every 7th binary language of words of length <= 3 with index <= 5,
+    part of the criterion-1 family."""
+    universe = list(all_words(BINARY, 3))
+    languages = []
+    for bits in range(1, 1 << len(universe), 7):
+        m = language_dfa([universe[i] for i in range(len(universe)) if bits >> i & 1], BINARY)
+        if m.state_count <= 5:
+            languages.append(m)
+    return languages
+
+
 def _mask_bytes(table) -> int:
     return (len(table.flats) + 7) // 8
 
@@ -178,14 +190,7 @@ class TestWordCache:
         assert not table.masks and table.held == 0
 
     def test_order_of_calls_does_not_change_answers(self):
-        # every 7th binary language of words of length <= 3 with index <= 5,
-        # part of the criterion-1 family
-        universe = list(all_words(BINARY, 3))
-        languages = []
-        for bits in range(1, 1 << len(universe), 7):
-            m = language_dfa([universe[i] for i in range(len(universe)) if bits >> i & 1], BINARY)
-            if m.state_count <= 5:
-                languages.append(m)
+        languages = _criterion1_sample()
         assert len(languages) > 100
 
         def answers(order):
@@ -247,6 +252,93 @@ class TestAlphaMembers:
         assert selected.bit_count() == 53
 
 
+def _refine_reference(m: Dfa, selected: int, table) -> tuple | None:
+    """The refinement as one plain shortest-word search per round over the
+    whole product of A and the chosen reps, nothing pruned."""
+    chosen = [m]
+    while True:
+        w = core._shortest_word(
+            chosen, lambda acc: not acc[0] and all(acc[1:]), core.MAX_FOLD_STATES
+        )
+        if w is None:
+            return None
+        rejecting = selected & ~table.accept_mask(w)
+        if not rejecting:
+            return w
+        chosen.append(table.rep((rejecting & -rejecting).bit_length() - 1))
+
+
+TERNARY_EPS_OR_TWO = ([()] + list(itertools.product("abc", repeat=2)), ("a", "b", "c"))
+
+
+class TestRefinement:
+    def test_matches_the_unpruned_loop(self):
+        inputs = _criterion1_sample() + [
+            mod_counter_dfa(2),
+            mod_counter_dfa(5),
+            language_dfa(*TERNARY_EPS_OR_TWO),
+        ]
+        outcomes = set()
+        for a in inputs:
+            m, selected, table = _alpha_members(a, DEFAULT_LIMITS)
+            want = _refine_reference(m, selected, table)
+            assert oracle._refine(m, selected, table) == want, serialize_dfa(a)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_product_cap_names_the_cap(self, monkeypatch, prime5):
+        monkeypatch.setattr(oracle, "MAX_FOLD_STATES", 5)
+        with pytest.raises(ResourceLimitError, match=r"reached 6 states, cap is 5$"):
+            oracle_primality(prime5)
+
+
+class TestAlphaMemo:
+    """``_alpha_members`` runs its fixpoint once per input: the table keeps
+    the last minimal DFA and its mask."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        real = oracle._LangTable.step
+
+        def counting(self, states, x):
+            calls.append(x)
+            return real(self, states, x)
+
+        monkeypatch.setattr(oracle._LangTable, "step", counting)
+        return calls
+
+    def test_verify_witness_after_oracle_runs_no_fixpoint(self, steps, prime5):
+        v = oracle_primality(prime5)
+        steps.clear()
+        assert verify_witness(prime5, v.witness)
+        assert not steps
+
+    def test_other_input_or_cleared_table_recomputes(self, steps, prime5):
+        other = language_dfa([("a", "a"), ("b", "b")], AB)  # composite
+        assert index_of(other) == index_of(prime5)  # the same table
+        v = oracle_primality(prime5)
+        assert not verify_witness(other, ("a",))
+        # both words' masks are cached now, so every step is a fixpoint's
+        for a, w, want in [(prime5, v.witness, True), (other, ("a",), False)]:
+            steps.clear()
+            assert verify_witness(a, w) == want
+            assert steps
+        _language_table.cache_clear()
+        assert _language_table(AB, 4).last == (None, 0)
+        assert verify_witness(prime5, v.witness)
+        assert _language_table(AB, 4).last[0] is minimize(prime5)
+
+    def test_limits_are_checked_before_the_memo(self, prime5):
+        v = oracle_primality(prime5)
+        assert index_of(prime5) == 5
+        with pytest.raises(ResourceLimitError, match="up to 4 states, cap is 1$"):
+            verify_witness(prime5, v.witness, OracleLimits(max_factor_states=1))
+        with pytest.raises(ResourceLimitError, match="cap is 10$"):
+            verify_witness(prime5, v.witness, OracleLimits(max_enumerated_dfas=10))
+        assert verify_witness(prime5, v.witness)
+
+
 class TestParentWitnesses:
     """Witnesses and witness checks pinned to the per-rep oracle's answers."""
 
@@ -282,7 +374,7 @@ class TestParentWitnesses:
     def test_ternary_epsilon_or_two_letters(self):
         # index 4, over the 3-state table; the pairwise products of the reps
         # the refinement chooses here pass 10^4 states
-        a = language_dfa([()] + list(itertools.product("abc", repeat=2)), ("a", "b", "c"))
+        a = language_dfa(*TERNARY_EPS_OR_TWO)
         v = oracle_primality(a)
         assert index_of(a) == 4
         assert v.status == PRIME and v.witness == ("a",) * 6

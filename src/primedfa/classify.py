@@ -74,27 +74,28 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
         return None
 
     # The useful states all lie on one path, so their topological order is
-    # that path; the dead sink comes last.
-    order = order + [q for q in range(n + 2) if not useful[q]]
-    relabel = {old: new for new, old in enumerate(order)}
-    base = Dfa(
-        alphabet=m.alphabet,
-        delta=tuple(tuple(relabel[t] for t in m.delta[old]) for old in order),
-        initial=relabel[m.initial],
-        accepting=frozenset(relabel[q] for q in m.accepting),
-        name=m.name,
-    )
-
-    # Structural sanity: these hold for every linear minimal ADFA.
-    delta = base.delta
-    assert base.initial == 0
-    assert n in base.accepting and (n + 1) not in base.accepting
-    assert all(t == n + 1 for t in delta[n + 1]), "last state must be a sink"
-    assert all(
-        t > i for i in range(n + 1) for t in delta[i]
-    ), "linear profile transitions must be strictly forward"
-    assert all(i + 1 in delta[i] for i in range(n)), "spine letters must exist below q_n"
-    assert all(t == n + 1 for t in delta[n])
+    # that path; the dead sink comes last.  One pass over the rows relabels
+    # them and checks what holds for every linear minimal ADFA.
+    order = order + [useful.index(False)]
+    relabel = [0] * (n + 2)
+    for new, old in enumerate(order):
+        relabel[old] = new
+    sink, width = n + 1, len(m.alphabet)
+    rows = []
+    for i, old in enumerate(order):
+        row = tuple([relabel[t] for t in m.delta[old]])
+        if i < n:
+            assert min(row) > i, "linear profile transitions must be strictly forward"
+            assert i + 1 in row, "spine letters must exist below q_n"
+        elif i == n:
+            assert row.count(sink) == width, "linear profile transitions must be strictly forward"
+        else:
+            assert row.count(sink) == width, "last state must be a sink"
+        rows.append(row)
+    accepting = frozenset([relabel[q] for q in m.accepting])
+    assert relabel[m.initial] == 0
+    assert n in accepting and sink not in accepting
+    base = Dfa(alphabet=m.alphabet, delta=tuple(rows), initial=0, accepting=accepting, name=m.name)
 
     return LinearProfile(n=n, base=base)
 

@@ -171,19 +171,44 @@ def _directives(text: str, headers: frozenset[str]) -> Iterator[tuple[int, list[
 
 
 def parse_dfa(text: str) -> Dfa:
+    """The DFA of a text document (format above).  Raises ``ParseError`` on
+    the first bad directive, in document order, else on a missing header or
+    id out of range, else on the first missing transition in row-major
+    order.  Transitions are kept by ``src * width + letter position`` and
+    the rows built once all of them are known, so no table is allocated for
+    more states than the document lists transitions for."""
     name = None
     alphabet: tuple[str, ...] | None = None
+    letters: dict[str, int] | None = None  # symbol -> letter position (shared)
+    width = 0
     state_count = None
     initial = None
     accepting: frozenset[int] | None = None
-    table: dict[tuple[int, str], int] = {}
+    cells: dict[int, int] = {}  # src * width + letter position -> dst
 
     def fail(lineno: int, msg: str) -> None:
         raise ParseError(f"line {lineno}: {msg}")
 
     for lineno, parts in _directives(text, _HEADERS):
         kw = parts[0]
-        if kw == "dfa":
+        if kw == "trans":
+            if len(parts) != 4 or not (parts[1].isdecimal() and parts[3].isdecimal()):
+                fail(lineno, "expected 'trans <from> <sym> <to>'")
+            src, sym, dst = int(parts[1]), parts[2], int(parts[3])
+            if letters is None:
+                fail(lineno, "alphabet must precede transitions")
+            x = letters.get(sym)
+            if x is None:
+                fail(lineno, f"unknown letter {sym!r}")
+            if state_count is None:
+                fail(lineno, "state count must precede transitions")
+            if src >= state_count or dst >= state_count:
+                fail(lineno, f"state id out of range in 'trans {src} {sym} {dst}'")
+            cell = src * width + x
+            if cell in cells:
+                fail(lineno, f"duplicate transition for state {src}, letter {sym}")
+            cells[cell] = dst
+        elif kw == "dfa":
             if len(parts) != 2:
                 fail(lineno, "expected 'dfa <name>'")
             name = parts[1]
@@ -193,6 +218,7 @@ def parse_dfa(text: str) -> Dfa:
             alphabet = tuple(parts[1:])
             if len(set(alphabet)) != len(alphabet):
                 fail(lineno, "duplicate alphabet symbol")
+            letters, width = _alphabet_index(alphabet), len(alphabet)
         elif kw == "states":
             if len(parts) != 2 or not parts[1].isdecimal():
                 fail(lineno, "expected 'states <k>'")
@@ -204,24 +230,9 @@ def parse_dfa(text: str) -> Dfa:
                 fail(lineno, "expected 'initial <id>'")
             initial = int(parts[1])
         elif kw == "accepting":
-            if not all(p.isdecimal() for p in parts[1:]):
+            if not all(map(str.isdecimal, parts[1:])):
                 fail(lineno, "accepting ids must be integers")
-            accepting = frozenset(int(p) for p in parts[1:])
-        elif kw == "trans":
-            if len(parts) != 4 or not (parts[1].isdecimal() and parts[3].isdecimal()):
-                fail(lineno, "expected 'trans <from> <sym> <to>'")
-            src, sym, dst = int(parts[1]), parts[2], int(parts[3])
-            if alphabet is None:
-                fail(lineno, "alphabet must precede transitions")
-            if sym not in alphabet:
-                fail(lineno, f"unknown letter {sym!r}")
-            if state_count is None:
-                fail(lineno, "state count must precede transitions")
-            if src >= state_count or dst >= state_count:
-                fail(lineno, f"state id out of range in 'trans {src} {sym} {dst}'")
-            if (src, sym) in table:
-                fail(lineno, f"duplicate transition for state {src}, letter {sym}")
-            table[(src, sym)] = dst
+            accepting = frozenset(map(int, parts[1:]))
         else:
             fail(lineno, f"unknown keyword {kw!r}")
 
@@ -237,20 +248,16 @@ def parse_dfa(text: str) -> Dfa:
         if q >= state_count:
             raise ParseError(f"accepting state {q} out of range")
 
-    rows = []
-    for q in range(state_count):
-        row = []
-        for sym in alphabet:
-            if (q, sym) not in table:
-                raise ParseError(
-                    f"incomplete transition function at state {q}, letter {sym}"
-                )
-            row.append(table[(q, sym)])
-        rows.append(tuple(row))
-
+    # Every cell is below state_count * width and listed once, so the table
+    # is complete exactly when there are that many; else the least missing
+    # cell is at most len(cells).
+    if len(cells) != state_count * width:
+        q, x = divmod(next(c for c in range(len(cells) + 1) if c not in cells), width)
+        raise ParseError(f"incomplete transition function at state {q}, letter {alphabet[x]}")
+    row_major = map(cells.__getitem__, range(len(cells)))
     return Dfa(
         alphabet=alphabet,
-        delta=tuple(rows),
+        delta=tuple(zip(*[row_major] * width)),
         initial=initial,
         accepting=accepting,
         name=name,
@@ -464,16 +471,21 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
     result is marked minimal (``minimize`` returns it as it is)."""
     number = {start: 0}
     order = [start]
-    for c in order:
+    delta = []
+    for c in order:  # one pass: each row is renumbered as it is read
+        row = []
         for t in rows[c]:
-            if t not in number:
-                number[t] = len(order)
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(order)
                 order.append(t)
+            row.append(i)
+        delta.append(tuple(row))
     m = Dfa(
         alphabet=alphabet,
-        delta=tuple([tuple([number[t] for t in rows[c]]) for c in order]),
+        delta=tuple(delta),
         initial=0,
-        accepting=frozenset(i for i, c in enumerate(order) if final[c]),
+        accepting=frozenset([i for i, c in enumerate(order) if final[c]]),
         name=name,
     )
     object.__setattr__(m, "_minimal", True)
@@ -675,22 +687,35 @@ def _useful_order(
             if not useful[p]:
                 useful[p] = True
                 stack.append(p)
+    return useful, _topological(delta, useful, list(map(len, inverse)))[0]
 
-    # Kahn's algorithm on the useful subgraph; leftovers lie on a cycle.
-    indeg = [0] * k
-    for q in range(k):
-        if useful[q]:
-            for t in delta[q]:
-                if useful[t]:
-                    indeg[t] += 1
-    order = [q for q in range(k) if useful[q] and indeg[q] == 0]
+
+def _topological(
+    delta: Sequence[Sequence[int]], useful: list[bool], indeg: list[int]
+) -> tuple[list[int] | None, int]:
+    """Kahn's topological order of the ``useful`` states of ``delta`` along
+    the edges between them (``None`` when those edges contain a cycle), and
+    the most such edges on one path.  ``indeg[q]`` is the number of edges
+    of ``delta`` entering q.  The order is the useful
+    states no such edge enters, in increasing order, then each state as the
+    last edge into it is taken, rows in order.
+
+    An edge into a useful state never leaves a state that is not useful, so
+    counting every edge is exact for the useful states; the others start
+    below zero and are never taken.  The order takes the states by rounds,
+    so a state is one edge deeper than the state whose row takes it."""
+    indeg = [d if u else -1 for d, u in zip(indeg, useful)]
+    order = [q for q, d in enumerate(indeg) if d == 0]
+    depth = [0] * len(delta)
     for q in order:
         for t in delta[q]:
-            if useful[t]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    order.append(t)
-    return useful, (order if len(order) == sum(useful) else None)
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                order.append(t)
+                depth[t] = depth[q] + 1
+    if len(order) != sum(useful):
+        return None, 0
+    return order, depth[order[-1]] if order else 0
 
 
 def longest_word_length(a: Dfa) -> int | float | None:
@@ -704,25 +729,36 @@ def _useful_walk(
 ) -> tuple[int | float | None, list[bool], list[int] | None]:
     """For a minimal DFA ``m``: the longest-word length (as
     ``longest_word_length``), which states are useful, and the topological
-    order of the useful states (``None`` when L(m) is infinite).  Computed
-    by one walk and kept on ``m``; callers must not mutate the lists."""
+    order of the useful states (``None`` when L(m) is infinite), the order
+    ``_useful_order`` gives.  Kept on ``m``; callers must not mutate the
+    lists.
+
+    No search is needed: the states of ``m`` have distinct languages, so at
+    most one is dead (cannot reach acceptance), and its successors are dead
+    too, so it is the rejecting self-loop sink.  Every other state is
+    useful."""
     cached = getattr(m, "_walk", None)
     if cached is not None:
         return cached
-    # A cycle among useful states lies on an initial-to-accepting path.
-    useful, topo = _useful_order(m.delta, m.accepting)
-    if not m.accepting:
+    delta, accepting, width = m.delta, m.accepting, len(m.alphabet)
+    useful = [True] * len(delta)
+    indeg = [0] * len(delta)
+    for q, row in enumerate(delta):
+        if row.count(q) == width and q not in accepting:
+            useful[q] = False
+        for t in row:
+            indeg[t] += 1
+    # A cycle among useful states lies on an initial-to-accepting path.  In
+    # the acyclic case every useful state lies on such a path: a longest
+    # path among them runs from the initial state, the only one no useful
+    # edge enters, to a state with no useful successor, which accepts.
+    topo, longest = _topological(delta, useful, indeg)
+    if not accepting:
         n = None
     elif topo is None:
         n = math.inf
     else:
-        # Acyclic: longest path from the initial state to an accepting state.
-        best = [0] * m.state_count
-        for q in reversed(topo):
-            candidates = [0] if q in m.accepting else []
-            candidates.extend(1 + best[t] for t in m.delta[q] if useful[t])
-            best[q] = max(candidates)
-        n = best[m.initial]
+        n = longest
     object.__setattr__(m, "_walk", (n, useful, topo))
     return m._walk
 

@@ -138,32 +138,40 @@ def _analysis(
 
 def _intersection_branch(m: Dfa) -> tuple[str, str, str | Word | None]:
     """Status and branch of the minimal DFA ``m``, in the order the paper
-    tests them, with the uniform letter ('linear+sigma-n') or the breach
-    word ('safety+noCEP') that a Prime witness is built from."""
+    tests them, with the uniform letter ('linear+sigma-n') or the witness
+    word ('safety+noCEP') of a Prime verdict.  Computed once and kept on
+    ``m``, like ``_analysis``, so the decisions and decompositions on one
+    input test the uniform letter, safety and CEP once."""
+    cached = getattr(m, "_intersection_branch", None)
+    if cached is not None:
+        return cached
     n, p = _analysis(m, "decide_intersection_primality")
     if n is None:
-        return PRIME, "empty-language", None
-    if p is None:
-        return COMPOSITE, "non-linear", None
-    sigma = uniform_max_word_letter(p)
-    if sigma is not None:
-        return PRIME, "linear+sigma-n", sigma
-    if not is_safety(m):
-        return COMPOSITE, "non-safety", None
-    cep, breach = has_cep(p)
-    return (COMPOSITE, "CEP", None) if cep else (PRIME, "safety+noCEP", breach)
+        cached = PRIME, "empty-language", None
+    elif p is None:
+        cached = COMPOSITE, "non-linear", None
+    elif (sigma := uniform_max_word_letter(p)) is not None:
+        cached = PRIME, "linear+sigma-n", sigma
+    elif not is_safety(m):
+        cached = COMPOSITE, "non-safety", None
+    else:
+        cep, breach = has_cep(p)
+        if cep:
+            cached = COMPOSITE, "CEP", None
+        else:
+            cached = PRIME, "safety+noCEP", _breach_witness(p, breach)
+    object.__setattr__(m, "_intersection_branch", cached)
+    return cached
 
 
 def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
     m = minimize(a)
     status, branch, detail = _intersection_branch(m)
-    _, p = _analysis(m)
     if branch == "linear+sigma-n":
-        witness = _uniform_witness(p, detail)
+        # Built on every call: past MAX_WITNESS_LETTERS it raises each time.
+        witness = _uniform_witness(_analysis(m)[1], detail)
         return PrimalityVerdict(status, branch, witness, f"uniform letter {detail}")
-    if branch == "safety+noCEP":
-        return PrimalityVerdict(status, branch, _breach_witness(p, detail))
-    return PrimalityVerdict(status, branch)
+    return PrimalityVerdict(status, branch, detail)
 
 
 def _uniform_witness(p: LinearProfile, sigma: str) -> Word:
@@ -435,13 +443,14 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
-    n, p = _analysis(minimize(a), "decide_dnf_primality")
+    m = minimize(a)
+    n, p = _analysis(m, "decide_dnf_primality")
     if n is None:
         raise DfaError("decide_dnf_primality: input recognizes the empty language")
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
-    sigma = uniform_max_word_letter(p)
-    if sigma is None:
+    _, branch, sigma = _intersection_branch(m)
+    if branch != "linear+sigma-n":
         return PrimalityVerdict(COMPOSITE, "no-sigma-n")
     return PrimalityVerdict(PRIME, "linear+sigma-n", notes=f"uniform letter {sigma}")
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -148,6 +150,114 @@ class TestParseSerialize:
         a = Dfa(BINARY, ((1, 1), (1, 1)), 0, frozenset({1}))
         b = Dfa(BINARY, ((0, 0), (0, 0)), 1, frozenset({0}))
         assert serialize_dfa(a) != serialize_dfa(b)
+
+
+def _edited(*edits: tuple[str, str]) -> str:
+    """``VALID_DOC`` with each (old line, new text) replaced; new text ``""``
+    drops the line."""
+    lines = VALID_DOC.splitlines()
+    for old, new in edits:
+        i = lines.index(old)
+        lines[i : i + 1] = new.splitlines()
+    return "\n".join(lines) + "\n"
+
+
+# (document, exact ParseError text): line-numbered texts come from the first
+# bad directive, in document order; the others from the checks after the
+# last directive.
+PARSE_ERRORS = {
+    "unknown keyword": (_edited(("initial 0", "initial 0\nstart 0")), "line 5: unknown keyword 'start'"),
+    "trans short": (_edited(("trans 1 a 2", "trans 1 a")), "line 8: expected 'trans <from> <sym> <to>'"),
+    "trans id not decimal": (
+        _edited(("trans 1 a 2", "trans 1 a -2")), "line 8: expected 'trans <from> <sym> <to>'"
+    ),
+    "trans before alphabet": (
+        _edited(("alphabet a b", ""), ("trans 0 a 1", "trans 0 a 1\nalphabet a b")),
+        "line 5: alphabet must precede transitions",
+    ),
+    "trans before states": (
+        _edited(("states 3", ""), ("trans 0 a 1", "trans 0 a 1\nstates 3")),
+        "line 5: state count must precede transitions",
+    ),
+    # the letter is checked before the state count
+    "unknown letter before states": (
+        _edited(("states 3", ""), ("trans 0 a 1", "trans 0 c 1")),
+        "line 5: unknown letter 'c'",
+    ),
+    "unknown letter": (_edited(("trans 2 a 2", "trans 2 c 2")), "line 10: unknown letter 'c'"),
+    "source out of range": (
+        _edited(("trans 2 a 2", "trans 3 a 2")), "line 10: state id out of range in 'trans 3 a 2'"
+    ),
+    "target out of range": (
+        _edited(("trans 1 b 0", "trans 1 b 7")), "line 9: state id out of range in 'trans 1 b 7'"
+    ),
+    "duplicate transition": (
+        _edited(("trans 1 b 0", "trans 1 b 0\ntrans 1 b 2")),
+        "line 10: duplicate transition for state 1, letter b",
+    ),
+    # the range is checked before the duplicate
+    "duplicate out of range": (
+        _edited(("trans 1 b 0", "trans 1 b 0\ntrans 1 b 5")),
+        "line 10: state id out of range in 'trans 1 b 5'",
+    ),
+    "missing in the middle": (
+        _edited(("trans 1 b 0", ""), ("trans 2 a 2", "")),
+        "incomplete transition function at state 1, letter b",
+    ),
+    "missing first letter": (
+        _edited(("trans 1 a 2", "")), "incomplete transition function at state 1, letter a"
+    ),
+    "missing last row": (
+        _edited(("trans 2 a 2", ""), ("trans 2 b 2", "")),
+        "incomplete transition function at state 2, letter a",
+    ),
+    "missing initial": (_edited(("initial 0", "")), "document must define an initial state"),
+    "missing states": (
+        _edited(*[(line, "") for line in VALID_DOC.splitlines() if line.startswith(("states", "trans"))]),
+        "document must define dfa, alphabet and states",
+    ),
+    # the initial and accepting ids are checked before the table
+    "initial out of range": (
+        _edited(("initial 0", "initial 3"), ("trans 0 a 1", "")), "initial state 3 out of range"
+    ),
+    "accepting out of range": (
+        _edited(("accepting 2", "accepting 2 4"), ("trans 0 a 1", "")), "accepting state 4 out of range"
+    ),
+    "huge state count": (
+        _edited(("states 3", "states 1000000000000")),
+        "incomplete transition function at state 3, letter a",
+    ),
+    "huge state count, first row short": (
+        _edited(("states 3", "states 1000000000000"), ("trans 0 b 0", "")),
+        "incomplete transition function at state 0, letter b",
+    ),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("case", list(PARSE_ERRORS))
+    def test_exact_message(self, case):
+        doc, message = PARSE_ERRORS[case]
+        with pytest.raises(ParseError) as err:
+            parse_dfa(doc)
+        assert str(err.value) == message
+
+    def test_huge_state_count_allocates_nothing_large(self):
+        doc, message = PARSE_ERRORS["huge state count"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                parse_dfa(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_missing_accepting_line_is_the_empty_set(self):
+        a = parse_dfa(_edited(("accepting 2", "")))
+        assert a.accepting == frozenset()
+        assert a == replace(parse_dfa(VALID_DOC), accepting=frozenset())
+        assert parse_dfa(_edited(("accepting 2", "accepting"))) == a
 
 
 class TestDot:
@@ -605,6 +715,59 @@ class TestLanguageShape:
     def test_reachable_states(self):
         a = Dfa(BINARY, ((1, 1), (1, 1), (2, 2)), 0, frozenset({2}))
         assert reachable_states(a) == {0, 1}
+
+
+def _walk_by_search(m: Dfa):
+    """``_useful_walk(m)`` computed the long way: the backward search and
+    Kahn's order of ``_useful_order``, and the longest path by a maximum
+    over the useful successors of every state."""
+    useful, topo = core._useful_order(m.delta, m.accepting)
+    if not m.accepting:
+        return None, useful, topo
+    if topo is None:
+        return math.inf, useful, topo
+    best = [0] * m.state_count
+    for q in reversed(topo):
+        candidates = [0] if q in m.accepting else []
+        candidates.extend(1 + best[t] for t in m.delta[q] if useful[t])
+        best[q] = max(candidates)
+    return best[m.initial], useful, topo
+
+
+class TestUsefulWalk:
+    """``_useful_walk`` reads usefulness off the minimal DFA, with no search,
+    and must agree with the search on every minimal DFA it is given."""
+
+    def test_matches_search_on_random_minimal_dfas(self):
+        rng = random.Random(2024)
+        alphabets = [("0",), BINARY, ("0", "1", "2")]
+        shapes = set()
+        for i in range(2000):
+            alphabet = alphabets[i % 3]
+            if i % 2:
+                a = random_dfa(rng, 7, alphabet)
+            else:
+                a = random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet)
+            m = minimize(_shuffled(a, rng))
+            got = core._useful_walk(m)
+            assert got == _walk_by_search(m)
+            shapes.add((len(alphabet), type(got[0])))
+        # finite, infinite and empty languages over each alphabet
+        assert shapes == {(w, kind) for w in (1, 2, 3) for kind in (int, float, type(None))}
+
+    @pytest.mark.parametrize("alphabet", [("0",), BINARY, ("0", "1", "2")])
+    def test_constant_languages(self, alphabet):
+        empty, full = empty_language_dfa(alphabet), all_accepting_dfa(alphabet)
+        assert core._useful_walk(empty) == (None, [False], []) == _walk_by_search(empty)
+        assert core._useful_walk(full) == (math.inf, [True], None) == _walk_by_search(full)
+
+    def test_every_rep_of_the_binary_three_state_table(self):
+        from primedfa.oracle import _language_table
+
+        table = _language_table(BINARY, 3)
+        for i in range(len(table.flats)):
+            rep = table.rep(i)
+            assert core._useful_walk(rep) == _walk_by_search(rep)
 
 
 @settings(max_examples=200, deadline=None)

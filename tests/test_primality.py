@@ -519,6 +519,51 @@ class TestAnalyzeOnce:
         assert len(calls["longest_word_length"]) <= 1
         assert calls["is_empty"] == []
 
+    def test_one_intersection_verdict_per_input(self, monkeypatch):
+        import primedfa.core as core
+        import primedfa.primality as primality
+
+        # Staircase: linear safety without CEP or a uniform longest word.
+        # Letter a advances one state but dies at q_{n-1}, b jumps q0 -> q2
+        # and advances one state elsewhere, c always dies.  State ids are
+        # shuffled and the input is parsed, so it is not marked minimal.
+        n, sink = 12, 13
+        rows = []
+        for i in range(n + 2):
+            a_to = i + 1 if i < n - 1 else sink
+            b_to = 2 if i == 0 else (i + 1 if i < n else sink)
+            rows.append((a_to, b_to, sink))
+        staircase = Dfa(("a", "b", "c"), tuple(rows), 0, frozenset(range(n + 1)))
+        perm = list(range(n + 2))
+        random.Random(5).shuffle(perm)
+        shuffled = [()] * (n + 2)
+        for q, row in enumerate(rows):
+            shuffled[perm[q]] = tuple(perm[t] for t in row)
+        accepting = frozenset(perm[: n + 1])
+        a = parse_dfa(serialize_dfa(Dfa(staircase.alphabet, tuple(shuffled), perm[0], accepting)))
+
+        calls = {"has_cep": [], "uniform_max_word_letter": [], "_useful_order": []}
+        for module, name in (
+            (primality, "has_cep"), (primality, "uniform_max_word_letter"), (core, "_useful_order")
+        ):
+            real, seen = getattr(module, name), calls[name]
+            counting = lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args)
+            monkeypatch.setattr(module, name, counting)
+        verdicts = [
+            decide(a)
+            for decide in (decide_intersection_primality, decide_dnf_primality, decide_s_primality)
+        ]
+        assert [(v.status, v.branch) for v in verdicts] == [
+            (PRIME, "safety+noCEP"), (COMPOSITE, "no-sigma-n"), (PRIME, "safety+noCEP")
+        ]
+        assert len(calls["has_cep"]) == len(calls["uniform_max_word_letter"]) == 1
+        # one search, inside minimize, on the input; none on its minimal DFA
+        assert calls["_useful_order"] == [a.delta]
+        assert decide_intersection_primality(a) == verdicts[0]
+        assert verdicts[2].witness == verdicts[0].witness
+        assert not accepts(staircase, verdicts[0].witness)
+        assert len(calls["has_cep"]) == 1
+
 
 class TestMinimizeOnce:
     """``decide_s_primality`` and the ``classify`` command build one minimal

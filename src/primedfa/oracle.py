@@ -17,12 +17,14 @@ use.  A run depends only on the table and the word, so the table also keeps
 the mask of every word it has run, within a fixed byte budget
 (``WORD_CACHE_BYTES``); the refinement and ``verify_witness`` share those
 runs, as do all calls of a process, since the table itself is cached.
-Alpha selection takes the same steps along the minimal DFA of A, in
-one reachability fixpoint for a finite or infinite L(A), run once per input:
-the table keeps the last minimal DFA and its mask, so ``verify_witness``
-after ``oracle_primality`` reuses it.  Each round of the refinement is one
-shortest-word search that does not expand a node where a chosen rep is in a
-dead state.  Verdicts are identical to the literal definition.
+Alpha selection for a finite L(A) is the AND of the masks of its words,
+which the inputs of a process largely share; only an infinite L(A) takes
+the same steps along the minimal DFA of A, in one reachability fixpoint.
+Either runs once per input: the table keeps the last minimal DFA and its
+mask, so ``verify_witness`` after ``oracle_primality`` reuses it.  Each
+round of the refinement is one shortest-word search that does not expand a
+node where a chosen rep is in a dead state.  Verdicts are identical to the
+literal definition.
 """
 
 from __future__ import annotations
@@ -211,10 +213,12 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
 
     by_sig: dict[int, tuple] = {}
     for k in range(1, max_states + 1):
+        # one tuple per accepting set, shared by every rep that has it
+        subsets = [tuple(q for q in range(k) if s >> q & 1) for s in range(1 << k)]
         for flat in _canonical_tables(k, width):
             for s, sig in enumerate(_signatures(k, width, flat, depth)):
                 if sig not in by_sig:
-                    by_sig[sig] = (k, tuple(q for q in range(k) if s >> q & 1), flat)
+                    by_sig[sig] = (k, subsets[s], flat)
     # State ids are single digits, so sorted accepting ids, then the table,
     # order reps of one size exactly as their serializations would.
     flats = [r for _, r in sorted(by_sig.items(), key=lambda e: (e[0].bit_count(), e[1]))]
@@ -254,10 +258,10 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
 def _alpha_members(a: Dfa, limits: OracleLimits):
     """The mask (over the language table) of the alpha(A) reps: one per
     distinct language with fewer states than ind(A) containing L(A), that is,
-    left in an accepting state by every word of L(A).  One worklist fixpoint
-    over the useful states of the minimal DFA ``m``, for a finite or infinite
-    L(A): ``reach[q]`` is the run vector of the selected reps over all words
-    leading ``m`` to ``q``, merged by OR, and ``q`` is queued when it grows.
+    left in an accepting state by every word of L(A).  For a finite L(A) it
+    is the AND of the table's accept masks of those words (``_alpha_words``),
+    most of them kept from earlier inputs; only an infinite L(A) takes the
+    reachability fixpoint over the minimal DFA ``m`` (``_alpha_fixpoint``).
     A second call for the same ``m`` right after the first (``verify_witness``
     after ``oracle_primality``) reads the mask off ``table.last``, once both
     limits have been checked."""
@@ -279,8 +283,40 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     table = _language_table(a.alphabet, max_states)
     if table.last[0] is m:
         return m, table.last[1], table
-    selected = table.smaller[ind]
+    if _useful_walk(m)[2] is None:  # L(A) is infinite
+        selected = _alpha_fixpoint(m, table.smaller[ind], table)
+    else:
+        selected = _alpha_words(m, table.smaller[ind], table)
+    object.__setattr__(table, "last", (m, selected))
+    return m, selected, table
 
+
+def _alpha_words(m: Dfa, selected: int, table: _LangTable) -> int:
+    """The reps in ``selected`` that accept every word of the finite L(m):
+    the AND of ``table.accept_mask(w)`` over those words, so a word whose
+    mask the table keeps costs no step.  The words come from a depth-first
+    walk along the useful successors: in a finite minimal DFA every state
+    but the sink leads to acceptance and no useful state lies on a cycle,
+    so each word is met exactly once and no branch needs pruning."""
+    delta, accepting, alphabet = m.delta, m.accepting, m.alphabet
+    useful = _useful_walk(m)[1]
+    stack = [((), m.initial)] if useful[m.initial] else []
+    while stack:
+        w, q = stack.pop()
+        if q in accepting:
+            selected &= table.accept_mask(w)
+        for sym, t in zip(alphabet, delta[q]):
+            if useful[t]:
+                stack.append((w + (sym,), t))
+    return selected
+
+
+def _alpha_fixpoint(m: Dfa, selected: int, table: _LangTable) -> int:
+    """The reps in ``selected`` left in an accepting state by every word of
+    L(m), finite or infinite: one worklist fixpoint over the useful states
+    of ``m``.  ``reach[q]`` is the run vector of the selected reps over all
+    words leading ``m`` to ``q``, merged by OR, and ``q`` is queued when it
+    grows."""
     useful = _useful_walk(m)[1]
     reach = [[0] * len(table.final) for _ in m.delta]
     reach[m.initial] = table.start(selected)
@@ -299,9 +335,7 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     for q in m.accepting:
         for here, fin in zip(reach[q], table.final):
             rejecting |= here ^ (here & fin)
-    selected ^= rejecting
-    object.__setattr__(table, "last", (m, selected))
-    return m, selected, table
+    return selected ^ rejecting
 
 
 def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:

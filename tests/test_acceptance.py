@@ -49,7 +49,6 @@ from conftest import (
     random_dfa,
     random_finite_dfa,
     random_linear_dfa,
-    trie_dfa,
 )
 from test_gadgets import random_digraph
 from primedfa import digraph_reachable
@@ -58,27 +57,6 @@ from primedfa import digraph_reachable
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\nCRITERION {number}: {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-@pytest.fixture(scope="module")
-def exhaustive_instances():
-    """Every language of the criterion-1 family, one minimal DFA each.
-
-    A complete binary DFA with <= 5 states whose language is finite and
-    nonempty and whose minimal form has index <= 5 recognizes a nonempty
-    subset of words of length <= 3 (a minimal ADFA of index k accepts no
-    word longer than k - 2), and conversely every such subset has a minimal
-    DFA of index <= 5 or is filtered out below.  Both procedures under test
-    depend only on the language, so enumerating distinct languages instead
-    of raw transition tables checks exactly the same verdict pairs."""
-    universe = list(all_words(BINARY, 3))  # 15 words
-    instances = []
-    for mask in range(1, 1 << len(universe)):
-        words = [universe[i] for i in range(len(universe)) if mask >> i & 1]
-        m = minimize(trie_dfa(words, BINARY))
-        if m.state_count <= 5:
-            instances.append(m)
-    return instances
 
 
 @pytest.fixture(scope="module")

@@ -171,6 +171,19 @@ class TestExitCodes:
         assert r.returncode == 0
         assert r.stdout.strip() == "status=Prime branch=oracle witness=a a a a a a"
 
+    def test_oracle_composite_swap_exits_one(self, swap_file):
+        # binary index 5, a finite language: alpha from its two words' masks
+        r = run_cli(["oracle", swap_file])
+        assert r.returncode == 1
+        assert r.stdout == "status=Composite branch=oracle\n"
+
+    def test_oracle_certifies_prime5(self, tmp_path, prime5):
+        f = tmp_path / "prime5.dfa"
+        f.write_text(serialize_dfa(prime5))
+        r = run_cli(["oracle", str(f)])
+        assert r.returncode == 0
+        assert r.stdout == "status=Prime branch=oracle witness=a a b b\n"
+
     def test_oracle_certifies_infinite_mod_counter(self, tmp_path):
         f = tmp_path / "mod5.dfa"
         f.write_text(run_cli(["factory", "modcounter", "--mod", "5"]).stdout)

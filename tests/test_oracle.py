@@ -97,6 +97,8 @@ class TestLanguageTable:
         monkeypatch.setattr(Dfa, "__post_init__", no_dfa)
         table = _language_table.__wrapped__(BINARY, 4)
         assert len(table.flats) == 57068
+        # one accepting tuple per size and accepting set, shared by its reps
+        assert len({id(accepting) for _, accepting, _ in table.flats}) <= 2 + 4 + 8 + 16
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_accept_mask_matches_per_rep_runs(self, alphabet, max_states):
@@ -252,6 +254,109 @@ class TestAlphaMembers:
         assert selected.bit_count() == 53
 
 
+@pytest.fixture
+def selections(monkeypatch):
+    """Every call of the two alpha selections, as (helper name, minimal DFA)."""
+    calls = []
+    for name in ("_alpha_words", "_alpha_fixpoint"):
+
+        def spy(m, selected, table, name=name, real=getattr(oracle, name)):
+            calls.append((name, m))
+            return real(m, selected, table)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+def _table_of(m: Dfa):
+    return _language_table(m.alphabet, max(1, m.state_count - 1))
+
+
+def _both_selections(m: Dfa) -> tuple[int, int]:
+    """The alpha(A) mask of the minimal DFA ``m`` by the words of L(A) and
+    by the fixpoint, from the same table and the same starting mask."""
+    table = _table_of(m)
+    among = table.smaller[m.state_count]
+    return oracle._alpha_words(m, among, table), oracle._alpha_fixpoint(m, among, table)
+
+
+def _random_finite_languages(seed: int, count: int) -> list[Dfa]:
+    """``count`` minimal DFAs of random finite languages over 1-3 letters
+    within the default oracle limits."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        m = minimize(random_finite_dfa(rng, max_n=3, max_words=5, alphabet=alphabet))
+        if m.state_count <= (4 if len(alphabet) == 3 else 5):
+            out.append(m)
+    return out
+
+
+def _empty_cache(table) -> None:
+    table.masks.clear()
+    object.__setattr__(table, "held", 0)
+
+
+class TestAlphaPaths:
+    """A finite L(A) selects alpha(A) by the words of L(A), an infinite one
+    by the fixpoint; on a finite input both give the same mask."""
+
+    def test_words_match_the_fixpoint_on_the_binary_family(self, exhaustive_instances):
+        assert len(exhaustive_instances) == 967
+        for m in exhaustive_instances:
+            words, fixpoint = _both_selections(m)
+            assert words == fixpoint, serialize_dfa(m)
+
+    def test_words_match_the_fixpoint_on_random_finite_languages(self):
+        languages = _random_finite_languages(2501, 500)
+        assert {len(m.alphabet) for m in languages} == {1, 2, 3}
+        for m in languages:
+            words, fixpoint = _both_selections(m)
+            assert words == fixpoint, serialize_dfa(m)
+
+    @pytest.mark.parametrize("alphabet", [("a",), AB, ("a", "b", "c")])
+    def test_empty_language_and_epsilon(self, alphabet):
+        # index 1: no DFA has fewer states, so alpha is empty
+        assert _both_selections(minimize(empty_language_dfa(alphabet))) == (0, 0)
+        epsilon = language_dfa([()], alphabet)
+        words, fixpoint = _both_selections(epsilon)
+        assert words == fixpoint == _alpha_reference(epsilon)
+
+    def test_finite_input_takes_words_and_infinite_the_fixpoint(self, selections, prime5):
+        infinite = [mod_counter_dfa(5), minimize(all_accepting_dfa(AB))]
+        infinite += [
+            m
+            for m in map(minimize, (random_dfa(random.Random(s), 4, AB) for s in range(40)))
+            if core.longest_word_length(m) == math.inf
+        ][:5]
+        assert len(infinite) == 7
+        for a in infinite:
+            selections.clear()
+            _alpha_members(a, DEFAULT_LIMITS)
+            assert selections == [("_alpha_fixpoint", minimize(a))], serialize_dfa(a)
+        _alpha_members(language_dfa([("a", "a"), ("b", "b")], AB), DEFAULT_LIMITS)
+        selections.clear()  # the table prime5 uses last selected for another input
+        _alpha_members(prime5, DEFAULT_LIMITS)
+        assert selections == [("_alpha_words", minimize(prime5))]
+
+    @pytest.mark.parametrize("case", ["cleared before every input", "no entry kept"])
+    def test_words_need_no_cached_mask(self, monkeypatch, case):
+        languages = _criterion1_sample() + _random_finite_languages(2502, 60)
+        if case == "no entry kept":
+            for m in languages:
+                _empty_cache(_table_of(m))
+            monkeypatch.setattr(oracle, "WORD_CACHE_BYTES", 0)
+        for m in languages:
+            table = _table_of(m)
+            if case == "cleared before every input":
+                _empty_cache(table)
+            words, fixpoint = _both_selections(m)
+            assert words == fixpoint, serialize_dfa(m)
+            if case == "no entry kept":
+                assert not table.masks
+
+
 def _refine_reference(m: Dfa, selected: int, table) -> tuple | None:
     """The refinement as one plain shortest-word search per round over the
     whole product of A and the chosen reps, nothing pruned."""
@@ -293,40 +398,37 @@ class TestRefinement:
 
 
 class TestAlphaMemo:
-    """``_alpha_members`` runs its fixpoint once per input: the table keeps
-    the last minimal DFA and its mask."""
+    """``_alpha_members`` selects once per input: the table keeps the last
+    minimal DFA and its mask."""
 
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        calls = []
-        real = oracle._LangTable.step
-
-        def counting(self, states, x):
-            calls.append(x)
-            return real(self, states, x)
-
-        monkeypatch.setattr(oracle._LangTable, "step", counting)
-        return calls
-
-    def test_verify_witness_after_oracle_runs_no_fixpoint(self, steps, prime5):
+    def test_verify_witness_after_oracle_runs_no_fixpoint(self, selections, prime5):
+        other = language_dfa([("a", "a"), ("b", "b")], AB)  # the same table
+        oracle_primality(other)
+        selections.clear()
         v = oracle_primality(prime5)
-        steps.clear()
+        assert selections == [("_alpha_words", minimize(prime5))]
+        selections.clear()
         assert verify_witness(prime5, v.witness)
-        assert not steps
+        assert not selections
 
-    def test_other_input_or_cleared_table_recomputes(self, steps, prime5):
+    def test_other_input_or_cleared_table_recomputes(self, selections, prime5):
         other = language_dfa([("a", "a"), ("b", "b")], AB)  # composite
         assert index_of(other) == index_of(prime5)  # the same table
         v = oracle_primality(prime5)
         assert not verify_witness(other, ("a",))
-        # both words' masks are cached now, so every step is a fixpoint's
+        # both words' masks are cached now, so only a new selection could
+        # tell the inputs apart
         for a, w, want in [(prime5, v.witness, True), (other, ("a",), False)]:
-            steps.clear()
+            selections.clear()
             assert verify_witness(a, w) == want
-            assert steps
+            assert verify_witness(a, w) == want  # the same input again
+            assert selections == [("_alpha_words", minimize(a))]
+            assert _language_table(AB, 4).last[0] is minimize(a)
         _language_table.cache_clear()
         assert _language_table(AB, 4).last == (None, 0)
+        selections.clear()
         assert verify_witness(prime5, v.witness)
+        assert selections == [("_alpha_words", minimize(prime5))]
         assert _language_table(AB, 4).last[0] is minimize(prime5)
 
     def test_limits_are_checked_before_the_memo(self, prime5):

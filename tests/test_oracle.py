@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
+from collections.abc import Iterable
 
 import pytest
 
@@ -35,7 +37,7 @@ from primedfa import (
     verify_witness,
 )
 import primedfa.oracle as oracle
-from primedfa.oracle import DEFAULT_LIMITS, _alpha_members, _language_table, _mask
+from primedfa.oracle import DEFAULT_LIMITS, _alpha_members, _language_table
 from conftest import BINARY, all_words, language_dfa, random_dfa, random_finite_dfa
 
 AB = ("a", "b")
@@ -58,6 +60,70 @@ def _word_counts(rep: Dfa, depth: int) -> int:
 
 
 TABLES = [(BINARY, 4), (("a", "b", "c"), 3)]
+
+
+def _mask(members: Iterable[int], size: int) -> int:
+    """The mask with bit i set for every i in ``members`` (all < size)."""
+    digits = bytearray(b"0" * size)
+    for i in members:
+        digits[size - 1 - i] = ord("1")
+    return int(digits, 2)
+
+
+def _signatures(k: int, width: int, flat, depth: int) -> list[int]:
+    """Acceptance bitmask over all words of length <= depth (bit i is the
+    i-th word in length-then-alphabet order) of the table ``flat`` under
+    each accepting set; entry s is for the set whose bit q is in s."""
+    at = [0] * k  # words that reach each state
+    level = [0]
+    bit = 0
+    for length in range(depth + 1):
+        if length:
+            level = [flat[q * width + x] for q in level for x in range(width)]
+        for q in level:
+            at[q] |= 1 << bit
+            bit += 1
+    sigs = [0] * (1 << k)
+    for s in range(1, 1 << k):
+        low = s & -s
+        sigs[s] = sigs[s ^ low] | at[low.bit_length() - 1]
+    return sigs
+
+
+def _reference_table(width: int, max_states: int) -> tuple:
+    """(flats, trans, final, smaller) of the language table, built one
+    candidate at a time: a dict from each signature to its first candidate,
+    a sort on (word count, (size, accepting ids, table)), and one ``_mask``
+    per move, accepting state and size over the per-rep lists."""
+    depth = max(2 * max_states - 2, 1)
+    by_sig: dict[int, tuple] = {}
+    for k in range(1, max_states + 1):
+        subsets = [tuple(q for q in range(k) if s >> q & 1) for s in range(1 << k)]
+        for flat in oracle._canonical_tables(k, width):
+            for s, sig in enumerate(_signatures(k, width, flat, depth)):
+                if sig not in by_sig:
+                    by_sig[sig] = (k, subsets[s], flat)
+    flats = [r for _, r in sorted(by_sig.items(), key=lambda e: (e[0].bit_count(), e[1]))]
+    n = len(flats)
+    moves: dict[tuple[int, int, int], list[int]] = {}
+    finals: list[list[int]] = [[] for _ in range(max_states)]
+    for i, (_, accepting, flat) in enumerate(flats):
+        for j, t in enumerate(flat):
+            moves.setdefault((j // width, j % width, t), []).append(i)
+        for q in accepting:
+            finals[q].append(i)
+    trans = tuple(
+        tuple(
+            tuple((t, _mask(moves[q, x, t], n)) for t in range(max_states) if (q, x, t) in moves)
+            for x in range(width)
+        )
+        for q in range(max_states)
+    )
+    smaller = tuple(
+        _mask((i for i, (size, _, _) in enumerate(flats) if size < k), n)
+        for k in range(max_states + 2)
+    )
+    return flats, trans, tuple(_mask(f, n) for f in finals), smaller
 
 
 class TestLanguageTable:
@@ -99,6 +165,32 @@ class TestLanguageTable:
         assert len(table.flats) == 57068
         # one accepting tuple per size and accepting set, shared by its reps
         assert len({id(accepting) for _, accepting, _ in table.flats}) <= 2 + 4 + 8 + 16
+
+    @pytest.mark.parametrize(
+        "width,max_states",
+        [(1, k) for k in range(1, 6)]
+        + [(2, k) for k in range(1, 5)]
+        + [(3, k) for k in range(1, 4)],
+    )
+    def test_build_equals_the_per_candidate_reference(self, width, max_states):
+        table = _language_table.__wrapped__(("a", "b", "c")[:width], max_states)
+        flats, trans, final, smaller = _reference_table(width, max_states)
+        assert table.flats == flats
+        assert table.trans == trans
+        assert table.final == final
+        assert table.smaller == smaller
+
+    def test_build_memory_peak_is_bounded(self):
+        # A cold binary 4-state build peaks at 8.8-9.2 MiB of traced memory;
+        # the per-candidate build (``_reference_table``'s) at 16.0-16.3 MiB.
+        tracemalloc.start()
+        try:
+            table = _language_table.__wrapped__(BINARY, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.flats) == 57068
+        assert peak < 12 * 2**20, peak
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_accept_mask_matches_per_rep_runs(self, alphabet, max_states):

@@ -31,6 +31,7 @@ from .core import (
     ParseError,
     ResourceLimitError,
     Word,
+    _count_text,
     equivalent,
     index_of,
     longest_word_length,
@@ -185,8 +186,12 @@ def witness(dfa_file: str, as_json: bool) -> None:
 def _file_safe(name: str) -> str:
     """``name`` with every character outside letters, digits and ``_.()-``
     replaced by ``_``, so no alphabet symbol can put a path separator into a
-    factor file name; names over ordinary letters pass through unchanged."""
-    return re.sub(r"[^A-Za-z0-9_.()-]", "_", name)
+    factor file name, and cut to its first 100 characters, as names such as
+    ``star_`` + a long word grow with the input past the file system's limit
+    on a name (255 bytes, commonly).  The index stem before it keeps the
+    file names distinct, and the ``dfa`` line inside keeps the whole name;
+    short names over ordinary letters pass through unchanged."""
+    return re.sub(r"[^A-Za-z0-9_.()-]", "_", name)[:100]
 
 
 _DECOMPOSERS = {
@@ -336,20 +341,23 @@ def dot(dfa_file: str) -> None:
 def _sweep_exhaustive(max_index: int, alphabet: tuple[str, ...], cap: int):
     """All finite languages whose minimal DFA has index <= max_index, each
     as its minimal DFA: subsets of words of length <= max_index - 2.
-    Raises ``ResourceLimitError`` before the first one when there are more
-    than ``cap`` subsets."""
+    Raises ``ResourceLimitError`` before the first one, and before any word
+    list is built, when there are more than ``cap`` subsets."""
     import itertools
 
-    universe = [
-        w
-        for length in range(max(max_index - 1, 1))
-        for w in itertools.product(alphabet, repeat=length)
-    ]
-    if 1 << len(universe) > cap:
+    lengths = max(max_index - 1, 1)
+    # The words of length < lengths, counted up to a length where their
+    # subsets are surely past the cap: beyond it the exact count may be too
+    # large to compute or print, and the message shows a floor.
+    count = sum(len(alphabet) ** n for n in range(min(lengths, cap.bit_length() + 64)))
+    if count >= cap.bit_length():  # 2^count > cap
         raise ResourceLimitError(
-            f"sweep: the exhaustive family has {1 << len(universe)} word "
+            f"sweep: the exhaustive family has {_count_text(1, count)} word "
             f"subsets, cap is {cap}"
         )
+    universe = [
+        w for length in range(lengths) for w in itertools.product(alphabet, repeat=length)
+    ]
     for mask in range(1 << len(universe)):
         words = [universe[i] for i in range(len(universe)) if mask >> i & 1]
         m = minimize(trie_dfa(words, alphabet))

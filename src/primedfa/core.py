@@ -44,6 +44,15 @@ class ResourceLimitError(DfaError):
     """A configured enumeration or size cap was exceeded."""
 
 
+def _count_text(n: int, shift: int = 0) -> str:
+    """The count ``n * 2**shift`` as a resource-limit message shows it:
+    exactly when it is below 2^64, otherwise as "at least 2^k" for its top
+    bit k, so that no message formats (or builds) an integer of thousands
+    of digits."""
+    top = n.bit_length() - 1 + shift
+    return str(n << shift) if top < 64 else f"at least 2^{top}"
+
+
 @dataclass(frozen=True)
 class Dfa:
     """A complete deterministic finite automaton.
@@ -825,21 +834,26 @@ def empty_language_dfa(alphabet: tuple[str, ...]) -> Dfa:
 
 
 def trie_dfa(words, alphabet) -> Dfa:
-    """Prefix-tree DFA (plus rejecting sink) for an explicit finite language."""
-    nodes: dict[Word, int] = {(): 0}
+    """Prefix-tree DFA (plus rejecting sink) for an explicit finite language.
+    Nodes are numbered as the words, in order, first reach them, in time and
+    memory linear in the total word length."""
+    children: list[dict[str, int]] = [{}]  # per node: symbol -> child
+    accepting = set()
     for w in words:
-        for i in range(1, len(w) + 1):
-            nodes.setdefault(w[:i], len(nodes))
-    sink = len(nodes)
-    delta = [[sink] * len(alphabet) for _ in range(sink + 1)]
-    for prefix, q in nodes.items():
-        for i, sym in enumerate(alphabet):
-            t = nodes.get(prefix + (sym,))
-            if t is not None:
-                delta[q][i] = t
+        q = 0
+        for sym in w:
+            t = children[q].get(sym)
+            if t is None:
+                t = children[q][sym] = len(children)
+                children.append({})
+            q = t
+        accepting.add(q)
+    sink = len(children)
+    delta = [tuple(kids.get(sym, sink) for sym in alphabet) for kids in children]
+    delta.append((sink,) * len(alphabet))
     return Dfa(
         alphabet=tuple(alphabet),
-        delta=tuple(tuple(r) for r in delta),
+        delta=tuple(delta),
         initial=0,
-        accepting=frozenset(nodes[w] for w in words),
+        accepting=frozenset(accepting),
     )

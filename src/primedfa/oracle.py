@@ -11,15 +11,16 @@ same language twice changes nothing, so they work from a cached table of
 each.  The table is bit-sliced: every set of reps is one integer mask, bit
 i standing for rep i, and one primitive, ``accept_mask``, runs a word on
 all reps at once and returns the mask of those that accept it.  Each rep
-is kept as a flat tuple (state count, accepting ids, transition table);
-only the refinement reads a rep as a ``Dfa``, built by ``rep(i)`` on first
-use.  The table is built in bulk, not one candidate at a time: ``_reach``
-runs the short words on a few thousand canonical tables at once, one slot
-of an integer per table, so each candidate's acceptance signature is an OR
-of slots; the reps are sorted on one packed int each; and every mask is
-one column of a byte blob of the reps' targets or accepting flags, read by
-``_column_mask``.  The binary 4-state table (57,068 reps) builds in about
-0.08 s, the ternary 3-state one (42,042) in about 0.06 s.  A run depends
+is kept once, as one byte row of the table (its transition targets, then
+its accepting flags); only the refinement reads a rep as a ``Dfa``,
+decoded from its row by ``rep(i)`` on first use.  The table is built in
+bulk, not one candidate at a time: ``_reach`` runs the short words on a
+few thousand canonical tables at once, one slot of an integer per table,
+so each candidate's acceptance signature is an OR of slots; the reps are
+sorted on one packed int each; and every mask is one column of the rows,
+read by ``_column_mask``.  The binary 4-state table (57,068 reps) builds
+in about 0.08 s and keeps about 1.2 MiB, the ternary 3-state one (42,042)
+builds in about 0.06 s.  A run depends
 only on the table and the word, so the table also keeps the mask of every
 word it has run, within a fixed byte budget
 (``WORD_CACHE_BYTES``); the refinement and ``verify_witness`` share those
@@ -47,6 +48,8 @@ from .core import (
     DfaError,
     ResourceLimitError,
     Word,
+    _alphabet_index,
+    _count_text,
     _shortest_word,
     _useful_walk,
     accepts,
@@ -152,35 +155,44 @@ def _column_mask(blob: bytes, j: int, stride: int, v: int) -> int:
     return int(blob[j::stride][::-1].translate(_hit(v, b"1", b"0")), 2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _LangTable:
     """Every distinct language of a DFA with <= max_states states, one
     minimal rep each, tightest first: ordered by the number of words up to
     length 2 * max_states - 2 the language accepts, then by size, then by
-    serialization.  Bit i of every mask stands for rep i, kept flat as
-    ``flats[i]`` = (state count, accepting ids, row-major transition table)
-    with initial state 0.  Only the refinement reads a rep as a DFA:
-    ``rep(i)`` builds that ``Dfa`` on first use and keeps it.  ``masks``
+    serialization.  Bit i of every mask stands for rep i, kept as row i of
+    ``rows``: its row-major transition targets, ``max_states`` for each
+    target of a state it lacks, then one accepting flag per state, with
+    initial state 0.  Only the refinement reads a rep as a DFA: ``rep(i)``
+    decodes that ``Dfa`` on first use and keeps it in ``dfas``.  ``masks``
     keeps ``accept_mask(w)`` by word, ``held`` the bytes its entries count
     (at most ``WORD_CACHE_BYTES``), ``last`` the minimal DFA
     ``_alpha_members`` last selected for and its alpha mask."""
 
-    flats: list
-    letters: dict  # symbol -> letter position, in alphabet order
+    alphabet: tuple
+    rows: bytes
     trans: tuple  # trans[q][x]: pairs (t, reps whose state q goes to t on x)
     final: tuple  # final[q]: reps whose state q accepts
     smaller: tuple  # smaller[k]: reps with fewer than k states
-    dfas: dict = field(default_factory=dict, compare=False)  # i -> rep(i)
-    masks: dict = field(default_factory=dict, compare=False)  # w -> accept_mask(w)
-    held: int = field(default=0, compare=False)
-    last: tuple = field(default=(None, 0), compare=False)
+    dfas: dict = field(default_factory=dict)  # i -> rep(i)
+    masks: dict = field(default_factory=dict)  # w -> accept_mask(w)
+    held: int = 0
+    last: tuple = (None, 0)
+
+    def __len__(self) -> int:
+        return len(self.rows) // ((len(self.alphabet) + 1) * len(self.final))
 
     def rep(self, i: int) -> Dfa:
         if i not in self.dfas:
-            k, accepting, flat = self.flats[i]
-            w = len(self.letters)
-            delta = tuple(flat[q * w : (q + 1) * w] for q in range(k))
-            self.dfas[i] = Dfa(tuple(self.letters), delta, 0, frozenset(accepting))
+            w, max_states = len(self.alphabet), len(self.final)
+            cells = w * max_states
+            stride = cells + max_states
+            row = self.rows[i * stride : (i + 1) * stride]
+            targets = row[:cells].rstrip(bytes([max_states]))
+            k = len(targets) // w
+            delta = tuple(tuple(targets[q * w : (q + 1) * w]) for q in range(k))
+            accepting = frozenset(q for q in range(k) if row[cells + q])
+            self.dfas[i] = Dfa(self.alphabet, delta, 0, accepting)
         return self.dfas[i]
 
     def start(self, among: int) -> list[int]:
@@ -212,18 +224,19 @@ class _LangTable:
         w = tuple(w)
         got = self.masks.get(w)
         if got is None:
+            index = _alphabet_index(self.alphabet)
             states = self.start(self.smaller[-1])
             for sym in w:
-                states = self.step(states, self.letters[sym])
+                states = self.step(states, index[sym])
             got = self.accepted(states)
-            cost = (len(self.flats) + 7) // 8 + 8 * len(w)
+            cost = (len(self) + 7) // 8 + 8 * len(w)
             if cost <= WORD_CACHE_BYTES:
                 held = self.held + cost
                 if held > WORD_CACHE_BYTES:
                     self.masks.clear()
                     held = cost
                 self.masks[w] = got
-                object.__setattr__(self, "held", held)
+                self.held = held
         return got
 
 
@@ -250,10 +263,10 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     are met in increasing order, so this is the order (word count, size,
     accepting ids, table), which is that of the serializations, as state ids
     are single digits.  In that order, each rep's transition targets
-    (``max_states`` for a state it lacks) and accepting flags are appended
-    to two byte blobs, and every mask is one column of one blob.  Callers
-    check the number of DFAs the table stands for against their limits
-    first."""
+    (``max_states`` for a state it lacks) and then its accepting flags are
+    appended to one byte string, one row of fixed stride per rep, which the
+    table keeps; every mask is one column of it.  Callers check the number
+    of DFAs the table stands for against their limits first."""
     width = len(alphabet)
     depth = max(2 * max_states - 2, 1)
     slot = (sum(width**l for l in range(depth + 1)) + 7) // 8  # bytes per signature
@@ -264,9 +277,8 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     low = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1)).bit_length()
     shift = low + max_states + max_states.bit_length()
     seen: set[bytes] = set()  # signatures of the reps met with < max_states states
-    reps, rows, flagged, keys = [], [], [], []  # per rep in the order met
+    moves, flagged, keys = [], [], []  # per rep in the order met
     for k in range(1, max_states + 1):
-        # one tuple per accepting set, shared by every rep that has it
         subsets = [tuple(q for q in range(k) if s >> q & 1) for s in range(1 << k)]
         rank = {acc: r for r, acc in enumerate(sorted(subsets))}
         flags = {acc: bytes(q in acc for q in range(max_states)) for acc in subsets}
@@ -285,31 +297,30 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
                 new = [f for f, sig in enumerate(sigs) if sig not in seen]
                 if k < max_states:
                     seen.update(sigs[f] for f in new)
-                head = (k << max_states | rank[acc]) << low | len(reps)
+                head = (k << max_states | rank[acc]) << low | len(moves)
                 keys += [
                     int.from_bytes(sigs[f], "little").bit_count() << shift | head + i
                     for i, f in enumerate(new)
                 ]
-                reps += [(k, acc, chunk[f]) for f in new]
-                rows += [padded[f] for f in new]
+                moves += [padded[f] for f in new]
                 flagged += [flags[acc]] * len(new)
     del seen
     keys.sort()
     last = (1 << low) - 1
+    stride = cells + max_states
     # Appends, not b"".join, which takes an 80-byte buffer view per part.
-    flats, moves, finals = [], bytearray(), bytearray()
+    blob = bytearray()
     for key in keys:
         i = key & last
-        flats.append(reps[i])
-        moves += rows[i]
-        finals += flagged[i]
-    del keys, reps, rows, flagged
+        blob += moves[i]
+        blob += flagged[i]
+    del keys, moves, flagged
     trans = tuple(
         tuple(
             tuple(
                 (t, mask)
                 for t in range(max_states)
-                if (mask := _column_mask(moves, q * width + x, cells, t))
+                if (mask := _column_mask(blob, q * width + x, stride, t))
             )
             for x in range(width)
         )
@@ -317,14 +328,14 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     )
     # A rep has fewer than k states when it lacks state k - 1.
     lacking = (
-        _column_mask(moves, (k - 1) * width, cells, max_states) for k in range(2, max_states + 1)
+        _column_mask(blob, (k - 1) * width, stride, max_states) for k in range(2, max_states + 1)
     )
-    smaller = (0, 0, *lacking, (1 << len(flats)) - 1)
+    smaller = (0, 0, *lacking, (1 << len(blob) // stride) - 1)
     return _LangTable(
-        flats=flats,
-        letters={sym: x for x, sym in enumerate(alphabet)},
+        alphabet=alphabet,
+        rows=bytes(blob),
         trans=trans,
-        final=tuple(_column_mask(finals, q, max_states, 1) for q in range(max_states)),
+        final=tuple(_column_mask(blob, cells + q, stride, 1) for q in range(max_states)),
         smaller=smaller,
     )
 
@@ -352,7 +363,7 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     if budget > limits.max_enumerated_dfas:
         raise ResourceLimitError(
             f"language table for {max_states} states over {width} letters "
-            f"stands for {budget} automata, cap is {limits.max_enumerated_dfas}"
+            f"stands for {_count_text(budget)} automata, cap is {limits.max_enumerated_dfas}"
         )
     table = _language_table(a.alphabet, max_states)
     if table.last[0] is m:
@@ -361,7 +372,7 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
         selected = _alpha_fixpoint(m, table.smaller[ind], table)
     else:
         selected = _alpha_words(m, table.smaller[ind], table)
-    object.__setattr__(table, "last", (m, selected))
+    table.last = (m, selected)
     return m, selected, table
 
 

@@ -7,10 +7,19 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from primedfa import Dfa, parse_dfa, serialize_dfa, verify_decomposition
+from primedfa import (
+    Dfa,
+    ResourceLimitError,
+    dnf_decomposition,
+    parse_dfa,
+    serialize_dfa,
+    verify_decomposition,
+)
+from primedfa import cli
 from primedfa.primality import Decomposition
 from conftest import language_dfa
 
@@ -154,6 +163,18 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    def test_oracle_budget_past_printable_digits_is_exit_two(self, tmp_path):
+        # index 1000: the table of 999-state binary DFAs stands for about
+        # 2^20907 automata, an integer too long for str()
+        f = tmp_path / "cap998.dfa"
+        f.write_text(run_cli(["factory", "lengthcap", "--length", "998"]).stdout)
+        r = run_cli(["oracle", "--max-factor-states", "5000", str(f)])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (
+            "error: language table for 999 states over 2 letters stands for "
+            "at least 2^20907 automata, cap is 2000000\n"
+        )
+
     @pytest.mark.parametrize("n", [16, 150])
     def test_uniform_witness_past_cap_is_exit_two(self, tmp_path, n):
         f = tmp_path / "uniform.dfa"
@@ -262,6 +283,25 @@ class TestDecompose:
         assert len(written) == 1 + int(r.stdout.split("factors=")[1].split()[0])
         assert all(f.parent == out for f in written if f != doc)
         assert any("/" in parse_dfa(f.read_text()).name for f in written if f != doc)
+
+    def test_long_factor_names_are_cut_in_file_names(self, tmp_path):
+        # star_ and singleton_ factors are named after the whole word
+        word = ("a", "b") * 150
+        doc = tmp_path / "long.dfa"
+        doc.write_text(run_cli(["factory", "singleton", "--word", " ".join(word)]).stdout)
+        out = tmp_path / "D"
+        r = run_cli(["decompose", "--mode=dnf", "--out", str(out), str(doc)])
+        assert r.returncode == 0, r.stderr
+        assert "verified=true" in r.stdout
+        files = sorted(out.glob("term_*.dfa"))
+        assert len(files) == int(r.stdout.split("factors=")[1].split()[0])
+        a = parse_dfa(doc.read_text())
+        d = dnf_decomposition(a)
+        factors = [f for term in d.terms for f in term]
+        assert [parse_dfa(f.read_text()) for f in files] == factors
+        assert [parse_dfa(f.read_text()).name for f in files] == [f.name for f in factors]
+        assert any(len(f.name) > 255 for f in factors)
+        assert all(len(f.name) <= 128 for f in files)
 
     @pytest.mark.parametrize(
         "doc, mode, line, code",
@@ -380,6 +420,37 @@ class TestSweep:
         r = run_cli(["sweep", "--max-index", "6"])
         assert r.returncode == 2 and r.stdout == ""
         assert "2147483648" in r.stderr and "cap is 2000000" in r.stderr
+
+    def test_exhaustive_sweep_past_printable_digits_is_exit_two(self):
+        # 55,987 words of length <= 6 over six letters: 2^55987 subsets
+        r = run_cli(["sweep", "--max-index", "8", "--alphabet-size", "6"])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "Traceback" not in r.stderr
+        assert r.stderr == (
+            "error: sweep: the exhaustive family has at least 2^55987 word "
+            "subsets, cap is 2000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "max_index, width, floor",
+        [
+            (8, 6, 55987),  # every word of length <= 6 counted
+            # 1,999 words, counted up to length cap.bit_length() + 64 = 85
+            (2000, 1, 85),
+        ],
+    )
+    def test_exhaustive_sweep_cap_fires_before_any_word_list(self, max_index, width, floor):
+        letters = ("0", "1", "2", "3", "4", "5")[:width]
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ResourceLimitError, match=rf"has at least 2\^{floor} word subsets, cap is 2000000$"
+            ):
+                next(cli._sweep_exhaustive(max_index, letters, 2 * 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak  # either word list alone takes megabytes
 
     @pytest.mark.parametrize(
         "option, value, command",

@@ -668,6 +668,76 @@ class TestMinimize:
         assert index_of(all_accepting_dfa(BINARY)) == 1
 
 
+@pytest.mark.parametrize(
+    "n, shift, text",
+    [
+        (0, 0, "0"),
+        (5898, 0, "5898"),
+        (1, 31, "2147483648"),
+        (2**64 - 1, 0, "18446744073709551615"),
+        (2**64, 0, "at least 2^64"),
+        (3 * 2**70 + 1, 0, "at least 2^71"),
+        (1, 10**60, f"at least 2^{10**60}"),  # 2^(10^60) is never built
+    ],
+    ids=["zero", "short", "shifted", "largest-exact", "2^64", "long", "huge-shift"],
+)
+def test_count_text_is_exact_below_2_to_the_64(n, shift, text):
+    assert core._count_text(n, shift) == text
+
+
+def _trie_reference(words, alphabet) -> Dfa:
+    """``trie_dfa`` built one prefix tuple at a time: a dict from every
+    prefix of every word to its node, numbered as the words first reach
+    them."""
+    nodes: dict[tuple, int] = {(): 0}
+    for w in words:
+        for i in range(1, len(w) + 1):
+            nodes.setdefault(w[:i], len(nodes))
+    sink = len(nodes)
+    delta = [[sink] * len(alphabet) for _ in range(sink + 1)]
+    for prefix, q in nodes.items():
+        for i, sym in enumerate(alphabet):
+            t = nodes.get(prefix + (sym,))
+            if t is not None:
+                delta[q][i] = t
+    return Dfa(
+        alphabet=tuple(alphabet),
+        delta=tuple(tuple(r) for r in delta),
+        initial=0,
+        accepting=frozenset(nodes[w] for w in words),
+    )
+
+
+class TestTrie:
+    def test_equals_the_prefix_tuple_reference(self):
+        rng = random.Random(827)
+        for alphabet in (("a",), BINARY, ("x", "y", "z")):
+            for _ in range(150):
+                words = [
+                    tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                words += rng.sample(words, len(words) // 2)  # repeats, unsorted
+                got, want = trie_dfa(words, alphabet), _trie_reference(words, alphabet)
+                assert (got.delta, got.initial, got.accepting, got.name) == (
+                    want.delta, want.initial, want.accepting, want.name
+                )
+
+    def test_long_words_take_linear_memory(self):
+        # The prefix-tuple build peaks at about 47 MiB here (quadratic in
+        # the word length); the linear one at about 1.7 MiB.
+        rng = random.Random(8)
+        words = [tuple(rng.choice(BINARY) for _ in range(2000)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            a = trie_dfa(words, BINARY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a.accepting) == 3 and all(accepts(a, w) for w in words)
+        assert peak < 8 * 2**20, peak
+
+
 class TestEquivalence:
     def test_complement_distinguished_by_epsilon(self):
         a = random_dfa(random.Random(23), 4)
@@ -765,7 +835,7 @@ class TestUsefulWalk:
         from primedfa.oracle import _language_table
 
         table = _language_table(BINARY, 3)
-        for i in range(len(table.flats)):
+        for i in range(len(table)):
             rep = table.rep(i)
             assert core._useful_walk(rep) == _walk_by_search(rep)
 

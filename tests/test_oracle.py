@@ -162,9 +162,7 @@ class TestLanguageTable:
 
         monkeypatch.setattr(Dfa, "__post_init__", no_dfa)
         table = _language_table.__wrapped__(BINARY, 4)
-        assert len(table.flats) == 57068
-        # one accepting tuple per size and accepting set, shared by its reps
-        assert len({id(accepting) for _, accepting, _ in table.flats}) <= 2 + 4 + 8 + 16
+        assert len(table) == 57068
 
     @pytest.mark.parametrize(
         "width,max_states",
@@ -175,22 +173,28 @@ class TestLanguageTable:
     def test_build_equals_the_per_candidate_reference(self, width, max_states):
         table = _language_table.__wrapped__(("a", "b", "c")[:width], max_states)
         flats, trans, final, smaller = _reference_table(width, max_states)
-        assert table.flats == flats
+        decoded = [
+            (r.state_count, tuple(sorted(r.accepting)), tuple(itertools.chain(*r.delta)))
+            for r in map(table.rep, range(len(table)))
+        ]
+        assert decoded == flats
         assert table.trans == trans
         assert table.final == final
         assert table.smaller == smaller
 
     def test_build_memory_peak_is_bounded(self):
-        # A cold binary 4-state build peaks at 8.8-9.2 MiB of traced memory;
-        # the per-candidate build (``_reference_table``'s) at 16.0-16.3 MiB.
+        # A cold binary 4-state build peaks at about 4.5 MiB of traced memory
+        # and keeps about 1.15 MiB, the rows' bytes and the masks; the
+        # per-candidate build (``_reference_table``'s) peaks at 16.0-16.3 MiB.
         tracemalloc.start()
         try:
             table = _language_table.__wrapped__(BINARY, 4)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table.flats) == 57068
-        assert peak < 12 * 2**20, peak
+        assert len(table) == 57068
+        assert peak < 7 * 2**20, peak
+        assert kept < 1.5 * 2**20, kept
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_accept_mask_matches_per_rep_runs(self, alphabet, max_states):
@@ -200,13 +204,13 @@ class TestLanguageTable:
         for length in lengths:  # most beyond the signature depth 2 * max_states - 2
             w = tuple(rng.choice(alphabet) for _ in range(length))
             got = table.accept_mask(w)
-            for i, rep in enumerate(map(table.rep, range(len(table.flats)))):
+            for i, rep in enumerate(map(table.rep, range(len(table)))):
                 assert (got >> i & 1) == accepts(rep, w), (w, i)
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_reps_are_distinct_minimal_and_tightest_first(self, alphabet, max_states):
         table = _language_table(alphabet, max_states)
-        reps = list(map(table.rep, range(len(table.flats))))
+        reps = list(map(table.rep, range(len(table))))
         assert len(reps) == {BINARY: 57068, ("a", "b", "c"): 42042}[alphabet]
         assert len({(r.delta, r.accepting) for r in reps}) == len(reps)
         depth = 2 * max_states - 2
@@ -221,7 +225,7 @@ class TestLanguageTable:
 
 def _run_reference(table, w) -> int:
     """The mask of the reps of ``table`` that accept ``w``, rep by rep."""
-    n = len(table.flats)
+    n = len(table)
     return _mask((i for i in range(n) if accepts(table.rep(i), w)), n)
 
 
@@ -238,7 +242,7 @@ def _criterion1_sample() -> list[Dfa]:
 
 
 def _mask_bytes(table) -> int:
-    return (len(table.flats) + 7) // 8
+    return (len(table) + 7) // 8
 
 
 class TestWordCache:
@@ -312,11 +316,11 @@ def _alpha_reference(m: Dfa) -> int:
     table = _language_table(m.alphabet, max(1, m.state_count - 1))
     contain = (
         i
-        for i, rep in enumerate(map(table.rep, range(len(table.flats))))
+        for i, rep in enumerate(map(table.rep, range(len(table))))
         if rep.state_count < m.state_count
         and core._shortest_word((m, rep), lambda acc: acc[0] and not acc[1]) is None
     )
-    return _mask(contain, len(table.flats))
+    return _mask(contain, len(table))
 
 
 class TestAlphaMembers:

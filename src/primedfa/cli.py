@@ -58,12 +58,14 @@ from .gadgets import (
 from .oracle import OracleLimits, oracle_primality, verify_decomposition
 from .primality import (
     Caps,
+    PrimalityVerdict,
     decide_dnf_primality,
     decide_intersection_primality,
     decide_s_primality,
     decide_union_primality,
     dnf_decomposition,
     intersection_decomposition,
+    intersection_witness,
     union_decomposition,
 )
 
@@ -99,6 +101,14 @@ def _render_word(w: Word | None) -> str:
     if w is None:
         return ""
     return " ".join(w) if w else "<epsilon>"
+
+
+def _verdict_report(v: PrimalityVerdict) -> CommandReport:
+    """Status, branch and any witness of a verdict; exit 1 unless Prime."""
+    fields = [("status", v.status), ("branch", v.branch)]
+    if v.witness is not None:
+        fields.append(("witness", _render_word(v.witness)))
+    return CommandReport(fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE)
 
 
 _JSON_OPT = click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
@@ -154,15 +164,7 @@ _DECIDERS = {
 @_JSON_OPT
 def prime(mode: str, dfa_file: str, as_json: bool) -> None:
     """Decide primality under the chosen composition mode."""
-    a = _load_dfa(dfa_file)
-    v = _DECIDERS[mode](a)
-    fields = [("status", v.status), ("branch", v.branch)]
-    if v.witness is not None:
-        fields.append(("witness", _render_word(v.witness)))
-    _emit(
-        CommandReport(fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE),
-        as_json,
-    )
+    _emit(_verdict_report(_DECIDERS[mode](_load_dfa(dfa_file))), as_json)
 
 
 @cli.command()
@@ -173,14 +175,10 @@ def witness(dfa_file: str, as_json: bool) -> None:
     a = _load_dfa(dfa_file)
     v = decide_intersection_primality(a)
     if not v.is_prime:
-        _emit(
-            CommandReport([("status", v.status), ("branch", v.branch)], EXIT_NEGATIVE),
-            as_json,
-        )
+        _emit(_verdict_report(v), as_json)
         return
-    if v.witness is None:  # the empty language: prime, but no word witnesses it
-        raise DfaError("intersection_witness: defined only for non-empty prime inputs")
-    _emit(CommandReport([("witness", _render_word(v.witness))]), as_json)
+    # The decision is kept on the minimal DFA, so this one costs no search.
+    _emit(CommandReport([("witness", _render_word(intersection_witness(a)))]), as_json)
 
 
 def _file_safe(name: str) -> str:
@@ -255,12 +253,8 @@ def decompose(
 @_JSON_OPT
 def oracle(max_factor_states: int, dfa_file: str, as_json: bool) -> None:
     """Brute-force primality verdict by definition (small inputs only)."""
-    a = _load_dfa(dfa_file)
-    v = oracle_primality(a, OracleLimits(max_factor_states=max_factor_states))
-    fields = [("status", v.status), ("branch", v.branch)]
-    if v.witness is not None:
-        fields.append(("witness", _render_word(v.witness)))
-    _emit(CommandReport(fields, EXIT_OK if v.is_prime else EXIT_NEGATIVE), as_json)
+    limits = OracleLimits(max_factor_states=max_factor_states)
+    _emit(_verdict_report(oracle_primality(_load_dfa(dfa_file), limits)), as_json)
 
 
 @cli.command("minimize")

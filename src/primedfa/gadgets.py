@@ -19,6 +19,7 @@ from .core import (
     Dfa,
     DfaError,
     ParseError,
+    ResourceLimitError,
     _check_token,
     _directives,
     empty_language_dfa,
@@ -26,6 +27,10 @@ from .core import (
 )
 
 BINARY = ("0", "1")
+
+# States a minimality or S-prime gadget may have: the gadgets of a
+# 20,000-node graph (140,001 and 280,002 states) fit.
+MAX_GADGET_STATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,22 +47,23 @@ class Digraph:
         _check_token("digraph name", self.name)
         if self.node_count < 1:
             raise DfaError("digraph must have at least one node")
-        out: list[list[int]] = [[] for _ in range(self.node_count)]
+        # Only nodes with out-edges get an entry, so ``nodes`` costs no memory.
+        out: dict[int, list[int]] = {}
         for u, v in self.edges:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise DfaError(f"edge ({u}, {v}) references a missing node")
-            out[u].append(v)
+            out.setdefault(u, []).append(v)
         if len(set(self.edges)) != len(self.edges):
             raise DfaError("duplicate edge")
-        for u, targets in enumerate(out):
+        for u, targets in sorted(out.items()):
             if len(targets) > 2:
                 raise DfaError(f"node {u} exceeds the maximum outdegree of two")
         if not (0 <= self.s < self.node_count and 0 <= self.t < self.node_count):
             raise DfaError("source/target node out of range")
-        object.__setattr__(self, "_successors", [sorted(t) for t in out])
+        object.__setattr__(self, "_successors", {u: sorted(t) for u, t in out.items()})
 
     def successors(self, u: int) -> list[int]:
-        return list(self._successors[u])
+        return list(self._successors.get(u, ()))
 
 
 def digraph_reachable(g: Digraph) -> bool:
@@ -130,6 +136,14 @@ def _normalized_delta(g: Digraph) -> list[list[int]]:
     return delta
 
 
+def _check_gadget_size(kind: str, g: Digraph, states: int) -> None:
+    if states > MAX_GADGET_STATES:
+        raise ResourceLimitError(
+            f"{kind} gadget of {g.node_count} nodes has {states} states, "
+            f"cap is {MAX_GADGET_STATES}"
+        )
+
+
 def _gadget_ids(n: int):
     """State numbering of the minimality gadget: layers in node order, each
     layer ordered p, q, v, v0', v1', v0, v1 (layer 0 carries the extra q0'
@@ -156,10 +170,13 @@ def minimality_gadget(g: Digraph) -> Dfa:
     advances, letter 1 drops into node i), a q-cycle with an extra q0'
     guard, and a five-state node component (i, i_0', i_1', i_0, i_1) that
     replays the graph edges while allowing a reset into q_i.  The s = t
-    case returns the minimal DFA of the empty language."""
+    case returns the minimal DFA of the empty language; otherwise a gadget
+    of more than ``MAX_GADGET_STATES`` states raises ``ResourceLimitError``
+    before it is built."""
     if g.s == g.t:
         return empty_language_dfa(BINARY)
     n = g.node_count
+    _check_gadget_size("minimality", g, 7 * n + 1)
     dprime = _normalized_delta(g)
     ids, total = _gadget_ids(n)
     delta = [[0, 0] for _ in range(total)]
@@ -202,9 +219,11 @@ def sprime_gadget(g: Digraph) -> Dfa:
     Every state x of the minimality gadget gets a shadow twin: letters from
     x land on the twin of the original successor, 0 from a twin returns to
     x, and 1 from a twin resets to the initial state -- except the twin of
-    the accepting node, whose 1 enters the accepting sink z+."""
+    the accepting node, whose 1 enters the accepting sink z+.  It has
+    14N + 2 states for N nodes, capped like the minimality gadget."""
     if g.s == g.t:
         return empty_language_dfa(BINARY)
+    _check_gadget_size("sprime", g, 14 * g.node_count + 2)
     base = minimality_gadget(g)
     size = base.state_count
     (accept_node,) = base.accepting

@@ -16,11 +16,12 @@ its accepting flags); only the refinement reads a rep as a ``Dfa``,
 decoded from its row by ``rep(i)`` on first use.  The table is built in
 bulk, not one candidate at a time: ``_reach`` runs the short words on a
 few thousand canonical tables at once, one slot of an integer per table,
-so each candidate's acceptance signature is an OR of slots; the reps are
-sorted on one packed int each; and every mask is one column of the rows,
-read by ``_column_mask``.  The binary 4-state table (57,068 reps) builds
-in about 0.08 s and keeps about 1.2 MiB, the ternary 3-state one (42,042)
-builds in about 0.06 s.  A run depends
+so each candidate's acceptance signature is an OR of slots; each rep's
+row goes to the bucket of its (word count, size, accepting ids), filled in
+table order, and the buckets are joined in key order; and every mask is one
+column of the rows, read by ``_column_mask``.  The binary 4-state table
+(57,068 reps) builds in about 0.07 s and keeps about 1.2 MiB, the ternary
+3-state one (42,042) builds in about 0.06 s.  A run depends
 only on the table and the word, so the table also keeps the mask of every
 word it has run, within a fixed byte budget
 (``WORD_CACHE_BYTES``); the refinement and ``verify_witness`` share those
@@ -258,30 +259,25 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
 
     ``_reach`` gives, per state, the words that reach it in every table of
     a chunk, one slot per table; a candidate's signature is its slot of the
-    OR over its accepting states.  Each rep gets one packed sort key,
-    (word count, size, rank of the accepting tuple, position met); tables
-    are met in increasing order, so this is the order (word count, size,
-    accepting ids, table), which is that of the serializations, as state ids
-    are single digits.  In that order, each rep's transition targets
-    (``max_states`` for a state it lacks) and then its accepting flags are
-    appended to one byte string, one row of fixed stride per rep, which the
-    table keeps; every mask is one column of it.  Callers check the number
-    of DFAs the table stands for against their limits first."""
+    OR over its accepting states.  Each rep's row, its transition targets
+    (``max_states`` for a state it lacks) and then its accepting flags, is
+    appended to the bucket of its (word count, size, accepting ids).  Tables
+    are met in increasing order, so within a bucket the rows stand in table
+    order, and the buckets joined in key order give the order (word count,
+    size, accepting ids, table), which is that of the serializations, as
+    state ids are single digits.  The joined rows, of fixed stride, are the
+    byte string the table keeps; every mask is one column of it.  Callers
+    check the number of DFAs the table stands for against their limits
+    first."""
     width = len(alphabet)
     depth = max(2 * max_states - 2, 1)
     slot = (sum(width**l for l in range(depth + 1)) + 7) // 8  # bytes per signature
     cells = max_states * width
     absent = bytes([max_states])  # the target byte of a state the rep lacks
-    # bits of a position met, which stays below the number of DFAs the
-    # table stands for
-    low = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1)).bit_length()
-    shift = low + max_states + max_states.bit_length()
     seen: set[bytes] = set()  # signatures of the reps met with < max_states states
-    moves, flagged, keys = [], [], []  # per rep in the order met
+    buckets: dict[tuple, bytearray] = {}  # (word count, size, accepting ids) -> rows
     for k in range(1, max_states + 1):
         subsets = [tuple(q for q in range(k) if s >> q & 1) for s in range(1 << k)]
-        rank = {acc: r for r, acc in enumerate(sorted(subsets))}
-        flags = {acc: bytes(q in acc for q in range(max_states)) for acc in subsets}
         tables = _canonical_tables(k, width)
         # a few thousand tables at a time, so that each integer of _reach
         # takes about 64 KiB
@@ -289,6 +285,7 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
             reach = _reach(chunk, k, width, depth, slot)
             padded = [bytes(flat).ljust(cells, absent) for flat in chunk]
             for acc in subsets if k == 1 else subsets[1:-1]:
+                flags = bytes(q in acc for q in range(max_states))
                 joined = 0
                 for q in acc:
                     joined |= reach[q]
@@ -297,24 +294,15 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
                 new = [f for f, sig in enumerate(sigs) if sig not in seen]
                 if k < max_states:
                     seen.update(sigs[f] for f in new)
-                head = (k << max_states | rank[acc]) << low | len(moves)
-                keys += [
-                    int.from_bytes(sigs[f], "little").bit_count() << shift | head + i
-                    for i, f in enumerate(new)
-                ]
-                moves += [padded[f] for f in new]
-                flagged += [flags[acc]] * len(new)
+                for f in new:
+                    key = (int.from_bytes(sigs[f], "little").bit_count(), k, acc)
+                    rows = buckets.setdefault(key, bytearray())
+                    rows += padded[f]
+                    rows += flags
     del seen
-    keys.sort()
-    last = (1 << low) - 1
     stride = cells + max_states
-    # Appends, not b"".join, which takes an 80-byte buffer view per part.
-    blob = bytearray()
-    for key in keys:
-        i = key & last
-        blob += moves[i]
-        blob += flagged[i]
-    del keys, moves, flagged
+    blob = b"".join(buckets[key] for key in sorted(buckets))
+    del buckets
     trans = tuple(
         tuple(
             tuple(
@@ -333,7 +321,7 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     smaller = (0, 0, *lacking, (1 << len(blob) // stride) - 1)
     return _LangTable(
         alphabet=alphabet,
-        rows=bytes(blob),
+        rows=blob,
         trans=trans,
         final=tuple(_column_mask(blob, cells + q, stride, 1) for q in range(max_states)),
         smaller=smaller,
@@ -359,7 +347,11 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
         )
     max_states = max(1, ind - 1)
     width = len(a.alphabet)
-    budget = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
+    # A largest term past the cap and 2^64 fires the check alone; the message
+    # shows such a count only by its top bit, at most one below the sum's.
+    budget = max_states ** (max_states * width) * 2**max_states
+    if budget <= limits.max_enumerated_dfas or budget < 2**64:
+        budget = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
     if budget > limits.max_enumerated_dfas:
         raise ResourceLimitError(
             f"language table for {max_states} states over {width} letters "
@@ -525,12 +517,11 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
         level = [minimize(product(x, y, "union", MAX_FOLD_STATES)) for x, y in pairs] + odd
     acc = level[0] if level else empty_language_dfa(a.alphabet)
 
-    # Both are canonical minimal DFAs, so equal tables accept the same words;
-    # the search runs only to find the least word on which they differ.
+    # Both are canonical minimal DFAs, so they accept the same words exactly
+    # when their tables are equal; the search runs only to find the least
+    # word on which they differ.
     if (acc.delta, acc.initial, acc.accepting) == (m.delta, m.initial, m.accepting):
         return True, None
-    same, word = equivalent(acc, m)
-    if not same:
-        rendered = " ".join(word) if word else "<epsilon>"
-        return False, f"language mismatch at word: {rendered}"
-    return True, None
+    word = equivalent(acc, m)[1]
+    rendered = " ".join(word) if word else "<epsilon>"
+    return False, f"language mismatch at word: {rendered}"

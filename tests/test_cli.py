@@ -403,6 +403,19 @@ class TestGadgetCommand:
         assert r.returncode == 0
         assert parse_dfa(r.stdout).state_count == parse_dfa(SWAP_DOC).state_count + 4
 
+    # 71,429 nodes: the S-prime gadget passes the cap, its minimality base not
+    @pytest.mark.parametrize(
+        "kind,nodes,states", [("minimality", 200000, 1400001), ("sprime", 71429, 1000008)]
+    )
+    def test_gadget_past_the_state_cap_exits_two(self, tmp_path, kind, nodes, states):
+        f = tmp_path / "wide.graph"
+        f.write_text(f"nodes {nodes}\nedge 0 1\ns 0\nt 1\nend\n")
+        r = run_cli(["gadget", kind, str(f)])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (
+            f"error: {kind} gadget of {nodes} nodes has {states} states, cap is 1000000\n"
+        )
+
     def test_bad_graph_exits_three(self, tmp_path):
         f = tmp_path / "bad.graph"
         f.write_text("nodes 2\ns 0\nt 1\n")  # missing end

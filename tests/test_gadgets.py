@@ -13,6 +13,7 @@ from primedfa import (
     DfaError,
     ParseError,
     Digraph,
+    ResourceLimitError,
     decide_intersection_primality,
     decide_s_primality,
     digraph_reachable,
@@ -84,6 +85,11 @@ class TestDigraph:
         with pytest.raises(DfaError, match="outdegree"):
             Digraph(4, ((0, 1), (0, 2), (0, 3)), 0, 3)
 
+    def test_outdegree_error_names_the_lowest_node(self):
+        edges = ((3, 0), (3, 1), (3, 2), (1, 0), (1, 2), (1, 3))
+        with pytest.raises(DfaError, match="^node 1 exceeds"):
+            Digraph(4, edges, 0, 3)
+
     def test_duplicate_edge(self):
         with pytest.raises(DfaError, match="duplicate"):
             Digraph(2, ((0, 1), (0, 1)), 0, 1)
@@ -134,6 +140,26 @@ class TestLargeGraph:
         assert digraph_reachable(g)
         assert minimality_gadget(g).state_count == 7 * v + 1
         assert sprime_gadget(g).state_count == 14 * v + 2
+
+    def test_node_count_allocates_nothing(self):
+        g = Digraph(10**8, ((0, 1),), 0, 1)
+        assert g.successors(0) == [1] and g.successors(10**8 - 1) == []
+        assert digraph_reachable(g)
+        assert is_empty(minimality_gadget(Digraph(10**8, (), 5, 5)))[0]
+
+    @pytest.mark.parametrize(
+        "gadget,text",
+        [
+            (minimality_gadget, "minimality gadget of 142858 nodes has 1000007 states"),
+            (sprime_gadget, "sprime gadget of 142858 nodes has 2000014 states"),
+        ],
+    )
+    def test_gadget_past_the_state_cap_raises_before_building(self, gadget, text):
+        # 142,857 nodes give a minimality gadget of 10^6 states, the cap
+        assert 7 * 142_857 + 1 == 10**6
+        g = Digraph(142_858, ((0, 1),), 0, 1)
+        with pytest.raises(ResourceLimitError, match=f"^{text}, cap is 1000000$"):
+            gadget(g)
 
 
 class TestMinimalityGadget:

@@ -23,7 +23,7 @@ EPSILON: Word = ()
 # state 10,001, so before minimizing, the costly step.  Also the most
 # (class, state) pairs one step of the finite fold memoizes (pairs on a
 # self-loop sink of the factor are not walked, so not counted), and the
-# most nodes an oracle ``_shortest_word`` search stores: the nodes where a
+# most nodes one round of the oracle's refinement stores: the nodes where a
 # chosen rep is dead are stored and counted, though never expanded.
 MAX_FOLD_STATES = 10**4
 
@@ -53,8 +53,18 @@ def _count_text(n: int, shift: int = 0) -> str:
     return str(n << shift) if top < 64 else f"at least 2^{top}"
 
 
-@dataclass(frozen=True)
-class Dfa:
+class _Kept:
+    """One slot for each value a function keeps on a ``Dfa`` once computed:
+    the minimal DFA (``minimize``) and the mark that it is one,
+    ``_useful_walk``'s result, and ``primality``'s analysis and branch.  So
+    a ``Dfa`` has no ``__dict__``, which took about 300 bytes per ``Dfa``
+    where a program keeps thousands of them."""
+
+    __slots__ = ("_minimized", "_minimal", "_walk", "_linear_profile", "_intersection_branch")
+
+
+@dataclass(frozen=True, slots=True)
+class Dfa(_Kept):
     """A complete deterministic finite automaton.
 
     States are the integers ``0 .. state_count-1``.  ``delta[q][i]`` is the
@@ -605,9 +615,7 @@ def index_of(a: Dfa) -> int:
     return minimize(a).state_count
 
 
-def _product_walk(
-    dfas: Sequence[Dfa], cap: int | None = None, live: Sequence[Sequence[bool]] | None = None
-):
+def _product_walk(dfas: Sequence[Dfa], cap: int | None = None):
     """Breadth-first walk over the product of ``dfas`` (all over one
     alphabet), which is never built.  Yields ``(node, parent)`` for every
     reachable node, a tuple of states, in the order of their least words
@@ -615,11 +623,7 @@ def _product_walk(
     to ``(node before it, letter position)``, the start node to ``None``.
     A node is expanded when the walk resumes after yielding it.  With a
     ``cap``, raises ``ResourceLimitError`` before storing a node past
-    ``cap`` nodes.  With ``live``, one list per DFA saying which of its
-    states can still reach acceptance, a node past the start with a state
-    that cannot is stored (and counted by the cap) but neither yielded nor
-    expanded; the other nodes keep their order, as a dead state leads only
-    to dead states."""
+    ``cap`` nodes."""
     for d in dfas[1:]:
         _check_same_alphabet(dfas[0], d)
     deltas = [d.delta for d in dfas]
@@ -636,21 +640,17 @@ def _product_walk(
                         f"states, cap is {cap}"
                     )
                 parent[nxt] = (node, x)
-                if live is None or all(map(getitem, live, nxt)):
-                    order.append(nxt)
+                order.append(nxt)
 
 
-def _shortest_word(
-    dfas: Sequence[Dfa], goal, cap: int | None = None, live: Sequence[Sequence[bool]] | None = None
-) -> Word | None:
+def _shortest_word(dfas: Sequence[Dfa], goal, cap: int | None = None) -> Word | None:
     """The least word in length-then-alphabet order whose acceptances, one
     bool per DFA of ``dfas`` (all over one alphabet), satisfy ``goal``, or
-    ``None``: the first node of ``_product_walk(dfas, cap, live)`` that
-    satisfies it, read back along its parents.  With ``live``, ``goal`` must
-    fail wherever a DFA is in a dead state."""
+    ``None``: the first node of ``_product_walk(dfas, cap)`` that satisfies
+    it, read back along its parents."""
     alphabet = dfas[0].alphabet
     finals = [d.accepting for d in dfas]
-    for node, parent in _product_walk(dfas, cap, live):
+    for node, parent in _product_walk(dfas, cap):
         if goal(tuple([q in f for q, f in zip(node, finals)])):
             word = []
             while parent[node] is not None:

@@ -12,8 +12,8 @@ each.  The table is bit-sliced: every set of reps is one integer mask, bit
 i standing for rep i, and one primitive, ``accept_mask``, runs a word on
 all reps at once and returns the mask of those that accept it.  Each rep
 is kept once, as one byte row of the table (its transition targets, then
-its accepting flags); only the refinement reads a rep as a ``Dfa``,
-decoded from its row by ``rep(i)`` on first use.  The table is built in
+its accepting flags); only the refinement reads a rep whole, as the
+moves ``moves(i)`` decodes from its row on first use.  The table is built in
 bulk, not one candidate at a time: ``_reach`` runs the short words on a
 few thousand canonical tables at once, one slot of an integer per table,
 so each candidate's acceptance signature is an OR of slots; each rep's
@@ -30,10 +30,12 @@ Alpha selection for a finite L(A) is the AND of the masks of its words,
 which the inputs of a process largely share; only an infinite L(A) takes
 the same steps along the minimal DFA of A, in one reachability fixpoint.
 Either runs once per input: the table keeps the last minimal DFA and its
-mask, so ``verify_witness`` after ``oracle_primality`` reuses it.  Each
-round of the refinement is one shortest-word search that does not expand a
-node where a chosen rep is in a dead state.  Verdicts are identical to the
-literal definition.
+mask, so ``verify_witness`` after ``oracle_primality`` reuses it.  The
+refinement starts from alpha's tightest rep, which keeps its witness the
+least word of the alpha intersection outside L(A).  Each round is one
+breadth-first search that stops at the first stored node meeting its goal
+and does not expand a node where a chosen rep is in a dead state.  Verdicts
+are identical to the literal definition.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 
 from .classify import LinearProfile
 from .core import (
@@ -51,7 +54,6 @@ from .core import (
     Word,
     _alphabet_index,
     _count_text,
-    _shortest_word,
     _useful_walk,
     accepts,
     empty_language_dfa,
@@ -164,8 +166,10 @@ class _LangTable:
     serialization.  Bit i of every mask stands for rep i, kept as row i of
     ``rows``: its row-major transition targets, ``max_states`` for each
     target of a state it lacks, then one accepting flag per state, with
-    initial state 0.  Only the refinement reads a rep as a DFA: ``rep(i)``
-    decodes that ``Dfa`` on first use and keeps it in ``dfas``.  ``masks``
+    initial state 0.  Only the refinement reads a rep whole: ``moves(i)``
+    decodes its targets, accepting flags and live flags on first use and
+    keeps them in ``decoded``; ``rep(i)`` is a ``Dfa`` built from them
+    afresh on each call, for the tests.  ``masks``
     keeps ``accept_mask(w)`` by word, ``held`` the bytes its entries count
     (at most ``WORD_CACHE_BYTES``), ``last`` the minimal DFA
     ``_alpha_members`` last selected for and its alpha mask."""
@@ -175,7 +179,8 @@ class _LangTable:
     trans: tuple  # trans[q][x]: pairs (t, reps whose state q goes to t on x)
     final: tuple  # final[q]: reps whose state q accepts
     smaller: tuple  # smaller[k]: reps with fewer than k states
-    dfas: dict = field(default_factory=dict)  # i -> rep(i)
+    decoded: dict = field(default_factory=dict)  # i -> moves(i)
+    pieces: dict = field(default_factory=dict)  # each bytes value in ``decoded``, by itself
     masks: dict = field(default_factory=dict)  # w -> accept_mask(w)
     held: int = 0
     last: tuple = (None, 0)
@@ -183,18 +188,41 @@ class _LangTable:
     def __len__(self) -> int:
         return len(self.rows) // ((len(self.alphabet) + 1) * len(self.final))
 
-    def rep(self, i: int) -> Dfa:
-        if i not in self.dfas:
+    def moves(self, i: int) -> tuple[tuple[bytes, ...], bytes, bytes]:
+        """Rep i as the refinement walks it, decoded from its row on first
+        use and kept in ``decoded``: per state the ``bytes`` of its targets
+        by letter position, then one accepting flag per state, then one live
+        flag per state.  The live flag is 0 only at the rejecting self-loop
+        sink, a minimal DFA's only state that cannot reach acceptance.  Equal
+        ``bytes`` values are one object, kept in ``pieces``: a table has few
+        distinct ones (at most 16 target rows in the binary 4-state table)."""
+        got = self.decoded.get(i)
+        if got is None:
             w, max_states = len(self.alphabet), len(self.final)
             cells = w * max_states
             stride = cells + max_states
             row = self.rows[i * stride : (i + 1) * stride]
-            targets = row[:cells].rstrip(bytes([max_states]))
-            k = len(targets) // w
-            delta = tuple(tuple(targets[q * w : (q + 1) * w]) for q in range(k))
-            accepting = frozenset(q for q in range(k) if row[cells + q])
-            self.dfas[i] = Dfa(self.alphabet, delta, 0, accepting)
-        return self.dfas[i]
+            k = len(row[:cells].rstrip(bytes([max_states]))) // w
+            targets = tuple(row[q * w : (q + 1) * w] for q in range(k))
+            accepting = row[cells : cells + k]
+            live = bytes(f or t.count(q) < w for q, (t, f) in enumerate(zip(targets, accepting)))
+            share = self.pieces.setdefault
+            got = self.decoded[i] = (
+                tuple(share(t, t) for t in targets),
+                share(accepting, accepting),
+                share(live, live),
+            )
+        return got
+
+    def rep(self, i: int) -> Dfa:
+        """Rep i as a ``Dfa``, built afresh from ``moves(i)`` on each call."""
+        targets, accepting, _ = self.moves(i)
+        return Dfa(
+            self.alphabet,
+            tuple(map(tuple, targets)),
+            0,
+            frozenset(q for q, f in enumerate(accepting) if f),
+        )
 
     def start(self, among: int) -> list[int]:
         """Run vector of the reps in ``among`` before any letter: entry q is
@@ -419,33 +447,70 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
     """Counterexample-driven intersection refinement.
 
     The intersection of the chosen members always contains the alpha
-    intersection.  Each round takes the shortest word that every chosen
-    member accepts and A rejects: if no member rejects it, the word lies in
-    the full intersection and certifies primality; otherwise the tightest
-    rejecting member (the lowest bit) is chosen too.  Terminates with either
-    no such word (composite, returns ``None``) or a witness word that is the
-    overall shortest (ties broken by alphabet order).
+    intersection.  Each round takes the least word (shortest, ties broken by
+    alphabet order) that every chosen member accepts and A rejects: if no
+    member rejects it, the word lies in the full intersection and certifies
+    primality; otherwise the tightest rejecting member (the lowest bit) is
+    chosen too.  Terminates with either no such word (composite, returns
+    ``None``) or a witness word.  The first round already holds alpha's
+    tightest member.  Any subset of alpha would do: the word of a round is
+    the least of (chosen intersection) minus L(A), a superset of (alpha
+    intersection) minus L(A), so a round's word that no alpha member
+    rejects is the least of the latter too, and the rounds end without a
+    word exactly when the latter is empty.
 
-    A search node where a chosen member sits in a dead state is stored (the
-    ``MAX_FOLD_STATES`` cap counts it) but not expanded: that member rejects
-    every extension, so no goal lies below it, and since dead states lead
-    only to dead states every other node keeps its least word.  The search
-    finds the same word as over the whole product.  A is never pruned, as
-    the goal needs it to reject."""
-    chosen = [m]  # A, then the chosen members
-    live = [(True,) * m.state_count]
+    Each round is one breadth-first search over the product of A and the
+    chosen members, each held as its ``moves``, never as a ``Dfa``.  Nodes
+    are stored in the order of their least words, so the first node that
+    meets the goal when it is stored (A rejects, every member accepts, read
+    off per-DFA flag sequences) ends the round with that least word.  A
+    node where a chosen member sits in a dead state is stored (the
+    ``MAX_FOLD_STATES`` cap counts it) but not expanded: that member
+    rejects every extension, so no goal lies below it, and since dead
+    states lead only to dead states every other node keeps its least word.
+    A is never pruned, as the goal needs it to reject."""
+    alphabet = m.alphabet
+    deltas = [m.delta]  # A, then the chosen members' targets
+    goals = [bytes(q not in m.accepting for q in range(m.state_count))]  # A must reject
+    live = [b"\1" * m.state_count]
+    pick = selected & -selected  # the tightest member, if any
     while True:
-        w = _shortest_word(
-            chosen, lambda acc: not acc[0] and all(acc[1:]), MAX_FOLD_STATES, live
-        )
-        if w is None:
+        if pick:
+            targets, accepting, alive = table.moves(pick.bit_length() - 1)
+            deltas.append(targets)
+            goals.append(accepting)
+            live.append(alive)
+        start = (m.initial,) + (0,) * (len(deltas) - 1)
+        parent = {start: None}
+        order = [start]
+        goal = start if all(map(getitem, goals, start)) else None
+        for node in order:
+            if goal is not None:
+                break
+            for x, nxt in enumerate(zip(*map(getitem, deltas, node))):  # successors by letter
+                if nxt not in parent:
+                    if len(parent) >= MAX_FOLD_STATES:
+                        raise ResourceLimitError(
+                            f"product of {len(deltas)} DFAs reached {len(parent) + 1} "
+                            f"states, cap is {MAX_FOLD_STATES}"
+                        )
+                    parent[nxt] = (node, x)
+                    if all(map(getitem, goals, nxt)):
+                        goal = nxt
+                        break
+                    if all(map(getitem, live, nxt)):
+                        order.append(nxt)
+        if goal is None:
             return None
-        rejecting = selected & ~table.accept_mask(w)
+        word = []
+        while parent[goal] is not None:
+            goal, x = parent[goal]
+            word.append(alphabet[x])
+        w = tuple(reversed(word))
+        rejecting = selected ^ (selected & table.accept_mask(w))
         if not rejecting:
             return w
-        rep = table.rep((rejecting & -rejecting).bit_length() - 1)
-        chosen.append(rep)
-        live.append(_useful_walk(rep)[1])
+        pick = rejecting & -rejecting
 
 
 def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:
@@ -464,7 +529,7 @@ def verify_witness(a: Dfa, w: Word, limits: OracleLimits = DEFAULT_LIMITS) -> bo
     if accepts(a, w):
         return False
     _, selected, table = _alpha_members(a, limits)
-    return not (selected & ~table.accept_mask(w))
+    return selected & table.accept_mask(w) == selected
 
 
 def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:

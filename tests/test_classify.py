@@ -82,6 +82,24 @@ class TestLinearProfile:
         with pytest.raises(DfaError, match="infinite"):
             linear_profile(all_accepting_dfa(BINARY))
 
+    def test_profiles_share_equal_rows_within_a_bound(self, monkeypatch):
+        import primedfa.classify as classify
+
+        monkeypatch.setattr(classify, "_SHARED", {})
+        monkeypatch.setattr(classify, "SHARED_VALUES", 8)
+        one, two = (linear_profile(language_dfa([("a", "b"), ("b",)], AB)) for _ in "12")
+        assert one.base is not two.base and one.base.delta == two.base.delta
+        assert all(r is s for r, s in zip(one.base.delta, two.base.delta))
+        assert one.accepting is two.accepting
+        for n in range(1, 15):
+            linear_profile(language_dfa([("a",) * n], AB))
+            # cleared before a profile once past the bound, then n + 2 rows
+            # and one accepting set at most
+            assert len(classify._SHARED) <= 8 + n + 3
+        kept = dict(classify._SHARED)
+        big = linear_profile(language_dfa([("a",) * classify.SHARED_STATES], AB))
+        assert big.n + 2 > classify.SHARED_STATES and classify._SHARED == kept
+
     def test_epsilon_only_language_is_linear(self):
         p = linear_profile(language_dfa([()], BINARY))
         assert p is not None and p.n == 0

@@ -603,6 +603,9 @@ class TestMinimize:
         a = trie_dfa([("0",), ("0", "1")], BINARY)
         m = minimize(a)
         assert m is not a and minimize(a) is m and minimize(m) is m
+        core._useful_walk(m)
+        # kept in slots: no Dfa grows an instance dict
+        assert not hasattr(a, "__dict__") and not hasattr(m, "__dict__")
 
     def test_canonical_for_equal_languages(self):
         rng = random.Random(17)
@@ -831,13 +834,19 @@ class TestUsefulWalk:
         assert core._useful_walk(empty) == (None, [False], []) == _walk_by_search(empty)
         assert core._useful_walk(full) == (math.inf, [True], None) == _walk_by_search(full)
 
-    def test_every_rep_of_the_binary_three_state_table(self):
+    @pytest.mark.parametrize("alphabet, max_states", [(BINARY, 3), (("0", "1", "2"), 2)])
+    def test_every_rep_of_a_small_table(self, alphabet, max_states):
         from primedfa.oracle import _language_table
 
-        table = _language_table(BINARY, 3)
+        table = _language_table(alphabet, max_states)
         for i in range(len(table)):
             rep = table.rep(i)
-            assert core._useful_walk(rep) == _walk_by_search(rep)
+            walk = core._useful_walk(rep)
+            assert walk == _walk_by_search(rep)
+            targets, accepting, live = table.moves(i)
+            assert tuple(map(tuple, targets)) == rep.delta
+            assert {q for q, f in enumerate(accepting) if f} == rep.accepting
+            assert list(map(bool, live)) == walk[1]
 
 
 @settings(max_examples=200, deadline=None)

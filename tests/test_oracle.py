@@ -344,9 +344,10 @@ class TestAlphaMembers:
 
     def test_infinite_language_runs_no_shortest_word_search(self, monkeypatch):
         def no_search(*args):
-            raise AssertionError("_shortest_word called")
+            raise AssertionError("search called")
 
-        monkeypatch.setattr(oracle, "_shortest_word", no_search)
+        monkeypatch.setattr(oracle, "_refine", no_search)
+        monkeypatch.setattr(core, "_shortest_word", no_search)
         _, selected, _ = _alpha_members(mod_counter_dfa(5), DEFAULT_LIMITS)
         assert selected.bit_count() == 53
 
@@ -474,8 +475,16 @@ TERNARY_EPS_OR_TWO = ([()] + list(itertools.product("abc", repeat=2)), ("a", "b"
 
 
 class TestRefinement:
-    def test_matches_the_unpruned_loop(self):
-        inputs = _criterion1_sample() + [
+    def test_matches_the_unpruned_loop(self, exhaustive_instances):
+        rng = random.Random(3001)
+        cyclic = []  # random DFAs over 1-3 letters within the default caps
+        while len(cyclic) < 200:
+            alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+            a = random_dfa(rng, max_states=6, alphabet=alphabet)
+            if minimize(a).state_count <= (4 if len(alphabet) == 3 else 5):
+                cyclic.append(a)
+        assert any(core.longest_word_length(a) == math.inf for a in cyclic)
+        inputs = _criterion1_sample() + exhaustive_instances + cyclic + [
             mod_counter_dfa(2),
             mod_counter_dfa(5),
             language_dfa(*TERNARY_EPS_OR_TWO),

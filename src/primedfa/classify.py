@@ -112,7 +112,7 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
         accepting = share(accepting, accepting)
     assert relabel[m.initial] == 0
     assert n in accepting and sink not in accepting
-    base = Dfa(alphabet=m.alphabet, delta=tuple(rows), initial=0, accepting=accepting, name=m.name)
+    base = Dfa._trusted(m.alphabet, tuple(rows), 0, accepting, m.name)
 
     return LinearProfile(n=n, base=base)
 

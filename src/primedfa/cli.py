@@ -93,8 +93,17 @@ def _emit(report: CommandReport, as_json: bool) -> None:
         sys.exit(report.exit_code)
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file, which must be UTF-8: a file that is not
+    is an input error (``ParseError``)."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_dfa(path: str) -> Dfa:
-    return parse_dfa(pathlib.Path(path).read_text())
+    return parse_dfa(_read_text(path))
 
 
 def _render_word(w: Word | None) -> str:
@@ -315,7 +324,7 @@ def factory(kind: str, alphabet: str, word: str, length_: int, letter: str, coun
 def gadget(kind: str, input_file: str) -> None:
     """Build a reduction gadget; graph input for minimality/sprime,
     DFA input for primefin/prime2."""
-    text = pathlib.Path(input_file).read_text()
+    text = _read_text(input_file)
     if kind in ("minimality", "sprime"):
         g = parse_digraph(text)
         a = minimality_gadget(g) if kind == "minimality" else sprime_gadget(g)

@@ -8,6 +8,7 @@ construction; every operation is a pure function returning fresh values.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -85,21 +86,50 @@ class Dfa(_Kept):
         k = len(self.delta)
         if k == 0:
             raise DfaError("DFA needs at least one state")
-        if not (0 <= self.initial < k):
-            raise DfaError(f"initial state {self.initial} out of range")
+        _check_id("initial state", self.initial, k)
         for q, row in enumerate(self.delta):
             if len(row) != len(self.alphabet):
                 raise DfaError(f"transition row of state {q} is not total")
             for t in row:
-                if not (0 <= t < k):
-                    raise DfaError(f"transition target {t} out of range")
+                if type(t) is not int or not 0 <= t < k:
+                    _check_id("transition target", t, k)
         for q in self.accepting:
-            if not (0 <= q < k):
-                raise DfaError(f"accepting state {q} out of range")
+            if type(q) is not int or not 0 <= q < k:
+                _check_id("accepting state", q, k)
+
+    @staticmethod
+    def _trusted(
+        alphabet: tuple[str, ...],
+        delta: tuple[tuple[int, ...], ...],
+        initial: int,
+        accepting: frozenset[int],
+        name: str,
+    ) -> Dfa:
+        """A ``Dfa`` of fields that are valid by construction, set without
+        the checks of ``__post_init__``.  Only for tables this module and
+        ``classify`` build from a valid ``Dfa`` or after their own checks;
+        every public construction goes through ``Dfa(...)``."""
+        a = object.__new__(Dfa)
+        object.__setattr__(a, "alphabet", alphabet)
+        object.__setattr__(a, "delta", delta)
+        object.__setattr__(a, "initial", initial)
+        object.__setattr__(a, "accepting", accepting)
+        object.__setattr__(a, "name", name)
+        return a
 
     @property
     def state_count(self) -> int:
         return len(self.delta)
+
+
+def _check_id(what: str, q, k: int) -> None:
+    """Raises ``DfaError`` unless ``q`` is a state id of a DFA of ``k``
+    states: an ``int`` (not a ``bool``) in ``0 .. k-1``, as the text format
+    writes and reads it back."""
+    if type(q) is not int:
+        raise DfaError(f"{what} {q!r} is not an int")
+    if not 0 <= q < k:
+        raise DfaError(f"{what} {q} out of range")
 
 
 @lru_cache(maxsize=1024)  # programs use a handful of alphabets
@@ -189,13 +219,73 @@ def _directives(text: str, headers: frozenset[str]) -> Iterator[tuple[int, list[
     raise ParseError("missing 'end'")
 
 
+# The layout ``serialize_dfa`` writes: the five headers in that order, then
+# the transitions, then ``end``; one space between tokens, ``\n`` line ends,
+# no comments or blank lines, ids of at most 18 ASCII digits (``int`` converts
+# them under any digit limit; a longer id goes to the line walk).
+_BULK_HEADERS = re.compile(
+    r"dfa ([^\s#]+)\nalphabet((?: [^\s#]+)+)\nstates ([0-9]{1,18})\n"
+    r"initial ([0-9]{1,18})\naccepting((?: [0-9]{1,18})*)\n"
+)
+_BULK_TRANS = re.compile(r"(?:trans [0-9]{1,18} [^\s#]+ [0-9]{1,18}\n)+")
+
+
 def parse_dfa(text: str) -> Dfa:
     """The DFA of a text document (format above).  Raises ``ParseError`` on
     the first bad directive, in document order, else on a missing header or
     id out of range, else on the first missing transition in row-major
-    order.  Transitions are kept by ``src * width + letter position`` and
-    the rows built once all of them are known, so no table is allocated for
-    more states than the document lists transitions for."""
+    order.
+
+    A valid document in the layout ``serialize_dfa`` writes is checked and
+    converted in bulk (``_parse_bulk``).  Any other document, and any bulk
+    check that fails, goes to the line walk (``_parse_lines``), which
+    returns the same DFA and names the error."""
+    a = _parse_bulk(text)
+    return a if a is not None else _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> Dfa | None:
+    """``parse_dfa`` of a valid document in the layout ``serialize_dfa``
+    writes, else ``None``.  The transition lines are matched by one regex
+    and split once; their columns are compared, converted and checked
+    whole, and the rows cut straight from the targets.  The transitions
+    must be in row-major order with plain ids, as ``serialize_dfa`` writes
+    them; any other order goes to the line walk."""
+    head = _BULK_HEADERS.match(text)
+    if head is None or not text.endswith("\nend\n"):
+        return None
+    start, stop = head.end(), len(text) - 4
+    if _BULK_TRANS.fullmatch(text, start, stop) is None:
+        return None
+    name, symbols, states, initial, accepting = head.groups()
+    alphabet = tuple(symbols.split())
+    width = len(alphabet)
+    k, initial = int(states), int(initial)
+    accepting = frozenset(map(int, accepting.split()))
+    tokens = text[start:stop].split()
+    dsts = list(map(int, tokens[3::4]))
+    if (
+        len(set(alphabet)) != width
+        or len(dsts) != k * width
+        or initial >= k
+        or max(dsts) >= k
+        or max(accepting, default=0) >= k
+    ):
+        return None
+    srcs, syms = tokens[1::4], tokens[2::4]
+    ids = list(map(str, range(k)))  # k is at most the number of transitions
+    if syms != list(alphabet) * k or any(srcs[x::width] != ids for x in range(width)):
+        return None
+    delta = tuple(zip(*[iter(dsts)] * width))
+    return Dfa._trusted(alphabet, delta, initial, accepting, name)
+
+
+def _parse_lines(text: str) -> Dfa:
+    """``parse_dfa`` by a walk over the directives, one line at a time,
+    which accepts every document of the format and names the first error.
+    Transitions are kept by ``src * width + letter position`` and the rows
+    built once all of them are known, so no table is allocated for more
+    states than the document lists transitions for."""
     name = None
     alphabet: tuple[str, ...] | None = None
     letters: dict[str, int] | None = None  # symbol -> letter position (shared)
@@ -274,13 +364,7 @@ def parse_dfa(text: str) -> Dfa:
         q, x = divmod(next(c for c in range(len(cells) + 1) if c not in cells), width)
         raise ParseError(f"incomplete transition function at state {q}, letter {alphabet[x]}")
     row_major = map(cells.__getitem__, range(len(cells)))
-    return Dfa(
-        alphabet=alphabet,
-        delta=tuple(zip(*[row_major] * width)),
-        initial=initial,
-        accepting=accepting,
-        name=name,
-    )
+    return Dfa._trusted(alphabet, tuple(zip(*[row_major] * width)), initial, accepting, name)
 
 
 def serialize_dfa(a: Dfa) -> str:
@@ -363,22 +447,16 @@ def product(a: Dfa, b: Dfa, mode: str, cap: int | None = None) -> Dfa:
             accepting.add(idx)
 
     op = {"intersect": "&", "union": "|", "difference": "-"}[mode]
-    return Dfa(
-        alphabet=a.alphabet,
-        delta=rows,
-        initial=0,
-        accepting=frozenset(accepting),
-        name=f"({a.name}{op}{b.name})",
-    )
+    return Dfa._trusted(a.alphabet, rows, 0, frozenset(accepting), f"({a.name}{op}{b.name})")
 
 
 def complement(a: Dfa) -> Dfa:
-    return Dfa(
-        alphabet=a.alphabet,
-        delta=a.delta,
-        initial=a.initial,
-        accepting=frozenset(range(a.state_count)) - a.accepting,
-        name=f"not({a.name})",
+    return Dfa._trusted(
+        a.alphabet,
+        a.delta,
+        a.initial,
+        frozenset(range(a.state_count)) - a.accepting,
+        f"not({a.name})",
     )
 
 
@@ -487,7 +565,9 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
     """The canonical form of a minimal class table (as ``_class_table`` and
     Moore refinement build it).  The classes reachable from ``start`` are
     renumbered in BFS discovery order, letters in alphabet order, and the
-    result is marked minimal (``minimize`` returns it as it is)."""
+    result is marked minimal (``minimize`` returns it as it is).  Built
+    unchecked: the table is valid by construction, and ``alphabet`` and
+    ``name`` must be those of a valid DFA."""
     number = {start: 0}
     order = [start]
     delta = []
@@ -500,12 +580,12 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
                 order.append(t)
             row.append(i)
         delta.append(tuple(row))
-    m = Dfa(
-        alphabet=alphabet,
-        delta=tuple(delta),
-        initial=0,
-        accepting=frozenset([i for i, c in enumerate(order) if final[c]]),
-        name=name,
+    m = Dfa._trusted(
+        alphabet,
+        tuple(delta),
+        0,
+        frozenset([i for i, c in enumerate(order) if final[c]]),
+        name,
     )
     object.__setattr__(m, "_minimal", True)
     return m
@@ -824,12 +904,14 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
 def all_accepting_dfa(alphabet: tuple[str, ...]) -> Dfa:
     """One-state DFA recognizing every word over ``alphabet``; minimal, and
     exactly what ``minimize`` returns for it."""
+    _alphabet_index(alphabet)  # the one field that comes from the caller
     return _canonical([(0,) * len(alphabet)], [True], 0, alphabet, "sigma-star")
 
 
 def empty_language_dfa(alphabet: tuple[str, ...]) -> Dfa:
     """Minimal DFA recognizing the empty language, exactly what ``minimize``
     returns for it."""
+    _alphabet_index(alphabet)  # the one field that comes from the caller
     return _canonical([(0,) * len(alphabet)], [False], 0, alphabet, "empty")
 
 

@@ -17,6 +17,25 @@ def language_dfa(words, alphabet) -> Dfa:
     return minimize(trie_dfa(sorted(set(words)), alphabet))
 
 
+def watch_dfas(monkeypatch, seen) -> None:
+    """Calls ``seen(a)`` on every ``Dfa`` built from now on: before the
+    checks of ``Dfa(...)``, and after ``Dfa._trusted``, which skips them.
+    ``seen`` may raise to forbid the construction."""
+    post_init, trusted = Dfa.__post_init__, Dfa._trusted
+
+    def checked(self):
+        seen(self)
+        post_init(self)
+
+    def unchecked(*fields):
+        a = trusted(*fields)
+        seen(a)
+        return a
+
+    monkeypatch.setattr(Dfa, "__post_init__", checked)
+    monkeypatch.setattr(Dfa, "_trusted", staticmethod(unchecked))
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)

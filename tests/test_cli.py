@@ -154,6 +154,19 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "line 3: expected 'states <k>'" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args", [["classify"], ["gadget", "primefin"], ["gadget", "minimality"]]
+    )
+    def test_non_utf8_file_is_input_error(self, tmp_path, args):
+        f = tmp_path / "bad.dfa"
+        f.write_bytes(FIG4_DOC.encode().replace(b"fig4", b"fig\xff"))
+        r = run_cli([*args, str(f)])
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == (
+            f"error: {f}: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n"
+        )
+
     def test_unknown_option_is_usage_error(self, fig4_file):
         assert run_cli(["prime", "--mode=bogus", fig4_file]).returncode == 3
 

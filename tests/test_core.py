@@ -22,6 +22,8 @@ from primedfa import (
     accepts,
     all_accepting_dfa,
     complement,
+    decide_intersection_primality,
+    decide_union_primality,
     empty_language_dfa,
     enumerate_language,
     equivalent,
@@ -30,6 +32,7 @@ from primedfa import (
     is_empty,
     is_finite_language,
     length_cap_dfa,
+    linear_profile,
     longest_word_length,
     minimize,
     mod_counter_dfa,
@@ -42,7 +45,14 @@ from primedfa import (
     to_dot,
     trie_dfa,
 )
-from conftest import BINARY, all_words, language_dfa, random_dfa, random_finite_dfa
+from conftest import (
+    BINARY,
+    all_words,
+    language_dfa,
+    random_dfa,
+    random_finite_dfa,
+    watch_dfas,
+)
 
 
 def _shuffled(a: Dfa, rng: random.Random) -> Dfa:
@@ -140,6 +150,21 @@ class TestParseSerialize:
     def test_names_that_cannot_round_trip_are_rejected(self, name):
         with pytest.raises(DfaError, match="name"):
             Dfa(BINARY, ((0, 0),), 0, frozenset(), name=name)
+
+    @pytest.mark.parametrize(
+        "delta,initial,accepting,message",
+        [
+            (((1.0, 2), (2, 2), (2, 2)), 0, {1}, "transition target 1.0 is not an int"),
+            (((1, True), (2, 2), (2, 2)), 0, {1}, "transition target True is not an int"),
+            (((1, 2), (2, 2), (2, 2)), True, {1}, "initial state True is not an int"),
+            (((1, 2), (2, 2), (2, 2)), 0.0, {1}, "initial state 0.0 is not an int"),
+            (((1, 2), (2, 2), (2, 2)), 0, {1.5}, "accepting state 1.5 is not an int"),
+            (((1, 2), (2, 2), (2, 2)), 0, {"1"}, "accepting state '1' is not an int"),
+        ],
+    )
+    def test_ids_that_cannot_round_trip_are_rejected(self, delta, initial, accepting, message):
+        with pytest.raises(DfaError, match=f"^{re.escape(message)}$"):
+            Dfa(("a", "b"), delta, initial, frozenset(accepting))
 
     def test_library_built_names_round_trip(self):
         a = singleton_dfa(("0", "1"), BINARY)
@@ -260,6 +285,126 @@ class TestParseErrors:
         assert parse_dfa(_edited(("accepting 2", "accepting"))) == a
 
 
+def _outcome(parse, doc: str):
+    """What ``parse`` makes of ``doc``: the DFA and its name, or the
+    exception's type and text."""
+    try:
+        a = parse(doc)
+    except Exception as exc:  # every kind of failure is compared
+        return type(exc), str(exc)
+    return a, a.name
+
+
+def _mutations(rng: random.Random, doc: str):
+    """``(kind, document)`` for edits of a serialized ``doc``: each kind of
+    edit once, at a random place."""
+    lines = doc.splitlines()
+    n = len(lines)
+    states = lines[2].split()[1]
+
+    def at(i, new):
+        return "\n".join(lines[:i] + new + lines[i + 1 :]) + "\n"
+
+    def swap(i, j):
+        out = list(lines)
+        out[i], out[j] = out[j], out[i]
+        return "\n".join(out) + "\n"
+
+    i, j = rng.randrange(n), rng.randrange(n)
+    t = 5 + rng.randrange(n - 6)  # a transition line, not the last line
+    parts = lines[t].split()
+    corrupt = list(parts)
+    corrupt[rng.randrange(4)] = rng.choice(["x", "-1", "99999", "0.5", "a#", "0", "1", "a", "b"])
+    yield "unchanged", doc
+    yield "delete", at(i, [])
+    yield "duplicate", at(i, [lines[i], lines[i]])
+    yield "swap", swap(i, j)
+    yield "swap transitions", swap(t, t + 1)
+    yield "corrupt token", at(t, [" ".join(corrupt)])
+    yield "comment line", at(i, ["# note", lines[i]])
+    yield "trailing comment", at(t, [lines[t] + " # note"])
+    yield "glued comment", at(i, [lines[i] + "#note"])
+    yield "blank line", at(i, ["", lines[i]])
+    yield "headers after transitions", "\n".join(lines[5:-1] + lines[:5] + ["end"]) + "\n"
+    yield "crlf", doc.replace("\n", "\r\n")
+    yield "no final newline", doc[:-1]
+    yield "unicode digit", at(t, [lines[t][:-1] + "\u0663"])
+    yield "fullwidth digit", at(t, [lines[t].replace(" ", " \uff11", 1)])
+    yield "nbsp", at(t, [lines[t].replace(" ", "\u00a0", 1)])
+    yield "leading zeros", at(t, [f"trans 0{parts[1]} {parts[2]} 00{parts[3]}"])
+    yield "long id", at(3, [f"initial {'0' * 20}{lines[3].split()[1]}"])
+    # a row-major table over the alphabet with its last symbol repeated
+    last = lines[1].split()[-1]
+    rows = []
+    for line in lines[5:-1]:
+        rows += [line] * (2 if line.split()[2] == last else 1)
+    yield "repeated symbol", "\n".join(
+        lines[:1] + [f"{lines[1]} {last}"] + lines[2:5] + rows + ["end"]
+    ) + "\n"
+    yield "initial out of range", at(3, [f"initial {states}"])
+    yield "empty accepting", at(4, ["accepting"])
+    yield "accepting out of range", at(4, [f"{lines[4]} {states}"])
+    yield "two spaces", at(t, [lines[t].replace(" ", "  ", 1)])
+    yield "content after end", doc + "trans 0 a 0\n"
+    yield "misspelled end", at(n - 1, ["edn"])
+
+
+class TestBulkParse:
+    """``parse_dfa`` checks documents in the ``serialize_dfa`` layout in bulk
+    and falls back to the line walk (``core._parse_lines``) for the rest:
+    both must agree on every document, DFA or error text."""
+
+    @staticmethod
+    def _sources():
+        rng = random.Random(31)
+        for _ in range(40):
+            alphabet = rng.choice([BINARY, ("a", "b", "c"), ("x",)])
+            yield rng, serialize_dfa(_shuffled(random_dfa(rng, 6, alphabet), rng))
+        for n in (80, 300, 600):  # long chains, as in the benchmark's decide-large
+            word = tuple(rng.choice("abc") for _ in range(n))
+            yield rng, serialize_dfa(_shuffled(singleton_dfa(word, ("a", "b", "c")), rng))
+
+    def test_bulk_path_agrees_with_the_line_walk(self):
+        for rng, doc in self._sources():
+            assert core._parse_bulk(doc) is not None
+            for kind, mutated in _mutations(rng, doc):
+                got = _outcome(parse_dfa, mutated)
+                assert got == _outcome(core._parse_lines, mutated), kind
+
+    def test_trusted_constructions_are_valid_and_round_trip(self, monkeypatch):
+        built = []
+        trusted = Dfa._trusted
+
+        def recording(*fields):
+            built.append(trusted(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(Dfa, "_trusted", staticmethod(recording))
+        rng = random.Random(7)
+        abc = ("a", "b", "c")
+        for _ in range(30):
+            doc = serialize_dfa(_shuffled(random_dfa(rng, 6, abc), rng))
+            a = parse_dfa(doc)
+            assert parse_dfa(doc.replace("\n", "\r\n")) == a  # by the line walk
+            b = random_finite_dfa(rng, alphabet=abc)
+            for mode in ("intersect", "union", "difference"):
+                minimize(product(a, b, mode))
+            minimize(complement(a))
+            intersect_all([b, a, complement(b)], abc)
+            intersect_all([a, b, complement(b)], abc)
+            linear_profile(singleton_dfa(tuple(rng.choice(abc) for _ in range(4)), abc))
+            decide_intersection_primality(b)
+            decide_union_primality(b)
+        all_accepting_dfa(abc)
+        empty_language_dfa(abc)
+        monkeypatch.undo()
+        assert len(built) > 300
+        for a in built:
+            again = Dfa(a.alphabet, a.delta, a.initial, a.accepting, a.name)
+            assert (again, again.name) == (a, a.name)
+            assert _outcome(parse_dfa, serialize_dfa(a)) == (a, a.name)
+
+
 class TestDot:
     def test_one_state_dfa(self):
         d = to_dot(empty_language_dfa(BINARY))
@@ -370,13 +515,7 @@ class TestProduct:
 
     def test_intersect_all_cap_fires_before_the_product_is_built(self, monkeypatch):
         sizes = []
-        real = Dfa.__post_init__
-
-        def recording(self):
-            sizes.append(len(self.delta))
-            real(self)
-
-        monkeypatch.setattr(Dfa, "__post_init__", recording)
+        watch_dfas(monkeypatch, lambda a: sizes.append(len(a.delta)))
         cap = core.MAX_FOLD_STATES
         with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
             intersect_all([mod_counter_dfa(101), mod_counter_dfa(103)], BINARY)

@@ -39,7 +39,14 @@ from primedfa import (
 )
 import primedfa.oracle as oracle
 from primedfa.oracle import DEFAULT_LIMITS, _alpha_members, _language_table
-from conftest import BINARY, all_words, language_dfa, random_dfa, random_finite_dfa
+from conftest import (
+    BINARY,
+    all_words,
+    language_dfa,
+    random_dfa,
+    random_finite_dfa,
+    watch_dfas,
+)
 
 AB = ("a", "b")
 
@@ -158,10 +165,10 @@ class TestLanguageTable:
         assert list(oracle._canonical_tables(k, width)) == brute
 
     def test_build_constructs_no_dfa(self, monkeypatch):
-        def no_dfa(self):
+        def no_dfa(a):
             raise AssertionError("Dfa constructed")
 
-        monkeypatch.setattr(Dfa, "__post_init__", no_dfa)
+        watch_dfas(monkeypatch, no_dfa)
         table = _language_table.__wrapped__(BINARY, 4)
         assert len(table) == 57068
 
@@ -752,13 +759,7 @@ class TestVerifyDecomposition:
         d = Decomposition("union", 103, [mod_counter_dfa(101), mod_counter_dfa(103)])
         a = mod_counter_dfa(107)
         sizes = []
-        real = Dfa.__post_init__
-
-        def recording(self):
-            sizes.append(len(self.delta))
-            real(self)
-
-        monkeypatch.setattr(Dfa, "__post_init__", recording)
+        watch_dfas(monkeypatch, lambda a: sizes.append(len(a.delta)))
         cap = core.MAX_FOLD_STATES
         with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
             verify_decomposition(a, d)

@@ -13,6 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from operator import getitem
 
 Word = tuple[str, ...]
@@ -23,9 +24,12 @@ EPSILON: Word = ()
 # ``verify_decomposition`` may reach: ``product`` raises before it stores
 # state 10,001, so before minimizing, the costly step.  Also the most
 # (class, state) pairs one step of the finite fold memoizes (pairs on a
-# self-loop sink of the factor are not walked, so not counted), and the
-# most nodes one round of the oracle's refinement stores: the nodes where a
-# chosen rep is dead are stored and counted, though never expanded.
+# self-loop sink of the factor are not walked, so not counted), the most
+# class pairs one union step (``_union_step``) of finite terms memoizes
+# (pairs with an empty side or two equal classes are not walked, so not
+# counted), and the most nodes one round of the oracle's refinement stores:
+# the nodes where a chosen rep is dead are stored and counted, though never
+# expanded.
 MAX_FOLD_STATES = 10**4
 
 
@@ -83,11 +87,16 @@ class Dfa(_Kept):
     def __post_init__(self) -> None:
         _alphabet_index(self.alphabet)
         _check_token("name", self.name)
+        # Exact types, so that every Dfa hashes and equals its parsed text.
+        _check_type("transition table", self.delta, tuple)
+        _check_type("accepting set", self.accepting, frozenset)
         k = len(self.delta)
         if k == 0:
             raise DfaError("DFA needs at least one state")
         _check_id("initial state", self.initial, k)
         for q, row in enumerate(self.delta):
+            if type(row) is not tuple:
+                _check_type(f"transition row of state {q}", row, tuple)
             if len(row) != len(self.alphabet):
                 raise DfaError(f"transition row of state {q} is not total")
             for t in row:
@@ -120,6 +129,12 @@ class Dfa(_Kept):
     @property
     def state_count(self) -> int:
         return len(self.delta)
+
+
+def _check_type(what: str, value, kind: type) -> None:
+    """Raises ``DfaError`` unless ``value`` is exactly of type ``kind``."""
+    if type(value) is not kind:
+        raise DfaError(f"{what} is a {type(value).__name__}, not a {kind.__name__}")
 
 
 def _check_id(what: str, q, k: int) -> None:
@@ -219,6 +234,16 @@ def _directives(text: str, headers: frozenset[str]) -> Iterator[tuple[int, list[
     raise ParseError("missing 'end'")
 
 
+def _parse_int(lineno: int, token: str) -> int:
+    """The value of the decimal ``token`` on line ``lineno`` of a document.
+    Raises ``ParseError`` naming the line when it has more digits than
+    ``int`` converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: integer of {len(token)} digits is too long") from None
+
+
 # The layout ``serialize_dfa`` writes: the five headers in that order, then
 # the transitions, then ``end``; one space between tokens, ``\n`` line ends,
 # no comments or blank lines, ids of at most 18 ASCII digits (``int`` converts
@@ -303,7 +328,7 @@ def _parse_lines(text: str) -> Dfa:
         if kw == "trans":
             if len(parts) != 4 or not (parts[1].isdecimal() and parts[3].isdecimal()):
                 fail(lineno, "expected 'trans <from> <sym> <to>'")
-            src, sym, dst = int(parts[1]), parts[2], int(parts[3])
+            src, sym, dst = _parse_int(lineno, parts[1]), parts[2], _parse_int(lineno, parts[3])
             if letters is None:
                 fail(lineno, "alphabet must precede transitions")
             x = letters.get(sym)
@@ -331,17 +356,17 @@ def _parse_lines(text: str) -> Dfa:
         elif kw == "states":
             if len(parts) != 2 or not parts[1].isdecimal():
                 fail(lineno, "expected 'states <k>'")
-            state_count = int(parts[1])
+            state_count = _parse_int(lineno, parts[1])
             if state_count < 1:
                 fail(lineno, "state count must be positive")
         elif kw == "initial":
             if len(parts) != 2 or not parts[1].isdecimal():
                 fail(lineno, "expected 'initial <id>'")
-            initial = int(parts[1])
+            initial = _parse_int(lineno, parts[1])
         elif kw == "accepting":
             if not all(map(str.isdecimal, parts[1:])):
                 fail(lineno, "accepting ids must be integers")
-            accepting = frozenset(map(int, parts[1:]))
+            accepting = frozenset([_parse_int(lineno, q) for q in parts[1:]])
         else:
             fail(lineno, f"unknown keyword {kw!r}")
 
@@ -451,13 +476,18 @@ def product(a: Dfa, b: Dfa, mode: str, cap: int | None = None) -> Dfa:
 
 
 def complement(a: Dfa) -> Dfa:
-    return Dfa._trusted(
+    """The DFA of the other words, on the same table.  The complement of a
+    canonical minimal DFA is one too, and is marked so."""
+    c = Dfa._trusted(
         a.alphabet,
         a.delta,
         a.initial,
         frozenset(range(a.state_count)) - a.accepting,
         f"not({a.name})",
     )
+    if getattr(a, "_minimal", False):
+        object.__setattr__(c, "_minimal", True)
+    return c
 
 
 def reachable_states(a: Dfa) -> set[int]:
@@ -475,9 +505,9 @@ def minimize(a: Dfa) -> Dfa:
     acyclic graph (every trimmed DFA of a finite language), the remaining,
     dead states form class 0, and the others get classes in one reverse
     topological pass keyed on acceptance and the classes of their successors
-    (Revuz 1992), in time linear in the transition table.  Otherwise Moore
-    partition refinement runs, one linear pass per round and up to as many
-    rounds as there are states.
+    (Revuz 1992), in time linear in the transition table.  Otherwise
+    Hopcroft's worklist refinement runs (``_hopcroft``), in time
+    O(m log n) for m transitions and n states.
 
     The result is kept on the input, so minimizing the same DFA object
     again costs nothing."""
@@ -486,8 +516,9 @@ def minimize(a: Dfa) -> Dfa:
 
 def _minimize(a: Dfa, cyclic: bool = False) -> Dfa:
     """``minimize``; with ``cyclic`` the caller has found that the useful
-    states of ``a`` lie on a cycle, and Moore refinement runs without
-    looking again."""
+    states of ``a`` lie on a cycle, and Hopcroft's refinement runs without
+    looking again.  Its blocks become the classes of the table that
+    ``_canonical`` reads, one row per block, taken from any of its states."""
     if getattr(a, "_minimal", False):
         return a
     cached = getattr(a, "_minimized", None)
@@ -499,27 +530,91 @@ def _minimize(a: Dfa, cyclic: bool = False) -> Dfa:
         rows, final, intern = _class_table(len(a.alphabet))
         block = _acyclic_classes(a, topo, intern)
     else:
-        # Moore partition refinement.
-        block = [1 if q in a.accepting else 0 for q in range(len(delta))]
-        while True:
-            sigs: dict[tuple, int] = {}
-            new_block = [0] * len(delta)
-            for q, row in enumerate(delta):
-                sig = (block[q], tuple(block[t] for t in row))
-                if sig not in sigs:
-                    sigs[sig] = len(sigs)
-                new_block[q] = sigs[sig]
-            if new_block == block:
-                break
-            block = new_block
-        rows = [()] * len(sigs)
-        final = [False] * len(sigs)
-        for q, row in enumerate(delta):
-            rows[block[q]] = tuple(block[t] for t in row)
-            final[block[q]] = q in a.accepting
+        block, first = _hopcroft(delta, a.accepting)
+        rows = [tuple([block[t] for t in delta[q]]) for q in first]
+        final = [q in a.accepting for q in first]
     m = _canonical(rows, final, block[a.initial], a.alphabet, a.name)
     object.__setattr__(a, "_minimized", m)
     return m
+
+
+def _hopcroft(
+    delta: Sequence[Sequence[int]], accepting: frozenset[int]
+) -> tuple[list[int], list[int]]:
+    """The coarsest partition of the states of ``delta`` into blocks of
+    equal languages under ``accepting``: the block of every state, and one
+    state of every block.  Hopcroft's worklist refinement (Hopcroft 1971;
+    Valmari 2012), in time O(m log n) for m transitions and n states.
+
+    The blocks are contiguous runs of ``elems``, and the states of a block
+    that are marked by the current splitter are swapped to the front of its
+    run.  A split gives the smaller side a new block, so it costs time in
+    proportion to the marked states, and that new block always enters the
+    worklist: if the old one was waiting there, its remainder still is,
+    else the smaller side is the one Hopcroft's rule adds.  A splitter is
+    the states of a block when it leaves the worklist, used with every
+    letter, whose inverse transitions are kept in flat lists."""
+    k, width = len(delta), len(delta[0])
+    split = k - len(accepting)  # block 0 rejects, block 1 accepts
+    if split in (0, k):
+        return [0] * k, [0]
+    # src[off[x * k + t]:off[x * k + t + 1]]: the states whose x-edge enters t
+    off = [0] * (width * k + 1)
+    for row in delta:
+        for x, t in enumerate(row):
+            off[x * k + t + 1] += 1
+    off = list(accumulate(off))
+    fill = off[:-1]
+    src = [0] * (width * k)
+    for q, row in enumerate(delta):
+        for x, t in enumerate(row):
+            key = x * k + t
+            src[fill[key]] = q
+            fill[key] += 1
+
+    block = [int(q in accepting) for q in range(k)]
+    elems = [q for q in range(k) if not block[q]] + sorted(accepting)
+    loc = [0] * k  # elems[loc[q]] == q
+    for i, q in enumerate(elems):
+        loc[q] = i
+    first, end, marked = [0, split], [split, k], [0, 0]
+    pending = [0 if split <= k - split else 1]
+    while pending:
+        b = pending.pop()
+        splitter = elems[first[b]:end[b]]
+        for x in range(width):
+            base = x * k
+            touched = []
+            for t in splitter:
+                for q in src[off[base + t]:off[base + t + 1]]:
+                    c = block[q]
+                    j = first[c] + marked[c]
+                    if j == first[c]:
+                        touched.append(c)
+                    marked[c] += 1
+                    i = loc[q]
+                    other = elems[j]
+                    elems[i], loc[other] = other, i
+                    elems[j], loc[q] = q, j
+            for c in touched:
+                f, e, n = first[c], end[c], marked[c]
+                marked[c] = 0
+                if n == e - f:
+                    continue
+                new = len(first)
+                if n <= e - f - n:  # the marked states are the smaller side
+                    first.append(f)
+                    end.append(f + n)
+                    first[c] = f + n
+                else:
+                    first.append(f + n)
+                    end.append(e)
+                    end[c] = f + n
+                marked.append(0)
+                for q in elems[first[new]:end[new]]:
+                    block[q] = new
+                pending.append(new)
+    return block, [elems[f] for f in first]
 
 
 def _acyclic_classes(a: Dfa, topo: list[int], intern) -> list[int]:
@@ -563,11 +658,13 @@ def _class_table(width: int):
 
 def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) -> Dfa:
     """The canonical form of a minimal class table (as ``_class_table`` and
-    Moore refinement build it).  The classes reachable from ``start`` are
-    renumbered in BFS discovery order, letters in alphabet order, and the
-    result is marked minimal (``minimize`` returns it as it is).  Built
-    unchecked: the table is valid by construction, and ``alphabet`` and
-    ``name`` must be those of a valid DFA."""
+    Hopcroft's refinement build it): distinct classes have distinct
+    languages, so any two such tables of one language give the same DFA.
+    The classes reachable from ``start`` are renumbered in BFS discovery
+    order, letters in alphabet order, and the result is marked minimal
+    (``minimize`` returns it as it is).  Built unchecked: the table is
+    valid by construction, and ``alphabet`` and ``name`` must be those of a
+    valid DFA."""
     number = {start: 0}
     order = [start]
     delta = []
@@ -594,38 +691,53 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
 def intersect_all(dfas: Sequence[Dfa], alphabet: tuple[str, ...]) -> Dfa:
     """Minimal DFA of the intersection of ``dfas`` (all over ``alphabet``);
     the all-accepting DFA when ``dfas`` is empty.  The result is named
-    ``((d0&d1)&d2)...`` after the DFAs.
+    ``((d0&d1)&d2)...`` after the DFAs.  One DFA is minimized alone
+    (``minimize``, so a minimal DFA comes back as it is); the fold of two or
+    more is ``_intersect_into``'s, on a class table of its own."""
+    if any(f.alphabet != alphabet for f in dfas):
+        raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
+    if not dfas:
+        return all_accepting_dfa(alphabet)
+    if len(dfas) == 1:
+        return minimize(dfas[0])
+    table = rows, final, _ = _class_table(len(alphabet))
+    got = _intersect_into(table, dfas)
+    if isinstance(got, Dfa):
+        return got
+    name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(f"&{f.name})" for f in dfas[1:])
+    return _canonical(rows, final, got, alphabet, name)
+
+
+def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
+    """The intersection of ``dfas`` (at least one, all over one alphabet):
+    its class, interned into the class table ``table`` (``rows``, ``final``,
+    ``intern`` of a ``_class_table``), when its language is finite, else
+    its minimal DFA.
 
     The fold starts from ``dfas[0]`` and takes the DFAs in order.  While the
     useful states of the partial intersection lie on a cycle, each step
     builds the pair product of its minimal DFA with the next DFA, which
     raises ``ResourceLimitError`` before it stores pair state
     ``MAX_FOLD_STATES`` + 1.  Once they are acyclic (the language is
-    finite), its states are interned into one class table by the reverse
+    finite), its states are interned into the table by the reverse
     topological pass of ``minimize``, and the rest of the fold runs on that
-    table without building a DFA per step: every step
-    (``_fold_step``) interns into it, so a class of an earlier step is a
-    class of the next one.  There the cap counts the pairs a step memoizes;
-    pairs on a self-loop sink of the next DFA are not walked and not
-    counted."""
-    if any(f.alphabet != alphabet for f in dfas):
-        raise AlphabetMismatchError(f"intersect_all: a DFA is not over {alphabet}")
-    if not dfas:
-        return all_accepting_dfa(alphabet)
+    table without building a DFA per step: every step (``_fold_step``)
+    interns into it, so a class of an earlier step is a class of the next
+    one.  There the cap counts the pairs a step memoizes; pairs on a
+    self-loop sink of the next DFA are not walked and not counted."""
+    rows, final, intern = table
     acc = dfas[0]
-    for i in range(1, len(dfas)):
+    for i in range(1, len(dfas) + 1):
         topo = _useful_order(acc.delta, acc.accepting)[1]
         if topo is not None:
-            rows, final, intern = _class_table(len(alphabet))
-            start = _acyclic_classes(acc, topo, intern)[acc.initial]
+            c = _acyclic_classes(acc, topo, intern)[acc.initial]
             for d in dfas[i:]:
-                start = _fold_step(rows, final, intern, start, d)
-            name = "(" * (len(dfas) - 1) + dfas[0].name + "".join(
-                f"&{f.name})" for f in dfas[1:]
-            )
-            return _canonical(rows, final, start, alphabet, name)
-        acc = product(_minimize(acc, cyclic=True), dfas[i], "intersect", MAX_FOLD_STATES)
-    return minimize(acc)
+                c = _fold_step(rows, final, intern, c, d)
+            return c
+        acc = _minimize(acc, cyclic=True)
+        if i < len(dfas):
+            acc = product(acc, dfas[i], "intersect", MAX_FOLD_STATES)
+    return acc
 
 
 def _fold_step(
@@ -687,6 +799,54 @@ def _fold_step(
                 f"cap is {MAX_FOLD_STATES}"
             )
         memo[pair] = intern(final[c] and q in daccepting, tuple(children))
+    return memo[first]
+
+
+def _union_step(rows: list[tuple[int, ...]], final: list[bool], intern, c: int, d: int) -> int:
+    """The class of the union of classes ``c`` and ``d``, interned into the
+    class table (``rows``, ``final``, ``intern``) of a finite language, which
+    grows in place.
+
+    One depth-first pass over the pairs of classes reachable from (c, d), as
+    in ``_fold_step``; a pair is interned after its successors.  A pair with
+    a class 0 side is its other side, and a pair of equal classes is that
+    class; these pairs are not walked.  Raises ``ResourceLimitError`` on the
+    first pair past ``MAX_FOLD_STATES`` that would be memoized, before
+    storing it."""
+    if not c or not d or c == d:
+        return c or d
+    span = len(rows)  # pair (c, d) is keyed c * span + d; no walked class is newer
+    memo: dict[int, int] = {}
+    first = c * span + d
+    stack = [first]
+    while stack:
+        pair = stack[-1]
+        if pair in memo:  # pushed again by a second parent
+            stack.pop()
+            continue
+        c, d = divmod(pair, span)
+        children = []
+        pending = False
+        for c_next, d_next in zip(rows[c], rows[d]):
+            if not c_next or not d_next or c_next == d_next:
+                children.append(c_next or d_next)
+                continue
+            child = c_next * span + d_next
+            got = memo.get(child)
+            if got is None:
+                stack.append(child)
+                pending = True
+            else:
+                children.append(got)
+        if pending:  # come back once the successors have their classes
+            continue
+        stack.pop()
+        if len(memo) >= MAX_FOLD_STATES:
+            raise ResourceLimitError(
+                f"union fold reached {len(memo) + 1} live pair states, "
+                f"cap is {MAX_FOLD_STATES}"
+            )
+        memo[pair] = intern(final[c] or final[d], tuple(children))
     return memo[first]
 
 

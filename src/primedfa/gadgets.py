@@ -22,6 +22,7 @@ from .core import (
     ResourceLimitError,
     _check_token,
     _directives,
+    _parse_int,
     empty_language_dfa,
     is_finite_language,
 )
@@ -92,13 +93,13 @@ def parse_digraph(text: str) -> Digraph:
         if parts[0] == "digraph" and len(parts) == 2:
             name = parts[1]
         elif parts[0] == "nodes" and len(parts) == 2:
-            node_count = int(parts[1])
+            node_count = _parse_int(lineno, parts[1])
         elif parts[0] == "edge" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_parse_int(lineno, parts[1]), _parse_int(lineno, parts[2])))
         elif parts[0] == "s" and len(parts) == 2:
-            s = int(parts[1])
+            s = _parse_int(lineno, parts[1])
         elif parts[0] == "t" and len(parts) == 2:
-            t = int(parts[1])
+            t = _parse_int(lineno, parts[1])
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {parts[0]!r}")
     if node_count is None or s is None or t is None:

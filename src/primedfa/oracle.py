@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import getitem
 
 from .classify import LinearProfile
@@ -53,12 +53,15 @@ from .core import (
     ResourceLimitError,
     Word,
     _alphabet_index,
+    _canonical,
+    _class_table,
     _count_text,
+    _intersect_into,
+    _union_step,
     _useful_walk,
     accepts,
-    empty_language_dfa,
+    all_accepting_dfa,
     equivalent,
-    intersect_all,
     minimize,
     product,
     run,
@@ -561,6 +564,15 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
     return True
 
 
+def _balanced_union(level: list, union):
+    """``union`` folded over ``level`` (DFAs or classes, at least one) level
+    by level: neighbours are unioned, and an odd one out is carried up."""
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [union(x, y) for x, y in zip(level[0::2], level[1::2])] + odd
+    return level[0]
+
+
 def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
     """Checks that every factor, in every mode, has fewer states than the
     index of A, and that the union of the intersection terms is exactly
@@ -574,13 +586,23 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
             return False, f"factor {idx} ({f.name}): size {f.state_count} not < index {k}"
 
     # Balanced union fold: neighbours are unioned level by level, so no
-    # product is taken with the whole union accumulated so far.
-    level = [intersect_all(term, a.alphabet) for term in d.terms]
-    while len(level) > 1:
-        pairs = zip(level[0::2], level[1::2])
-        odd = level[-1:] if len(level) % 2 else []
-        level = [minimize(product(x, y, "union", MAX_FOLD_STATES)) for x, y in pairs] + odd
-    acc = level[0] if level else empty_language_dfa(a.alphabet)
+    # product is taken with the whole union accumulated so far.  The terms
+    # are interned into one class table; when every term is finite, each
+    # union is a class-pair step on it, and one DFA is built at the end.
+    table = rows, final, intern = _class_table(len(a.alphabet))
+    level = [
+        _intersect_into(table, term) if term else all_accepting_dfa(a.alphabet)
+        for term in d.terms
+    ]
+    if all(type(t) is int for t in level):
+        top = _balanced_union(level or [0], partial(_union_step, rows, final, intern))
+        acc = _canonical(rows, final, top, a.alphabet, "union")
+    else:  # an infinite term: every term as its minimal DFA
+        dfas = [
+            _canonical(rows, final, t, a.alphabet, "term") if type(t) is int else t
+            for t in level
+        ]
+        acc = _balanced_union(dfas, lambda x, y: minimize(product(x, y, "union", MAX_FOLD_STATES)))
 
     # Both are canonical minimal DFAs, so they accept the same words exactly
     # when their tables are equal; the search runs only to find the least

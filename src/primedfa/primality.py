@@ -282,22 +282,20 @@ def _pieces(m: Dfa, union: bool, bound: int, cap: int) -> Iterator[Dfa]:
             cls[q] = copies(q) if q in items else intern(False, tuple([cls[t] for t in delta[q]]))
         return cls[m.initial]
 
-    def reach(c: int) -> list[int]:  # the classes reachable from c
+    def fits(c: int) -> bool:  # at most bound classes reachable from c
         order, seen = [c], {c}
         for d in order:
-            order += (new := set(rows[d]) - seen)
-            seen |= new
-        return order
-
-    def fits(c: int) -> bool:
-        return len(reach(c)) <= bound
+            for e in rows[d]:
+                if e not in seen:
+                    seen.add(e)
+                    order.append(e)
+            if len(order) > bound:
+                return False
+        return True
 
     def piece(c: int, k: int) -> Dfa:
-        if union:
-            return _canonical(rows, final, c, m.alphabet, f"piece_{k}")
-        # The complement of a minimal complete DFA is minimal: the same table.
-        negated = {d: not final[d] for d in reach(c)}
-        return _canonical(rows, negated, c, m.alphabet, f"not(piece_{k})")
+        p = _canonical(rows, final, c, m.alphabet, f"piece_{k}")
+        return p if union else complement(p)
 
     group, classes, top, k, tried = {}, [0] * len(delta), 0, 0, 0
     for q in topo:

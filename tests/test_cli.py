@@ -167,6 +167,18 @@ class TestExitCodes:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, doc, line, lineno",
+        [(["classify"], FIG4_DOC, "states 5", 3), (["gadget", "minimality"], GRAPH_DOC, "nodes 2", 2)],
+    )
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, args, doc, line, lineno):
+        # 5,000 digits: more than int() converts under its default limit
+        f = tmp_path / "huge.txt"
+        f.write_text(doc.replace(line, line.split()[0] + " " + "1" * 5000))
+        r = run_cli([*args, str(f)])
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == f"error: line {lineno}: integer of 5000 digits is too long\n"
+
     def test_unknown_option_is_usage_error(self, fig4_file):
         assert run_cli(["prime", "--mode=bogus", fig4_file]).returncode == 3
 

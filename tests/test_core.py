@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -166,6 +167,21 @@ class TestParseSerialize:
         with pytest.raises(DfaError, match=f"^{re.escape(message)}$"):
             Dfa(("a", "b"), delta, initial, frozenset(accepting))
 
+    @pytest.mark.parametrize(
+        "delta,accepting,message",
+        [
+            ([[0, 0]], frozenset({0}), "transition table is a list, not a tuple"),
+            (([0, 0],), frozenset({0}), "transition row of state 0 is a list, not a tuple"),
+            (((0, 0),), {0}, "accepting set is a set, not a frozenset"),
+            (((0, 0),), [0], "accepting set is a list, not a frozenset"),
+        ],
+    )
+    def test_containers_that_cannot_round_trip_are_rejected(self, delta, accepting, message):
+        # a list table or a set of accepting states would make an unhashable
+        # Dfa that is not equal to its own serialized and parsed text
+        with pytest.raises(DfaError, match=f"^{re.escape(message)}$"):
+            Dfa(("a", "b"), delta, 0, accepting)
+
     def test_library_built_names_round_trip(self):
         a = singleton_dfa(("0", "1"), BINARY)
         for b in (a, product(a, complement(a), "intersect"), minimize(complement(a))):
@@ -277,6 +293,20 @@ class TestParseErrors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.skipif(
+        not 0 < sys.get_int_max_str_digits() < 5000, reason="int() converts 5,000 digits here"
+    )
+    @pytest.mark.parametrize(
+        "line, lineno",
+        [("states 3", 3), ("initial 0", 4), ("accepting 2", 5), ("trans 0 a 1", 6), ("trans 2 b 2", 11)],
+    )
+    def test_integer_past_the_digit_limit(self, line, lineno):
+        # the last token of the line gets 5,000 digits: a ParseError, not
+        # the bare ValueError of int()
+        doc = _edited((line, line.rsplit(" ", 1)[0] + " " + "7" * 5000))
+        with pytest.raises(ParseError, match=f"^line {lineno}: integer of 5000 digits is too long$"):
+            parse_dfa(doc)
 
     def test_missing_accepting_line_is_the_empty_set(self):
         a = parse_dfa(_edited(("accepting 2", "")))
@@ -612,6 +642,13 @@ class TestIntersectAll:
             if kind == "becomes-empty":
                 assert got.accepting == frozenset()
 
+    def test_one_dfa_is_minimize(self):
+        rng = random.Random(11)
+        for a in (random_finite_dfa(rng, max_n=6, max_words=10), random_dfa(rng, 4)):
+            m = minimize(a)
+            assert intersect_all([a], BINARY) is m
+            assert intersect_all([m], BINARY) is m
+
     @pytest.mark.parametrize("rest", [1, 4])  # 1: a two-DFA fold
     def test_finite_fold_builds_no_product(self, monkeypatch, rest):
         rng = random.Random(5)
@@ -785,7 +822,7 @@ class TestMinimize:
                     )
 
     def test_duplicate_sinks_merge(self):
-        # accepting sinks lie on cycles of useful states: Moore refinement
+        # accepting sinks lie on cycles of useful states: Hopcroft refinement
         a = Dfa(BINARY, ((1, 2), (1, 1), (2, 2)), 0, frozenset({1, 2}))
         m = minimize(a)
         sinks = [q for q in range(m.state_count) if all(t == q for t in m.delta[q])]
@@ -808,6 +845,64 @@ class TestMinimize:
     def test_index_examples(self, fig4):
         assert index_of(fig4) == 5
         assert index_of(all_accepting_dfa(BINARY)) == 1
+
+
+def _moore_reference(a: Dfa) -> tuple[Dfa, list[int]]:
+    """``minimize`` by Moore partition refinement, which ``core._minimize``
+    ran on cyclic input before Hopcroft's refinement replaced it: one pass
+    over the states per round, until the partition is stable.  Also the
+    block of every state."""
+    delta = a.delta
+    # Moore partition refinement.
+    block = [1 if q in a.accepting else 0 for q in range(len(delta))]
+    while True:
+        sigs: dict[tuple, int] = {}
+        new_block = [0] * len(delta)
+        for q, row in enumerate(delta):
+            sig = (block[q], tuple(block[t] for t in row))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_block[q] = sigs[sig]
+        if new_block == block:
+            break
+        block = new_block
+    rows = [()] * len(sigs)
+    final = [False] * len(sigs)
+    for q, row in enumerate(delta):
+        rows[block[q]] = tuple(block[t] for t in row)
+        final[block[q]] = q in a.accepting
+    return core._canonical(rows, final, block[a.initial], a.alphabet, a.name), block
+
+
+def _relabeled(block: list[int]) -> list[int]:
+    """``block`` with the blocks numbered in order of their first state."""
+    number: dict[int, int] = {}
+    return [number.setdefault(b, len(number)) for b in block]
+
+
+class TestHopcroft:
+    def test_matches_moore_on_random_dfas(self):
+        # 1-12 states over 1-3 letters; random tables leave states
+        # unreachable, and one in three has a single block (no accepting
+        # state, or only accepting ones)
+        rng = random.Random(32)
+        for i in range(3000):
+            k, width = rng.randint(1, 12), rng.randint(1, 3)
+            delta = tuple(tuple(rng.randrange(k) for _ in range(width)) for _ in range(k))
+            shape = i % 3
+            accepting = frozenset(
+                q for q in range(k) if shape == 1 or shape == 2 and rng.random() < 0.5
+            )
+            a = Dfa(("a", "b", "c")[:width], delta, rng.randrange(k), accepting, f"r{i}")
+            want, moore_block = _moore_reference(a)
+            for m in (minimize(a), core._minimize(replace(a), cyclic=True)):
+                assert (m.delta, m.initial, m.accepting, m.name) == (
+                    want.delta, want.initial, want.accepting, want.name
+                ), a
+            # the blocks are Moore's, unreachable states included
+            block, first = core._hopcroft(delta, accepting)
+            assert _relabeled(block) == _relabeled(moore_block)
+            assert [block[q] for q in first] == list(range(len(first)))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestDigraph:
         with pytest.raises(ParseError, match=f"^line {lineno}: malformed integer$"):
             parse_digraph(GRAPH_DOC.replace(line, bad))
 
+    @pytest.mark.skipif(
+        not 0 < sys.get_int_max_str_digits() < 5000, reason="int() converts 5,000 digits here"
+    )
+    @pytest.mark.parametrize("line", ["nodes 3", "edge 0 1", "s 0", "t 2"])
+    def test_integer_past_the_digit_limit(self, line):
+        # the last token of the line gets 5,000 digits: a ParseError, not
+        # the bare ValueError of int()
+        lineno = GRAPH_DOC.splitlines().index(line) + 1
+        huge = line.rsplit(" ", 1)[0] + " " + "9" * 5000
+        with pytest.raises(ParseError, match=f"^line {lineno}: integer of 5000 digits is too long$"):
+            parse_digraph(GRAPH_DOC.replace(line, huge))
+
     def test_reachability(self):
         assert digraph_reachable(parse_digraph(GRAPH_DOC))
         assert not digraph_reachable(Digraph(2, (), 0, 1))
@@ -140,6 +153,15 @@ class TestLargeGraph:
         assert digraph_reachable(g)
         assert minimality_gadget(g).state_count == 7 * v + 1
         assert sprime_gadget(g).state_count == 14 * v + 2
+
+    def test_gadgets_of_a_200_node_path_stay_minimal(self):
+        # cyclic input: Hopcroft's refinement, not the acyclic pass
+        v = 200
+        g = Digraph(v, tuple((i, i + 1) for i in range(v - 1)), 0, v - 1)
+        for a, states in ((sprime_gadget(g), 2802), (minimality_gadget(g), 1401)):
+            assert not is_finite_language(a)
+            assert a.state_count == index_of(a) == states
+        assert decide_s_primality(sprime_gadget(g)).status == PRIME
 
     def test_node_count_allocates_nothing(self):
         g = Digraph(10**8, ((0, 1),), 0, 1)

@@ -25,12 +25,15 @@ from primedfa import (
     decide_intersection_primality,
     dnf_decomposition,
     empty_language_dfa,
+    equivalent,
     index_of,
+    intersect_all,
     intersection_decomposition,
     length_cap_dfa,
     minimize,
     mod_counter_dfa,
     oracle_primality,
+    product,
     serialize_dfa,
     singleton_dfa,
     union_decomposition,
@@ -690,6 +693,38 @@ class TestVerifyWitness:
         assert not verify_witness(prime5, ("b",) * 4)
 
 
+def _pairwise_verify(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
+    """``verify_decomposition``'s language check by the balanced pairwise
+    fold it ran on every term list before the class-table union: each term's
+    intersection is a minimal DFA, and neighbours are unioned by
+    ``minimize(product(...))`` level by level.  Factor sizes are not
+    checked."""
+    m = minimize(a)
+    level = [intersect_all(term, a.alphabet) for term in d.terms]
+    while len(level) > 1:
+        pairs = zip(level[0::2], level[1::2])
+        odd = level[-1:] if len(level) % 2 else []
+        level = [minimize(product(x, y, "union", core.MAX_FOLD_STATES)) for x, y in pairs] + odd
+    acc = level[0] if level else empty_language_dfa(a.alphabet)
+    if (acc.delta, acc.initial, acc.accepting) == (m.delta, m.initial, m.accepting):
+        return True, None
+    word = equivalent(acc, m)[1]
+    return False, f"language mismatch at word: {' '.join(word) if word else '<epsilon>'}"
+
+
+def _mod_count_dfa(n: int, p: int) -> Dfa:
+    """The binary words of length n whose count of "0" is a multiple of p:
+    state i * p + r after i letters with r zeros mod p, then a sink."""
+    sink = (n + 1) * p
+    delta = [
+        (((i + 1) * p + (r + 1) % p, (i + 1) * p + r) if i < n else (sink, sink))
+        for i in range(n + 1)
+        for r in range(p)
+    ]
+    delta.append((sink, sink))
+    return Dfa(BINARY, tuple(delta), 0, frozenset({n * p}), f"mod{p}_n{n}")
+
+
 class TestVerifyDecomposition:
     def test_accepts_valid_decomposition(self):
         a = language_dfa([("a", "b"), ("b", "a")], AB)
@@ -764,6 +799,60 @@ class TestVerifyDecomposition:
         with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
             verify_decomposition(a, d)
         assert sizes and max(sizes) <= cap
+
+    def test_class_table_union_matches_the_pairwise_fold(self):
+        # random finite term lists against random finite targets, and the
+        # library's own certificates with a term dropped or repeated
+        rng = random.Random(32)
+        folded = 0
+        for _ in range(300):
+            terms = [
+                [random_finite_dfa(rng, max_n=3, max_words=3) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(0, 6))
+            ]
+            a = random_finite_dfa(rng, max_n=6, max_words=10)
+            d = Decomposition("dnf", 0, terms)
+            got = verify_decomposition(a, d)
+            if got[1] is None or got[1].startswith("language"):
+                folded += 1
+                assert got == _pairwise_verify(a, d), terms
+        assert folded > 100
+        checked = set()
+        for _ in range(60):
+            alphabet = ("a", "b", "c")[: rng.randint(2, 3)]
+            a = random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet)
+            for make in (intersection_decomposition, union_decomposition, dnf_decomposition):
+                try:
+                    d = make(a)
+                except DfaError:  # prime in this mode
+                    continue
+                for terms in (d.terms, d.terms[1:], d.terms[:-1] + d.terms[:1]):
+                    broken = Decomposition("dnf", d.bound, terms)
+                    got = verify_decomposition(a, broken)
+                    assert got == _pairwise_verify(a, broken)
+                    checked.add(got[0])
+        assert checked == {True, False}
+
+    def test_union_step_cap_fires_before_the_pair_is_stored(self):
+        # lengths 2000 with the zeros counted mod 2 and mod 3: about 12,000
+        # live pairs, past the cap of 10^4
+        width = len(BINARY)
+        rows, final, intern = core._class_table(width)
+        x, y = (_mod_count_dfa(2000, p) for p in (2, 3))
+        cx, cy = (
+            core._acyclic_classes(f, core._useful_walk(f)[2], intern)[f.initial] for f in (x, y)
+        )
+        before = len(rows)
+        cap = core.MAX_FOLD_STATES
+        with pytest.raises(
+            ResourceLimitError, match=rf"^union fold reached {cap + 1} live pair states, cap is {cap}$"
+        ):
+            core._union_step(rows, final, intern, cx, cy)
+        assert len(rows) - before <= cap
+        # through the verifier: both terms are finite, so the step runs
+        d = Decomposition("union", 0, [x, y])
+        with pytest.raises(ResourceLimitError, match=r"^union fold reached 10001 "):
+            verify_decomposition(_mod_count_dfa(2000, 5), d)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DfaError, match="unknown"):

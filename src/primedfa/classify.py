@@ -24,17 +24,6 @@ from .core import (
 )
 
 
-# The rows and accepting sets of the small profiles built so far, each value
-# kept once: a program keeps the profile of every input it decided
-# (``primality`` keeps it on the minimal DFA), and small profiles share most
-# of their rows.  A profile of more than ``SHARED_STATES`` states shares
-# nothing, as its rows are mostly its own.  Cleared before a profile is
-# added once it holds more than ``SHARED_VALUES`` values.
-_SHARED: dict = {}
-SHARED_STATES = 16
-SHARED_VALUES = 4096
-
-
 @dataclass(frozen=True, slots=True)
 class LinearProfile:
     """A minimal linear acyclic DFA, renumbered along its longest word.
@@ -104,12 +93,6 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
             assert row.count(sink) == width, "last state must be a sink"
         rows.append(row)
     accepting = frozenset([relabel[q] for q in m.accepting])
-    if n + 2 <= SHARED_STATES:
-        if len(_SHARED) > SHARED_VALUES:
-            _SHARED.clear()
-        share = _SHARED.setdefault
-        rows = [share(row, row) for row in rows]
-        accepting = share(accepting, accepting)
     assert relabel[m.initial] == 0
     assert n in accepting and sink not in accepting
     base = Dfa._trusted(m.alphabet, tuple(rows), 0, accepting, m.name)

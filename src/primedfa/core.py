@@ -61,11 +61,11 @@ def _count_text(n: int, shift: int = 0) -> str:
 class _Kept:
     """One slot for each value a function keeps on a ``Dfa`` once computed:
     the minimal DFA (``minimize``) and the mark that it is one,
-    ``_useful_walk``'s result, and ``primality``'s analysis and branch.  So
-    a ``Dfa`` has no ``__dict__``, which took about 300 bytes per ``Dfa``
+    ``_useful_walk``'s result, and ``primality``'s analysis record.  So a
+    ``Dfa`` has no ``__dict__``, which took about 300 bytes per ``Dfa``
     where a program keeps thousands of them."""
 
-    __slots__ = ("_minimized", "_minimal", "_walk", "_linear_profile", "_intersection_branch")
+    __slots__ = ("_minimized", "_minimal", "_walk", "_analysis")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1057,7 +1057,8 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
                     f"language enumeration exceeded cap of {limit} after "
                     f"{len(out) + len(next_frontier)} words"
                 )
-        frontier = next_frontier
+        if not (frontier := next_frontier):  # no prefix extends to a longer word
+            break
     return out
 
 

@@ -547,7 +547,9 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
     for s in spine:
         count *= len(s)
         if count > max_words:
-            raise ResourceLimitError("oracle_cep: too many maximal words")
+            raise ResourceLimitError(
+                f"oracle_cep: maximal words exceeded cap of {max_words} after {count}"
+            )
     for w in itertools.product(*spine):
         compressed_somewhere = False
         for i in range(n - 1):

@@ -29,6 +29,7 @@ from .core import (
     Word,
     _canonical,
     _class_table,
+    _count_text,
     _useful_walk,
     all_accepting_dfa,
     complement,
@@ -120,56 +121,45 @@ class Caps:
 
 def _analysis(
     m: Dfa, op: str | None = None
-) -> tuple[int | float | None, LinearProfile | None]:
-    """Longest-word length n of the minimal DFA ``m`` (``None`` for the empty
-    language, ``math.inf`` for an infinite one) and its linear profile
-    (``None`` unless n is finite and ``m`` is linear).  Computed once and
-    kept on ``m``, so the decisions and decompositions on one input share
-    it.  With ``op``, an infinite language raises an error naming ``op``."""
-    if not hasattr(m, "_linear_profile"):
-        n = longest_word_length(m)
-        p = None if n is None or n == math.inf else linear_profile(m)
-        object.__setattr__(m, "_linear_profile", (n, p))
-    n, p = m._linear_profile
-    if op is not None and n == math.inf:
-        raise DfaError(f"{op}: input recognizes an infinite language")
-    return n, p
-
-
-def _intersection_branch(m: Dfa) -> tuple[str, str, str | Word | None]:
-    """Status and branch of the minimal DFA ``m``, in the order the paper
-    tests them, with the uniform letter ('linear+sigma-n') or the witness
-    word ('safety+noCEP') of a Prime verdict.  Computed once and kept on
-    ``m``, like ``_analysis``, so the decisions and decompositions on one
-    input test the uniform letter, safety and CEP once."""
-    cached = getattr(m, "_intersection_branch", None)
-    if cached is not None:
-        return cached
-    n, p = _analysis(m, "decide_intersection_primality")
-    if n is None:
-        cached = PRIME, "empty-language", None
-    elif p is None:
-        cached = COMPOSITE, "non-linear", None
-    elif (sigma := uniform_max_word_letter(p)) is not None:
-        cached = PRIME, "linear+sigma-n", sigma
-    elif not is_safety(m):
-        cached = COMPOSITE, "non-safety", None
-    else:
-        cep, breach = has_cep(p)
-        if cep:
-            cached = COMPOSITE, "CEP", None
+) -> tuple[int | float | None, LinearProfile | None, str | None, str | None, str | Word | None]:
+    """The analysis of the minimal DFA ``m`` that every decision and
+    decomposition on it reads, as one record ``(n, profile, status, branch,
+    detail)``: the longest-word length (``None`` for the empty language,
+    ``math.inf`` for an infinite one), the linear profile (``None`` unless n
+    is finite and ``m`` is linear), and for a finite n the intersection
+    verdict in the paper's order, with the uniform letter or the witness
+    word of a Prime one (all three ``None`` for an infinite n).  Kept on
+    ``m``.  With ``op``, an infinite language raises an error naming it."""
+    record = getattr(m, "_analysis", None)
+    if record is None:
+        n, p = longest_word_length(m), None
+        if n is None:
+            verdict = PRIME, "empty-language", None
+        elif n == math.inf:
+            verdict = None, None, None
+        elif (p := linear_profile(m)) is None:
+            verdict = COMPOSITE, "non-linear", None
+        elif (sigma := uniform_max_word_letter(p)) is not None:
+            verdict = PRIME, "linear+sigma-n", sigma
+        elif not is_safety(m):
+            verdict = COMPOSITE, "non-safety", None
         else:
-            cached = PRIME, "safety+noCEP", _breach_witness(p, breach)
-    object.__setattr__(m, "_intersection_branch", cached)
-    return cached
+            cep, breach = has_cep(p)
+            verdict = (COMPOSITE, "CEP", None) if cep else (
+                PRIME, "safety+noCEP", _breach_witness(p, breach)
+            )
+        record = (n, p, *verdict)
+        object.__setattr__(m, "_analysis", record)
+    if op is not None and record[0] == math.inf:
+        raise DfaError(f"{op}: input recognizes an infinite language")
+    return record
 
 
 def decide_intersection_primality(a: Dfa) -> PrimalityVerdict:
-    m = minimize(a)
-    status, branch, detail = _intersection_branch(m)
+    _, p, status, branch, detail = _analysis(minimize(a), "decide_intersection_primality")
     if branch == "linear+sigma-n":
         # Built on every call: past MAX_WITNESS_LETTERS it raises each time.
-        witness = _uniform_witness(_analysis(m)[1], detail)
+        witness = _uniform_witness(p, detail)
         return PrimalityVerdict(status, branch, witness, f"uniform letter {detail}")
     return PrimalityVerdict(status, branch, detail)
 
@@ -179,8 +169,9 @@ def _uniform_witness(p: LinearProfile, sigma: str) -> Word:
     # (<= n+1) works; lcm keeps the word short, yet past the cap from n = 16.
     exponent = p.n + math.lcm(*range(1, p.n + 2))
     if exponent > MAX_WITNESS_LETTERS:
+        count = _count_text(exponent)
         raise ResourceLimitError(
-            f"uniform witness {sigma}^{exponent} has {exponent} letters, "
+            f"uniform witness {sigma}^{count} has {count} letters, "
             f"cap is {MAX_WITNESS_LETTERS}"
         )
     return (sigma,) * exponent
@@ -345,7 +336,7 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
     extension factors.  When the base families close the fold, no word
     survives; otherwise the survivors are read off the intersection of
     every base factor.  ``caps.max_factors`` counts the factors drawn."""
-    n, p = _analysis(m)
+    n, p, *_ = _analysis(m)
     d = interior_rejecting_state(p)
     alphabet = p.alphabet
     survivors: list[Word] = []
@@ -408,12 +399,11 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     the factors drawn, before factors that do not shrink the intersection
     are dropped."""
     m = minimize(a)
-    status, branch, _ = _intersection_branch(m)
+    n, _, status, branch, _ = _analysis(m, "decide_intersection_primality")
     if status == PRIME:
         raise DfaError("intersection_decomposition: input is prime")
     bound = m.state_count - 1
     if branch == "non-linear":
-        n, _ = _analysis(m)
         pieces = _pieces(m, False, bound, caps.max_factors)
         drawn = itertools.chain((length_cap_dfa(n, a.alphabet),), pieces)
         factors = list(_capped(drawn, caps.max_factors))
@@ -423,7 +413,7 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
 
 
 def decide_union_primality(a: Dfa) -> PrimalityVerdict:
-    n, p = _analysis(minimize(a), "decide_union_primality")
+    n, p, *_ = _analysis(minimize(a), "decide_union_primality")
     if n is None:
         raise DfaError("decide_union_primality: input recognizes the empty language")
     if p is None:
@@ -441,13 +431,11 @@ def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
-    m = minimize(a)
-    n, p = _analysis(m, "decide_dnf_primality")
+    n, p, _, branch, sigma = _analysis(minimize(a), "decide_dnf_primality")
     if n is None:
         raise DfaError("decide_dnf_primality: input recognizes the empty language")
     if p is None:
         return PrimalityVerdict(COMPOSITE, "non-linear")
-    _, branch, sigma = _intersection_branch(m)
     if branch != "linear+sigma-n":
         return PrimalityVerdict(COMPOSITE, "no-sigma-n")
     return PrimalityVerdict(PRIME, "linear+sigma-n", notes=f"uniform letter {sigma}")
@@ -463,7 +451,7 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
         return Decomposition("dnf", m.state_count, terms)
     # Linear: one term for the words that do not end at q_n (it joins the sink),
     # then per word w that does {w}, or {w}* with an exact count of w[0] if |w| = n.
-    n, p = _analysis(m)
+    n, p, *_ = _analysis(m)
     alphabet, delta = a.alphabet, p.base.delta
     shorter = minimize(Dfa(alphabet, delta, 0, p.accepting - {n}, "shorter"))
     terms = [[shorter]] if shorter.accepting else []
@@ -480,7 +468,7 @@ def decide_s_primality(a: Dfa) -> PrimalityVerdict:
     """Size-based primality: supported for finite languages and for simple
     co-safety DFAs (where it reduces to minimality)."""
     m = minimize(a)
-    n, _ = _analysis(m)
+    n = _analysis(m)[0]
     if n == math.inf and not is_simple_cosafety(m):
         raise DfaError(
             "decide_s_primality: supported only for finite languages or "

@@ -10,6 +10,7 @@ import pytest
 from primedfa import (
     Dfa,
     DfaError,
+    ResourceLimitError,
     accepts,
     complement,
     has_cep,
@@ -81,24 +82,6 @@ class TestLinearProfile:
 
         with pytest.raises(DfaError, match="infinite"):
             linear_profile(all_accepting_dfa(BINARY))
-
-    def test_profiles_share_equal_rows_within_a_bound(self, monkeypatch):
-        import primedfa.classify as classify
-
-        monkeypatch.setattr(classify, "_SHARED", {})
-        monkeypatch.setattr(classify, "SHARED_VALUES", 8)
-        one, two = (linear_profile(language_dfa([("a", "b"), ("b",)], AB)) for _ in "12")
-        assert one.base is not two.base and one.base.delta == two.base.delta
-        assert all(r is s for r, s in zip(one.base.delta, two.base.delta))
-        assert one.accepting is two.accepting
-        for n in range(1, 15):
-            linear_profile(language_dfa([("a",) * n], AB))
-            # cleared before a profile once past the bound, then n + 2 rows
-            # and one accepting set at most
-            assert len(classify._SHARED) <= 8 + n + 3
-        kept = dict(classify._SHARED)
-        big = linear_profile(language_dfa([("a",) * classify.SHARED_STATES], AB))
-        assert big.n + 2 > classify.SHARED_STATES and classify._SHARED == kept
 
     def test_epsilon_only_language_is_linear(self):
         p = linear_profile(language_dfa([()], BINARY))
@@ -250,6 +233,13 @@ class TestCep:
         with pytest.raises(DfaError, match="n = 0") as exc:
             oracle_cep(p)
         assert type(exc.value) is DfaError
+
+    def test_oracle_cap_names_cap_and_count(self):
+        # {a, b}^4: 2, 4, 8, 16 maximal words after each spine position
+        p = linear_profile(language_dfa(list(itertools.product("ab", repeat=4)), AB))
+        with pytest.raises(ResourceLimitError) as exc:
+            oracle_cep(p, max_words=10)
+        assert str(exc.value) == "oracle_cep: maximal words exceeded cap of 10 after 16"
 
     def test_breach_word_is_always_accepted_max_word(self):
         rng = random.Random(101)

@@ -200,13 +200,15 @@ class TestExitCodes:
             "at least 2^20907 automata, cap is 2000000\n"
         )
 
-    @pytest.mark.parametrize("n", [16, 150])
+    @pytest.mark.parametrize("n", [16, 150, 10_000])
     def test_uniform_witness_past_cap_is_exit_two(self, tmp_path, n):
+        # from n ~ 10,000 the letter count has more digits than Python formats
         f = tmp_path / "uniform.dfa"
         f.write_text(serialize_dfa(language_dfa([("a",) * n], ("a", "b"))))
         r = run_cli(["prime", str(f)])
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("error: uniform witness a^") and "cap is 1000000" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_oracle_certifies_ternary_index_four(self, tmp_path):
         # {eps} | {a,b,c}^2: the products of its chosen reps pass 10^4 states

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -1018,6 +1019,14 @@ class TestLanguageShape:
         assert words == sorted(words, key=lambda w: (len(w), w))
         assert ("a1", "a2", "a3") in words
         assert ("a3", "a3", "a3") not in words
+
+    def test_enumerate_language_stops_when_no_prefix_is_left(self):
+        # one word: the frontier is empty after length 2, so a length bound
+        # of 10^8 costs no more than one of 2 (a loop over it takes seconds)
+        one = Dfa(BINARY, ((1, 3), (3, 2), (3, 3), (3, 3)), 0, frozenset({2}))
+        start = time.perf_counter()
+        assert enumerate_language(one, 10**8) == [(BINARY[0], BINARY[1])]
+        assert time.perf_counter() - start < 1.0
 
     def test_reachable_states(self):
         a = Dfa(BINARY, ((1, 1), (1, 1), (2, 2)), 0, frozenset({2}))

@@ -78,14 +78,21 @@ class TestIntersectionVerdicts:
         assert v.status == PRIME and v.branch == "linear+sigma-n"
         assert v.witness == ("a", "a", "a")
 
-    @pytest.mark.parametrize("n", [16, 150])
-    def test_uniform_witness_past_cap_is_resource_limit(self, n):
-        # a^(n + lcm(1..n+1)) passes 10^6 letters from n = 16 on
+    @pytest.mark.parametrize(
+        "n, count",
+        [(16, "12252256"), (150, "at least 2^218"), (10_000, "at least 2^14446")],
+    )
+    def test_uniform_witness_past_cap_is_resource_limit(self, n, count):
+        # a^(n + lcm(1..n+1)) passes 10^6 letters from n = 16 on; from 2^64
+        # letters on the message names the top bit of the count, as an
+        # integer of thousands of digits cannot be formatted
         length = n + math.lcm(*range(1, n + 2))
+        top = length.bit_length() - 1
+        assert count == (str(length) if top < 64 else f"at least 2^{top}")
         a = language_dfa([("a",) * n], AB)
-        message = rf"a\^{length} has {length} letters, cap is 1000000$"
-        with pytest.raises(ResourceLimitError, match=message):
+        with pytest.raises(ResourceLimitError) as err:
             decide_intersection_primality(a)
+        assert str(err.value) == f"uniform witness a^{count} has {count} letters, cap is 1000000"
 
     def test_fig4_prime_with_golden_witness(self, fig4):
         v = decide_intersection_primality(fig4)
@@ -549,19 +556,28 @@ class TestAnalyzeOnce:
             real, seen = getattr(module, name), calls[name]
             counting = lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args)
             monkeypatch.setattr(module, name, counting)
+        # the union decision first: it analyses the input for all four
         verdicts = [
             decide(a)
-            for decide in (decide_intersection_primality, decide_dnf_primality, decide_s_primality)
+            for decide in (
+                decide_union_primality,
+                decide_intersection_primality,
+                decide_dnf_primality,
+                decide_s_primality,
+            )
         ]
         assert [(v.status, v.branch) for v in verdicts] == [
-            (PRIME, "safety+noCEP"), (COMPOSITE, "no-sigma-n"), (PRIME, "safety+noCEP")
+            (PRIME, "linear"),
+            (PRIME, "safety+noCEP"),
+            (COMPOSITE, "no-sigma-n"),
+            (PRIME, "safety+noCEP"),
         ]
         assert len(calls["has_cep"]) == len(calls["uniform_max_word_letter"]) == 1
         # one search, inside minimize, on the input; none on its minimal DFA
         assert calls["_useful_order"] == [a.delta]
-        assert decide_intersection_primality(a) == verdicts[0]
-        assert verdicts[2].witness == verdicts[0].witness
-        assert not accepts(staircase, verdicts[0].witness)
+        assert decide_intersection_primality(a) == verdicts[1]
+        assert verdicts[3].witness == verdicts[1].witness
+        assert not accepts(staircase, verdicts[1].witness)
         assert len(calls["has_cep"]) == 1
 
 

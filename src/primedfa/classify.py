@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import contains, lt
 
 from .core import (
     Dfa,
@@ -75,23 +77,19 @@ def linear_profile(a: Dfa) -> LinearProfile | None:
 
     # The useful states all lie on one path, so their topological order is
     # that path; the dead sink comes last.  One pass over the rows relabels
-    # them and checks what holds for every linear minimal ADFA.
+    # them; the checks that follow hold for every linear minimal ADFA.
     order = order + [useful.index(False)]
     relabel = [0] * (n + 2)
     for new, old in enumerate(order):
         relabel[old] = new
     sink, width = n + 1, len(m.alphabet)
-    rows = []
-    for i, old in enumerate(order):
-        row = tuple([relabel[t] for t in m.delta[old]])
-        if i < n:
-            assert min(row) > i, "linear profile transitions must be strictly forward"
-            assert i + 1 in row, "spine letters must exist below q_n"
-        elif i == n:
-            assert row.count(sink) == width, "linear profile transitions must be strictly forward"
-        else:
-            assert row.count(sink) == width, "last state must be a sink"
-        rows.append(row)
+    targets = chain.from_iterable(map(m.delta.__getitem__, order))
+    rows = list(zip(*[map(relabel.__getitem__, targets)] * width))
+    spine = rows[:n]
+    assert all(map(lt, range(n), map(min, spine))), "linear profile transitions must be strictly forward"
+    assert all(map(contains, spine, range(1, sink))), "spine letters must exist below q_n"
+    assert rows[n].count(sink) == width, "linear profile transitions must be strictly forward"
+    assert rows[sink].count(sink) == width, "last state must be a sink"
     accepting = frozenset([relabel[q] for q in m.accepting])
     assert relabel[m.initial] == 0
     assert n in accepting and sink not in accepting

@@ -61,9 +61,10 @@ def _count_text(n: int, shift: int = 0) -> str:
 class _Kept:
     """One slot for each value a function keeps on a ``Dfa`` once computed:
     the minimal DFA (``minimize``) and the mark that it is one,
-    ``_useful_walk``'s result, and ``primality``'s analysis record.  So a
-    ``Dfa`` has no ``__dict__``, which took about 300 bytes per ``Dfa``
-    where a program keeps thousands of them."""
+    the walk of ``_useful_walk`` (which ``minimize`` may hand over), and
+    ``primality``'s analysis record.  So a ``Dfa`` has no ``__dict__``,
+    which took about 300 bytes per ``Dfa`` where a program keeps thousands
+    of them."""
 
     __slots__ = ("_minimized", "_minimal", "_walk", "_analysis")
 
@@ -272,10 +273,12 @@ def parse_dfa(text: str) -> Dfa:
 def _parse_bulk(text: str) -> Dfa | None:
     """``parse_dfa`` of a valid document in the layout ``serialize_dfa``
     writes, else ``None``.  The transition lines are matched by one regex
-    and split once; their columns are compared, converted and checked
-    whole, and the rows cut straight from the targets.  The transitions
-    must be in row-major order with plain ids, as ``serialize_dfa`` writes
-    them; any other order goes to the line walk."""
+    and split once; their source and letter columns are compared whole
+    with the ids and letters in row-major order, the targets converted
+    through a table of those ids, and the rows cut straight from the
+    targets.  The transitions must be in row-major order with plain ids,
+    as ``serialize_dfa`` writes them; any other order, and any target that
+    is not a plain id of a state, goes to the line walk."""
     head = _BULK_HEADERS.match(text)
     if head is None or not text.endswith("\nend\n"):
         return None
@@ -288,18 +291,19 @@ def _parse_bulk(text: str) -> Dfa | None:
     k, initial = int(states), int(initial)
     accepting = frozenset(map(int, accepting.split()))
     tokens = text[start:stop].split()
-    dsts = list(map(int, tokens[3::4]))
+    srcs, syms, dsts = tokens[1::4], tokens[2::4], tokens[3::4]
     if (
         len(set(alphabet)) != width
         or len(dsts) != k * width
         or initial >= k
-        or max(dsts) >= k
         or max(accepting, default=0) >= k
     ):
         return None
-    srcs, syms = tokens[1::4], tokens[2::4]
     ids = list(map(str, range(k)))  # k is at most the number of transitions
     if syms != list(alphabet) * k or any(srcs[x::width] != ids for x in range(width)):
+        return None
+    dsts = list(map(dict(zip(ids, range(k))).get, dsts))
+    if None in dsts:
         return None
     delta = tuple(zip(*[iter(dsts)] * width))
     return Dfa._trusted(alphabet, delta, initial, accepting, name)
@@ -502,15 +506,18 @@ def minimize(a: Dfa) -> Dfa:
 
     Which states are equivalent is found in one of two ways, chosen by the
     input alone.  When the states that can reach an accepting state form an
-    acyclic graph (every trimmed DFA of a finite language), the remaining,
-    dead states form class 0, and the others get classes in one reverse
-    topological pass keyed on acceptance and the classes of their successors
-    (Revuz 1992), in time linear in the transition table.  Otherwise
-    Hopcroft's worklist refinement runs (``_hopcroft``), in time
-    O(m log n) for m transitions and n states.
+    acyclic graph (every trimmed DFA of a finite language), one pass
+    (``_revuz``, Revuz 1992) orders the states by Kahn's sort and gives
+    them classes in reverse order, keyed on acceptance and the classes of
+    their successors, in time linear in the transition table; the dead
+    states get class 0 without a search for them.  Otherwise Hopcroft's
+    worklist refinement runs (``_hopcroft``), in time O(m log n) for m
+    transitions and n states.
 
     The result is kept on the input, so minimizing the same DFA object
-    again costs nothing."""
+    again costs nothing.  When the input has no unreachable useful state
+    and no two that merge (say it was minimal already), the result also
+    keeps the pass's order, renamed, as its walk (``_useful_walk``)."""
     return _minimize(a)
 
 
@@ -525,17 +532,61 @@ def _minimize(a: Dfa, cyclic: bool = False) -> Dfa:
     if cached is not None:
         return cached
     delta = a.delta
-    topo = None if cyclic else _useful_order(delta, a.accepting)[1]
-    if topo is not None:
+    got = None
+    if not cyclic:
         rows, final, intern = _class_table(len(a.alphabet))
-        block = _acyclic_classes(a, topo, intern)
+        got = _revuz(delta, a.accepting, intern)
+    if got is not None:
+        block, order, depth = got
+        live = [q for q in order if block[q]]
+        walk = [block[q] for q in live], depth[live[-1]] if live else None
     else:
         block, first = _hopcroft(delta, a.accepting)
         rows = [tuple([block[t] for t in delta[q]]) for q in first]
         final = [q in a.accepting for q in first]
-    m = _canonical(rows, final, block[a.initial], a.alphabet, a.name)
+        walk = None
+    m = _canonical(rows, final, block[a.initial], a.alphabet, a.name, walk)
     object.__setattr__(a, "_minimized", m)
     return m
+
+
+def _revuz(
+    delta: Sequence[Sequence[int]], accepting: frozenset[int], intern
+) -> tuple[list[int], list[int], list[int]] | None:
+    """Revuz's pass (Revuz 1992) over the transition table ``delta``: the
+    class of every state, interned by ``intern`` (of a ``_class_table``),
+    Kahn's order of all states, and the depth of every ordered state; or
+    ``None`` when the states that can reach one of ``accepting`` (the
+    useful states) lie on a cycle, found before anything is interned.
+
+    Kahn's order (``_kahn``), self-loops not counted, leaves out the states
+    a cycle of two or more states reaches; they are closed under
+    successors, so an accepting one is left out exactly when such a cycle
+    is useful.  A self-loop is useful when its state reaches an accepting
+    one, which a search from the self-loop states finds (in a trimmed DFA
+    of a finite language the only such state is the dead sink).  Else the
+    classes are interned in reverse order, so a successor's class is known
+    before its predecessors'; the dead states get class 0."""
+    indeg = [-row.count(q) for q, row in enumerate(delta)]
+    seen = {q for q, d in enumerate(indeg) if d}  # the states on a self-loop
+    for row in delta:
+        for t in row:
+            indeg[t] += 1
+    order, depth = _kahn(delta, indeg)  # a self-loop takes its count below 0
+    if any(indeg[q] > 0 for q in accepting):
+        return None
+    stack = list(seen)
+    while stack:
+        for t in delta[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    if not accepting.isdisjoint(seen):
+        return None
+    block = [0] * len(delta)
+    for q in reversed(order):
+        block[q] = intern(q in accepting, tuple([block[t] for t in delta[q]]))
+    return block, order, depth
 
 
 def _hopcroft(
@@ -617,20 +668,6 @@ def _hopcroft(
     return block, [elems[f] for f in first]
 
 
-def _acyclic_classes(a: Dfa, topo: list[int], intern) -> list[int]:
-    """The class of every state of ``a``, interned by ``intern`` (of a
-    ``_class_table``) in one reverse topological pass over ``topo``, the
-    useful states of ``a`` in topological order (as ``_useful_order``
-    returns them).  A successor's class is known before its predecessors'
-    because the pass runs against the edges; states off ``topo`` are dead,
-    class 0."""
-    delta, accepting = a.delta, a.accepting
-    block = [0] * len(delta)
-    for q in reversed(topo):
-        block[q] = intern(q in accepting, tuple([block[t] for t in delta[q]]))
-    return block
-
-
 def _class_table(width: int):
     """An empty class table over ``width`` letters and its interning rule.
 
@@ -656,7 +693,9 @@ def _class_table(width: int):
     return rows, final, intern
 
 
-def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) -> Dfa:
+def _canonical(
+    rows, final, start: int, alphabet: tuple[str, ...], name: str, walk=None
+) -> Dfa:
     """The canonical form of a minimal class table (as ``_class_table`` and
     Hopcroft's refinement build it): distinct classes have distinct
     languages, so any two such tables of one language give the same DFA.
@@ -664,7 +703,12 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
     order, letters in alphabet order, and the result is marked minimal
     (``minimize`` returns it as it is).  Built unchecked: the table is
     valid by construction, and ``alphabet`` and ``name`` must be those of a
-    valid DFA."""
+    valid DFA.
+
+    ``walk`` is ``(classes, n)``: the non-zero classes of the useful
+    states of an input in Kahn's order, and its longest-word length.  When
+    the result has as many useful states, it keeps them, renumbered, as
+    the walk of ``_useful_walk``."""
     number = {start: 0}
     order = [start]
     delta = []
@@ -685,6 +729,9 @@ def _canonical(rows, final, start: int, alphabet: tuple[str, ...], name: str) ->
         name,
     )
     object.__setattr__(m, "_minimal", True)
+    if walk is not None and len(walk[0]) == len(order) - (0 in number):
+        useful = [c != 0 for c in order]
+        object.__setattr__(m, "_walk", (walk[1], useful, [number[c] for c in walk[0]]))
     return m
 
 
@@ -719,8 +766,9 @@ def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
     builds the pair product of its minimal DFA with the next DFA, which
     raises ``ResourceLimitError`` before it stores pair state
     ``MAX_FOLD_STATES`` + 1.  Once they are acyclic (the language is
-    finite), its states are interned into the table by the reverse
-    topological pass of ``minimize``, and the rest of the fold runs on that
+    finite), its states are interned into the table by the pass of
+    ``minimize`` (``_revuz``, which interns nothing on a cyclic step), and
+    the rest of the fold runs on that
     table without building a DFA per step: every step (``_fold_step``)
     interns into it, so a class of an earlier step is a class of the next
     one.  There the cap counts the pairs a step memoizes; pairs on a
@@ -728,9 +776,9 @@ def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
     rows, final, intern = table
     acc = dfas[0]
     for i in range(1, len(dfas) + 1):
-        topo = _useful_order(acc.delta, acc.accepting)[1]
-        if topo is not None:
-            c = _acyclic_classes(acc, topo, intern)[acc.initial]
+        got = _revuz(acc.delta, acc.accepting, intern)
+        if got is not None:
+            c = got[0][acc.initial]
             for d in dfas[i:]:
                 c = _fold_step(rows, final, intern, c, d)
             return c
@@ -942,29 +990,37 @@ def _useful_order(
 def _topological(
     delta: Sequence[Sequence[int]], useful: list[bool], indeg: list[int]
 ) -> tuple[list[int] | None, int]:
-    """Kahn's topological order of the ``useful`` states of ``delta`` along
-    the edges between them (``None`` when those edges contain a cycle), and
-    the most such edges on one path.  ``indeg[q]`` is the number of edges
-    of ``delta`` entering q.  The order is the useful
-    states no such edge enters, in increasing order, then each state as the
-    last edge into it is taken, rows in order.
+    """Kahn's topological order (``_kahn``) of the ``useful`` states of
+    ``delta`` along the edges between them (``None`` when those edges
+    contain a cycle), and the most such edges on one path: the depth of the
+    last state, as the order takes the states by rounds.  ``indeg[q]`` is
+    the number of edges of ``delta`` entering q.  An edge into a useful
+    state never leaves a state that is not useful, so counting every edge
+    is exact for the useful states; the others start below zero and are
+    never taken."""
+    order, depth = _kahn(delta, [d if u else -1 for d, u in zip(indeg, useful)])
+    if len(order) != sum(useful):
+        return None, 0
+    return order, depth[order[-1]] if order else 0
 
-    An edge into a useful state never leaves a state that is not useful, so
-    counting every edge is exact for the useful states; the others start
-    below zero and are never taken.  The order takes the states by rounds,
-    so a state is one edge deeper than the state whose row takes it."""
-    indeg = [d if u else -1 for d, u in zip(indeg, useful)]
+
+def _kahn(delta: Sequence[Sequence[int]], indeg: list[int]) -> tuple[list[int], list[int]]:
+    """Kahn's order of the states of ``delta`` whose count in ``indeg``
+    reaches 0, and the depth of each.  The order is the states counted 0,
+    in increasing order, then each state as the edge that brings its count
+    to 0 is taken (``indeg`` is used up), rows in order; a count taken
+    below 0 is not taken again.  A state is one edge deeper than the state
+    whose row takes it."""
     order = [q for q, d in enumerate(indeg) if d == 0]
     depth = [0] * len(delta)
     for q in order:
+        deeper = depth[q] + 1
         for t in delta[q]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 order.append(t)
-                depth[t] = depth[q] + 1
-    if len(order) != sum(useful):
-        return None, 0
-    return order, depth[order[-1]] if order else 0
+                depth[t] = deeper
+    return order, depth
 
 
 def longest_word_length(a: Dfa) -> int | float | None:
@@ -979,8 +1035,8 @@ def _useful_walk(
     """For a minimal DFA ``m``: the longest-word length (as
     ``longest_word_length``), which states are useful, and the topological
     order of the useful states (``None`` when L(m) is infinite), the order
-    ``_useful_order`` gives.  Kept on ``m``; callers must not mutate the
-    lists.
+    ``_useful_order`` gives.  Kept on ``m``, where ``minimize`` may have
+    left it already; callers must not mutate the lists.
 
     No search is needed: the states of ``m`` have distinct languages, so at
     most one is dead (cannot reach acceptance), and its successors are dead

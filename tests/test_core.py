@@ -401,6 +401,21 @@ class TestBulkParse:
             for kind, mutated in _mutations(rng, doc):
                 got = _outcome(parse_dfa, mutated)
                 assert got == _outcome(core._parse_lines, mutated), kind
+            # a target that is not a plain id of a state, in the bulk layout:
+            # the bulk check declines it, and the line walk reads the same
+            # DFA (leading zeros) or names the error (out of range)
+            lines = doc.splitlines()
+            k = int(lines[2].split()[1])
+            t = 5 + rng.randrange(len(lines) - 6)
+            _, src, sym, dst = lines[t].split()
+            for target, same in (
+                ("0" + dst, True), ("00" + dst, True), (str(k), False), (str(10**17 + k), False)
+            ):
+                edited = "\n".join(lines[:t] + [f"trans {src} {sym} {target}"] + lines[t + 1 :]) + "\n"
+                assert core._parse_bulk(edited) is None, target
+                got = _outcome(parse_dfa, edited)
+                assert got == _outcome(core._parse_lines, edited), target
+                assert (got == _outcome(parse_dfa, doc)) == same, target
 
     def test_trusted_constructions_are_valid_and_round_trip(self, monkeypatch):
         built = []
@@ -715,16 +730,19 @@ class TestIntersectAll:
 
     def test_one_useful_order_per_cyclic_step(self, monkeypatch):
         # cofinite partial intersections: every step is cyclic, and the
-        # last product is minimized once more after the fold
+        # last product is minimized once more after the fold, by Hopcroft's
+        # refinement without another pass
         rng = random.Random(11)
         dfas = [complement(_shuffled(random_finite_dfa(rng), rng)) for _ in range(5)]
-        real, calls = core._useful_order, []
+        real, calls = core._revuz, []
 
         def counting(*args):
             calls.append(args)
-            return real(*args)
+            got = real(*args)
+            assert got is None
+            return got
 
-        monkeypatch.setattr(core, "_useful_order", counting)
+        monkeypatch.setattr(core, "_revuz", counting)
         got = intersect_all(dfas, BINARY)
         assert len(calls) == len(dfas)
         kept = dfas[0]._minimized  # the first DFA keeps its minimal DFA
@@ -1050,26 +1068,112 @@ def _walk_by_search(m: Dfa):
     return best[m.initial], useful, topo
 
 
+def _forward_table(rng: random.Random):
+    """A random transition table of 1-8 states over 1-3 letters whose edges
+    mostly lead to higher states, so that every shape of cycle turns up:
+    useful and dead ones, self-loops, unreachable ones, and none."""
+    k, width = rng.randint(1, 8), rng.randint(1, 3)
+    delta = tuple(
+        tuple(
+            rng.randrange(q + 1, k) if q + 1 < k and rng.random() < 0.8 else rng.randrange(k)
+            for _ in range(width)
+        )
+        for q in range(k)
+    )
+    return delta, frozenset(q for q in range(k) if rng.random() < 0.3)
+
+
+def _reach(delta, q: int) -> set[int]:
+    """The states reached from ``q`` along one or more edges."""
+    seen, stack = set(), list(delta[q])
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(delta[t])
+    return seen
+
+
+class TestRevuzPass:
+    """``_revuz`` decides acyclicity without the backward search, and must
+    agree with ``_useful_order`` and with a reverse-order intern over its
+    topological order on every table."""
+
+    def test_matches_the_search_and_its_order(self):
+        rng = random.Random(1992)
+        shapes = set()
+        for _ in range(20000):
+            delta, accepting = _forward_table(rng)
+            states = range(len(delta))
+            useful, topo = core._useful_order(delta, accepting)
+            rows, _, intern = core._class_table(len(delta[0]))
+            want = [0] * len(delta)
+            for q in reversed(topo or []):
+                want[q] = intern(q in accepting, tuple([want[t] for t in delta[q]]))
+            size = len(rows)
+            got = core._revuz(delta, accepting, intern)
+            assert (got is None) == (topo is None)
+            # nothing new in the table: every class of an acyclic table is
+            # there already, and a cyclic one interns nothing
+            assert len(rows) == size
+            if got is not None:
+                block, order, depth = got
+                assert block == want  # the same class ids
+                assert len(set(order)) == len(order) and set(topo) <= set(order)
+                for q in topo:  # one edge deeper than the deepest useful predecessor
+                    preds = [depth[p] + 1 for p in topo if p != q and q in delta[p]]
+                    assert depth[q] == max(preds, default=0)
+            reached = _reach(delta, 0) | {0}  # from state 0
+            cycles = [q for q in states if q in _reach(delta, q)]
+            long = [q for q in cycles if any(q in _reach(delta, t) for t in _reach(delta, q) - {q})]
+            shapes.add((
+                got is None,
+                any(not useful[q] for q in long),
+                any(useful[q] and q in delta[q] for q in states),
+                any(q not in reached for q in cycles),
+            ))
+        # (cyclic, dead cycle of 2+ states, useful self-loop, unreachable
+        # cycle): every combination turns up, but for a useful self-loop in
+        # an acyclic table
+        flags = (False, True)
+        assert shapes == {
+            (c, d, s, u) for c in flags for d in flags for s in flags for u in flags if c or not s
+        }
+
+
 class TestUsefulWalk:
     """``_useful_walk`` reads usefulness off the minimal DFA, with no search,
     and must agree with the search on every minimal DFA it is given."""
 
     def test_matches_search_on_random_minimal_dfas(self):
+        # ``minimize`` may leave the walk on its result; that walk, read
+        # before any ``_useful_walk`` call, must be the search's too
         rng = random.Random(2024)
         alphabets = [("0",), BINARY, ("0", "1", "2")]
-        shapes = set()
+        shapes, kept = set(), set()
         for i in range(2000):
             alphabet = alphabets[i % 3]
             if i % 2:
                 a = random_dfa(rng, 7, alphabet)
             else:
                 a = random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet)
-            m = minimize(_shuffled(a, rng))
-            got = core._useful_walk(m)
-            assert got == _walk_by_search(m)
-            shapes.add((len(alphabet), type(got[0])))
+            for source in (a, minimize(a)):  # not always minimal, then minimal
+                m = minimize(_shuffled(source, rng))
+                walk = getattr(m, "_walk", None)
+                if walk is not None:
+                    assert walk == _walk_by_search(m)
+                    kept.add((source is a and source.state_count != m.state_count, type(walk[0])))
+                elif source is not a:
+                    # a shuffled minimal DFA keeps its walk unless L is infinite
+                    assert longest_word_length(m) == math.inf
+                got = core._useful_walk(m)
+                assert got == _walk_by_search(m)
+                shapes.add((len(alphabet), type(got[0])))
         # finite, infinite and empty languages over each alphabet
         assert shapes == {(w, kind) for w in (1, 2, 3) for kind in (int, float, type(None))}
+        # kept walks of finite and empty languages, from inputs with more
+        # states than the result and from minimal ones
+        assert kept == {(grown, kind) for grown in (True, False) for kind in (int, type(None))}
 
     @pytest.mark.parametrize("alphabet", [("0",), BINARY, ("0", "1", "2")])
     def test_constant_languages(self, alphabet):

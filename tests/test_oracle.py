@@ -839,9 +839,7 @@ class TestVerifyDecomposition:
         width = len(BINARY)
         rows, final, intern = core._class_table(width)
         x, y = (_mod_count_dfa(2000, p) for p in (2, 3))
-        cx, cy = (
-            core._acyclic_classes(f, core._useful_walk(f)[2], intern)[f.initial] for f in (x, y)
-        )
+        cx, cy = (core._revuz(f.delta, f.accepting, intern)[0][f.initial] for f in (x, y))
         before = len(rows)
         cap = core.MAX_FOLD_STATES
         with pytest.raises(

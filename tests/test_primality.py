@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import time
 
 import pytest
 
@@ -93,6 +94,21 @@ class TestIntersectionVerdicts:
         with pytest.raises(ResourceLimitError) as err:
             decide_intersection_primality(a)
         assert str(err.value) == f"uniform witness a^{count} has {count} letters, cap is 1000000"
+
+    def test_uniform_witness_cap_at_large_n_is_fast(self):
+        # lcm(1..n+1) as a product of prime powers: math.lcm over the range
+        # took 36 s at n = 300,000.  Only n of the profile is read.
+        from types import SimpleNamespace
+
+        from primedfa.primality import _lcm_upto, _uniform_witness
+
+        assert [_lcm_upto(m) for m in range(1, 300)] == [
+            math.lcm(*range(1, m + 1)) for m in range(1, 300)
+        ]
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"^uniform witness b\^at least 2\^432317 "):
+            _uniform_witness(SimpleNamespace(n=300_000), "b")
+        assert time.perf_counter() - start < 1.0
 
     def test_fig4_prime_with_golden_witness(self, fig4):
         v = decide_intersection_primality(fig4)
@@ -549,9 +565,12 @@ class TestAnalyzeOnce:
         accepting = frozenset(perm[: n + 1])
         a = parse_dfa(serialize_dfa(Dfa(staircase.alphabet, tuple(shuffled), perm[0], accepting)))
 
-        calls = {"has_cep": [], "uniform_max_word_letter": [], "_useful_order": []}
+        calls = {"has_cep": [], "uniform_max_word_letter": [], "_revuz": [], "_topological": []}
         for module, name in (
-            (primality, "has_cep"), (primality, "uniform_max_word_letter"), (core, "_useful_order")
+            (primality, "has_cep"),
+            (primality, "uniform_max_word_letter"),
+            (core, "_revuz"),
+            (core, "_topological"),
         ):
             real, seen = getattr(module, name), calls[name]
             counting = lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args)
@@ -573,8 +592,10 @@ class TestAnalyzeOnce:
             (PRIME, "safety+noCEP"),
         ]
         assert len(calls["has_cep"]) == len(calls["uniform_max_word_letter"]) == 1
-        # one search, inside minimize, on the input; none on its minimal DFA
-        assert calls["_useful_order"] == [a.delta]
+        # one pass, inside minimize, on the input; none on its minimal DFA,
+        # which keeps the walk of that pass
+        assert calls["_revuz"] == [a.delta]
+        assert minimize(a).delta not in calls["_topological"]
         assert decide_intersection_primality(a) == verdicts[1]
         assert verdicts[3].witness == verdicts[1].witness
         assert not accepts(staircase, verdicts[1].witness)

@@ -19,7 +19,7 @@ from .core import (
     Dfa,
     DfaError,
     Word,
-    _useful_order,
+    _distances,
     _useful_walk,
     minimize,
     run,
@@ -127,9 +127,10 @@ def is_simple_cosafety(a: Dfa) -> bool:
         return False
     # Every state of m is reachable from the initial state, and no path
     # leaves the sink, so the other states are reachable from one another
-    # exactly when all of them reach the initial state: one backward search.
-    reaches_initial = _useful_order(m.delta, (m.initial,))[0]
-    return all(r or q == sink for q, r in enumerate(reaches_initial))
+    # exactly when all of them reach the initial state: one backward search
+    # (``_distances``), whose distances are not needed.
+    reaches_initial = _distances(m.delta, (m.initial,))
+    return all(q in reaches_initial or q == sink for q in range(m.state_count))
 
 
 def uniform_max_word_letter(p: LinearProfile) -> str | None:

@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import getitem
 
 Word = tuple[str, ...]
@@ -163,6 +163,18 @@ def _alphabet_index(alphabet: tuple[str, ...]) -> dict[str, int]:
     for sym in alphabet:
         _check_token("alphabet symbol", sym)
     return {sym: i for i, sym in enumerate(alphabet)}
+
+
+def _check_letters(what: str, letters: Iterable[str], alphabet: Sequence[str]) -> None:
+    """Raises ``DfaError`` naming ``what`` and the first of ``letters``
+    that is not a symbol of ``alphabet``, the check of every constructor
+    that reads words or letters against an alphabet."""
+    index = _alphabet_index(tuple(alphabet))
+    for letter in letters:
+        try:
+            index[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable letter
+            raise DfaError(f"{what}: {letter!r} not in alphabet") from None
 
 
 def _check_token(what: str, s) -> None:
@@ -962,48 +974,6 @@ def is_empty(a: Dfa) -> tuple[bool, Word | None]:
     return w is None, w
 
 
-def _useful_order(
-    delta: Sequence[Sequence[int]], accepting: Iterable[int]
-) -> tuple[list[bool], list[int] | None]:
-    """Which states of the transition table ``delta`` can reach one of
-    ``accepting`` (the useful states), and a topological order of the useful
-    states along the edges between them; the order is ``None`` when those
-    edges contain a cycle."""
-    k = len(delta)
-    inverse: list[list[int]] = [[] for _ in range(k)]
-    for q, row in enumerate(delta):
-        for t in row:
-            inverse[t].append(q)
-    useful = [False] * k
-    stack = list(accepting)
-    for q in stack:
-        useful[q] = True
-    while stack:
-        q = stack.pop()
-        for p in inverse[q]:
-            if not useful[p]:
-                useful[p] = True
-                stack.append(p)
-    return useful, _topological(delta, useful, list(map(len, inverse)))[0]
-
-
-def _topological(
-    delta: Sequence[Sequence[int]], useful: list[bool], indeg: list[int]
-) -> tuple[list[int] | None, int]:
-    """Kahn's topological order (``_kahn``) of the ``useful`` states of
-    ``delta`` along the edges between them (``None`` when those edges
-    contain a cycle), and the most such edges on one path: the depth of the
-    last state, as the order takes the states by rounds.  ``indeg[q]`` is
-    the number of edges of ``delta`` entering q.  An edge into a useful
-    state never leaves a state that is not useful, so counting every edge
-    is exact for the useful states; the others start below zero and are
-    never taken."""
-    order, depth = _kahn(delta, [d if u else -1 for d, u in zip(indeg, useful)])
-    if len(order) != sum(useful):
-        return None, 0
-    return order, depth[order[-1]] if order else 0
-
-
 def _kahn(delta: Sequence[Sequence[int]], indeg: list[int]) -> tuple[list[int], list[int]]:
     """Kahn's order of the states of ``delta`` whose count in ``indeg``
     reaches 0, and the depth of each.  The order is the states counted 0,
@@ -1023,6 +993,25 @@ def _kahn(delta: Sequence[Sequence[int]], indeg: list[int]) -> tuple[list[int], 
     return order, depth
 
 
+def _distances(delta: Sequence[Sequence[int]], targets: Iterable[int]) -> dict[int, int]:
+    """The fewest edges of the transition table ``delta`` on a path from
+    each state to one of ``targets``, for the states that have such a path:
+    one breadth-first search backward from ``targets``."""
+    inverse: list[set[int]] = [set() for _ in delta]
+    for q, row in enumerate(delta):
+        for t in row:
+            inverse[t].add(q)
+    dist = dict.fromkeys(targets, 0)
+    queue = deque(dist)
+    while queue:
+        q = queue.popleft()
+        for p in inverse[q]:
+            if p not in dist:
+                dist[p] = dist[q] + 1
+                queue.append(p)
+    return dist
+
+
 def longest_word_length(a: Dfa) -> int | float | None:
     """Length of the longest accepted word: ``None`` for the empty language,
     ``math.inf`` for an infinite one, an integer otherwise."""
@@ -1033,10 +1022,10 @@ def _useful_walk(
     m: Dfa,
 ) -> tuple[int | float | None, list[bool], list[int] | None]:
     """For a minimal DFA ``m``: the longest-word length (as
-    ``longest_word_length``), which states are useful, and the topological
-    order of the useful states (``None`` when L(m) is infinite), the order
-    ``_useful_order`` gives.  Kept on ``m``, where ``minimize`` may have
-    left it already; callers must not mutate the lists.
+    ``longest_word_length``), which states are useful, and Kahn's order
+    (``_kahn``) of the useful states (``None`` when L(m) is infinite).
+    Kept on ``m``, where ``minimize`` may have left it already; callers
+    must not mutate the lists.
 
     No search is needed: the states of ``m`` have distinct languages, so at
     most one is dead (cannot reach acceptance), and its successors are dead
@@ -1046,26 +1035,26 @@ def _useful_walk(
     if cached is not None:
         return cached
     delta, accepting, width = m.delta, m.accepting, len(m.alphabet)
-    useful = [True] * len(delta)
+    useful = [row.count(q) < width or q in accepting for q, row in enumerate(delta)]
     indeg = [0] * len(delta)
-    for q, row in enumerate(delta):
-        if row.count(q) == width and q not in accepting:
-            useful[q] = False
+    for row in delta:
         for t in row:
             indeg[t] += 1
     # A cycle among useful states lies on an initial-to-accepting path.  In
     # the acyclic case every useful state lies on such a path: a longest
     # path among them runs from the initial state, the only one no useful
-    # edge enters, to a state with no useful successor, which accepts.
-    topo, longest = _topological(delta, useful, indeg)
+    # edge enters, to a state with no useful successor, which accepts.  So
+    # n is the depth of the last state Kahn's order takes.  The sink's count
+    # starts at -1, so it is never taken.
+    order, depth = _kahn(delta, [d if u else -1 for d, u in zip(indeg, useful)])
     if not accepting:
-        n = None
-    elif topo is None:
-        n = math.inf
+        walk = None, useful, order
+    elif len(order) < sum(useful):  # a cycle keeps its states out of the order
+        walk = math.inf, useful, None
     else:
-        n = longest
-    object.__setattr__(m, "_walk", (n, useful, topo))
-    return m._walk
+        walk = depth[order[-1]], useful, order
+    object.__setattr__(m, "_walk", walk)
+    return walk
 
 
 def is_finite_language(a: Dfa) -> bool:
@@ -1082,20 +1071,7 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
     has more than ``limit`` such words, and no more than about twice
     ``limit`` words are ever held."""
     cap = math.inf if limit is None else limit
-    # Shortest distance from each state to an accepting state, for pruning.
-    inverse: list[set[int]] = [set() for _ in range(a.state_count)]
-    for q in range(a.state_count):
-        for t in a.delta[q]:
-            inverse[t].add(q)
-    dist = {q: 0 for q in a.accepting}
-    queue = deque(a.accepting)
-    while queue:
-        q = queue.popleft()
-        for p in inverse[q]:
-            if p not in dist:
-                dist[p] = dist[q] + 1
-                queue.append(p)
-
+    dist = _distances(a.delta, a.accepting)  # for pruning
     out: list[Word] = []
     frontier: list[tuple[Word, int]] = [(EPSILON, a.initial)]
     for length in range(max_len + 1):
@@ -1147,6 +1123,7 @@ def trie_dfa(words, alphabet) -> Dfa:
                 children.append({})
             q = t
         accepting.add(q)
+    _check_letters("trie_dfa", chain.from_iterable(children), alphabet)
     sink = len(children)
     delta = [tuple(kids.get(sym, sink) for sym in alphabet) for kids in children]
     delta.append((sink,) * len(alphabet))

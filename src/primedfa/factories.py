@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import LinearProfile
-from .core import Dfa, DfaError, Word
+from .core import Dfa, DfaError, Word, _check_letters
 
 
 def _dfa(alphabet, rows, accepting, name, initial=0) -> Dfa:
@@ -30,6 +30,7 @@ def _dfa(alphabet, rows, accepting, name, initial=0) -> Dfa:
 
 def singleton_dfa(w: Word, alphabet: tuple[str, ...]) -> Dfa:
     """Minimal-shape DFA for {w}: |w| + 2 states (chain plus rejecting sink)."""
+    _check_letters("singleton_dfa", w, alphabet)
     m = len(w)
     sink = m + 1
     rows = []
@@ -55,6 +56,7 @@ def star_word_dfa(w: Word, alphabet: tuple[str, ...]) -> Dfa:
     m = len(w)
     if m == 0:
         raise DfaError("star_word_dfa: w must be nonempty")
+    _check_letters("star_word_dfa", w, alphabet)
     sink = m
     rows = []
     for i in range(m):
@@ -65,8 +67,7 @@ def star_word_dfa(w: Word, alphabet: tuple[str, ...]) -> Dfa:
 
 def letter_count_dfa(letter: str, k: int, alphabet: tuple[str, ...]) -> Dfa:
     """Words with exactly k occurrences of ``letter``: k + 2 states."""
-    if letter not in alphabet:
-        raise DfaError(f"letter_count_dfa: {letter!r} not in alphabet")
+    _check_letters("letter_count_dfa", (letter,), alphabet)
     if k < 0:
         raise DfaError("letter_count_dfa: k must be nonnegative")
     sink = k + 1
@@ -214,6 +215,7 @@ def factor_letter_position(p: LinearProfile, letter: str, i: int) -> Dfa:
     ``letter`` at some position >= i followed by >= n - i further letters.
     Requires letter not in Sigma_{i-1,i}.  n + 1 states."""
     n = p.n
+    _check_letters("factor_letter_position", (letter,), p.alphabet)
     if not (1 <= i <= n):
         raise DfaError(f"factor_letter_position: i={i} out of range")
     if letter in p.sigma(i - 1, i):
@@ -233,6 +235,7 @@ def factor_letter_position(p: LinearProfile, letter: str, i: int) -> Dfa:
 def subsequence_excluder(w: Word, alphabet: tuple[str, ...]) -> Dfa:
     """Rejects exactly the words containing ``w`` as a subsequence.
     |w| + 1 states; the last is the rejecting sink."""
+    _check_letters("subsequence_excluder", w, alphabet)
     m = len(w)
     rows = []
     for i in range(m):
@@ -329,6 +332,7 @@ def factor_extension(p: LinearProfile, d: int, w: Word) -> Dfa:
     n = p.n
     m = len(w)
     k = len(p.alphabet)
+    _check_letters("factor_extension", w, p.alphabet)
     if d not in range(n) or d in p.accepting:
         raise DfaError(f"factor_extension: q_{d} must be an interior rejecting state")
     case = classify_extension(p, d, w)

@@ -171,11 +171,10 @@ class _LangTable:
     target of a state it lacks, then one accepting flag per state, with
     initial state 0.  Only the refinement reads a rep whole: ``moves(i)``
     decodes its targets, accepting flags and live flags on first use and
-    keeps them in ``decoded``; ``rep(i)`` is a ``Dfa`` built from them
-    afresh on each call, for the tests.  ``masks``
-    keeps ``accept_mask(w)`` by word, ``held`` the bytes its entries count
-    (at most ``WORD_CACHE_BYTES``), ``last`` the minimal DFA
-    ``_alpha_members`` last selected for and its alpha mask."""
+    keeps them in ``decoded``.  ``masks`` keeps ``accept_mask(w)`` by
+    word, ``held`` the bytes its entries count (at most
+    ``WORD_CACHE_BYTES``), ``last`` the minimal DFA ``_alpha_members`` last
+    selected for and its alpha mask."""
 
     alphabet: tuple
     rows: bytes
@@ -216,16 +215,6 @@ class _LangTable:
                 share(live, live),
             )
         return got
-
-    def rep(self, i: int) -> Dfa:
-        """Rep i as a ``Dfa``, built afresh from ``moves(i)`` on each call."""
-        targets, accepting, _ = self.moves(i)
-        return Dfa(
-            self.alphabet,
-            tuple(map(tuple, targets)),
-            0,
-            frozenset(q for q, f in enumerate(accepting) if f),
-        )
 
     def start(self, among: int) -> list[int]:
         """Run vector of the reps in ``among`` before any letter: entry q is

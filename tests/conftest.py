@@ -17,6 +17,18 @@ def language_dfa(words, alphabet) -> Dfa:
     return minimize(trie_dfa(sorted(set(words)), alphabet))
 
 
+def table_rep(table, i: int) -> Dfa:
+    """Rep i of the oracle's language table as a ``Dfa``, built afresh from
+    its ``moves(i)``."""
+    targets, accepting, _ = table.moves(i)
+    return Dfa(
+        table.alphabet,
+        tuple(map(tuple, targets)),
+        0,
+        frozenset(q for q, f in enumerate(accepting) if f),
+    )
+
+
 def watch_dfas(monkeypatch, seen) -> None:
     """Calls ``seen(a)`` on every ``Dfa`` built from now on: before the
     checks of ``Dfa(...)``, and after ``Dfa._trusted``, which skips them.

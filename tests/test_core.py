@@ -53,6 +53,7 @@ from conftest import (
     language_dfa,
     random_dfa,
     random_finite_dfa,
+    table_rep,
     watch_dfas,
 )
 
@@ -1051,11 +1052,40 @@ class TestLanguageShape:
         assert reachable_states(a) == {0, 1}
 
 
+def _useful_order(delta, accepting) -> tuple[list[bool], list[int] | None]:
+    """Which states of the transition table ``delta`` can reach one of
+    ``accepting`` (the useful states), by a backward search, and Kahn's
+    order (``core._kahn``) of the useful states along the edges between
+    them, ``None`` when those edges contain a cycle: the search and sort
+    ``core`` ran before its one Kahn pass replaced them, kept as the
+    reference."""
+    k = len(delta)
+    inverse: list[list[int]] = [[] for _ in range(k)]
+    for q, row in enumerate(delta):
+        for t in row:
+            inverse[t].append(q)
+    useful = [False] * k
+    stack = list(accepting)
+    for q in stack:
+        useful[q] = True
+    while stack:
+        q = stack.pop()
+        for p in inverse[q]:
+            if not useful[p]:
+                useful[p] = True
+                stack.append(p)
+    # an edge into a useful state never leaves a state that is not useful,
+    # so counting every edge is exact for the useful states; the others
+    # start below zero and are never taken
+    order, _ = core._kahn(delta, [len(i) if u else -1 for i, u in zip(inverse, useful)])
+    return useful, order if len(order) == sum(useful) else None
+
+
 def _walk_by_search(m: Dfa):
     """``_useful_walk(m)`` computed the long way: the backward search and
     Kahn's order of ``_useful_order``, and the longest path by a maximum
     over the useful successors of every state."""
-    useful, topo = core._useful_order(m.delta, m.accepting)
+    useful, topo = _useful_order(m.delta, m.accepting)
     if not m.accepting:
         return None, useful, topo
     if topo is None:
@@ -1083,6 +1113,23 @@ def _forward_table(rng: random.Random):
     return delta, frozenset(q for q in range(k) if rng.random() < 0.3)
 
 
+def test_distances_match_forward_searches():
+    # every state's distance to the targets by its own forward search
+    rng = random.Random(1085)
+    for _ in range(3000):
+        delta, targets = _forward_table(rng)
+        want = {}
+        for q in range(len(delta)):
+            level, seen, steps = {q}, {q}, 0
+            while level and targets.isdisjoint(level):
+                level = {t for p in level for t in delta[p]} - seen
+                seen |= level
+                steps += 1
+            if level:
+                want[q] = steps
+        assert core._distances(delta, targets) == want
+
+
 def _reach(delta, q: int) -> set[int]:
     """The states reached from ``q`` along one or more edges."""
     seen, stack = set(), list(delta[q])
@@ -1105,7 +1152,7 @@ class TestRevuzPass:
         for _ in range(20000):
             delta, accepting = _forward_table(rng)
             states = range(len(delta))
-            useful, topo = core._useful_order(delta, accepting)
+            useful, topo = _useful_order(delta, accepting)
             rows, _, intern = core._class_table(len(delta[0]))
             want = [0] * len(delta)
             for q in reversed(topo or []):
@@ -1187,7 +1234,7 @@ class TestUsefulWalk:
 
         table = _language_table(alphabet, max_states)
         for i in range(len(table)):
-            rep = table.rep(i)
+            rep = table_rep(table, i)
             walk = core._useful_walk(rep)
             assert walk == _walk_by_search(rep)
             targets, accepting, live = table.moves(i)

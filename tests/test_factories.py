@@ -28,6 +28,7 @@ from primedfa import (
     singleton_dfa,
     star_word_dfa,
     subsequence_excluder,
+    trie_dfa,
     uniform_max_word_letter,
     verify_decomposition,
 )
@@ -96,6 +97,34 @@ class TestStockFactories:
         assert a.state_count == len(w) + 1
         for u in all_words(AB, 5):
             assert accepts(a, u) == (not is_subsequence(w, u))
+
+
+def _nonsafety_ab():
+    """The profile of a linear non-safety DFA over {a, b} (n = 3) whose
+    interior state q_1 rejects: enough for ``factor_extension`` to build on
+    a word of four letters."""
+    rows = ((1, 2), (3, 3), (1, 1), (4, 4), (4, 4))
+    return linear_profile(Dfa(AB, rows, 0, frozenset({0, 1, 3})))
+
+
+OUTSIDE_THE_ALPHABET = [
+    ("trie_dfa", lambda: trie_dfa([("a",), ("c",)], AB)),
+    ("singleton_dfa", lambda: singleton_dfa(("c",), AB)),
+    ("star_word_dfa", lambda: star_word_dfa(("c",), AB)),
+    ("letter_count_dfa", lambda: letter_count_dfa("c", 1, AB)),
+    ("subsequence_excluder", lambda: subsequence_excluder(("a", "c"), AB)),
+    ("factor_letter_position", lambda: factor_letter_position(_nonsafety_ab(), "c", 2)),
+    ("factor_extension", lambda: factor_extension(_nonsafety_ab(), 1, ("c",) * 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build", OUTSIDE_THE_ALPHABET, ids=[name for name, _ in OUTSIDE_THE_ALPHABET]
+)
+def test_letter_outside_the_alphabet_names_factory_and_letter(name, build):
+    # an error, never a DFA of another language
+    with pytest.raises(DfaError, match=f"^{name}: 'c' not in alphabet$"):
+        build()
 
 
 class TestIndexChains:

@@ -48,6 +48,7 @@ from conftest import (
     language_dfa,
     random_dfa,
     random_finite_dfa,
+    table_rep,
     watch_dfas,
 )
 
@@ -186,7 +187,7 @@ class TestLanguageTable:
         flats, trans, final, smaller = _reference_table(width, max_states)
         decoded = [
             (r.state_count, tuple(sorted(r.accepting)), tuple(itertools.chain(*r.delta)))
-            for r in map(table.rep, range(len(table)))
+            for r in (table_rep(table, j) for j in range(len(table)))
         ]
         assert decoded == flats
         assert table.trans == trans
@@ -215,13 +216,13 @@ class TestLanguageTable:
         for length in lengths:  # most beyond the signature depth 2 * max_states - 2
             w = tuple(rng.choice(alphabet) for _ in range(length))
             got = table.accept_mask(w)
-            for i, rep in enumerate(map(table.rep, range(len(table)))):
+            for i, rep in enumerate(table_rep(table, j) for j in range(len(table))):
                 assert (got >> i & 1) == accepts(rep, w), (w, i)
 
     @pytest.mark.parametrize("alphabet,max_states", TABLES)
     def test_reps_are_distinct_minimal_and_tightest_first(self, alphabet, max_states):
         table = _language_table(alphabet, max_states)
-        reps = list(map(table.rep, range(len(table))))
+        reps = [table_rep(table, j) for j in range(len(table))]
         assert len(reps) == {BINARY: 57068, ("a", "b", "c"): 42042}[alphabet]
         assert len({(r.delta, r.accepting) for r in reps}) == len(reps)
         depth = 2 * max_states - 2
@@ -237,7 +238,7 @@ class TestLanguageTable:
 def _run_reference(table, w) -> int:
     """The mask of the reps of ``table`` that accept ``w``, rep by rep."""
     n = len(table)
-    return _mask((i for i in range(n) if accepts(table.rep(i), w)), n)
+    return _mask((i for i in range(n) if accepts(table_rep(table, i), w)), n)
 
 
 def _criterion1_sample() -> list[Dfa]:
@@ -327,7 +328,7 @@ def _alpha_reference(m: Dfa) -> int:
     table = _language_table(m.alphabet, max(1, m.state_count - 1))
     contain = (
         i
-        for i, rep in enumerate(map(table.rep, range(len(table))))
+        for i, rep in enumerate(table_rep(table, j) for j in range(len(table)))
         if rep.state_count < m.state_count
         and core._shortest_word((m, rep), lambda acc: acc[0] and not acc[1]) is None
     )
@@ -478,7 +479,7 @@ def _refine_reference(m: Dfa, selected: int, table) -> tuple | None:
         rejecting = selected & ~table.accept_mask(w)
         if not rejecting:
             return w
-        chosen.append(table.rep((rejecting & -rejecting).bit_length() - 1))
+        chosen.append(table_rep(table, (rejecting & -rejecting).bit_length() - 1))
 
 
 TERNARY_EPS_OR_TWO = ([()] + list(itertools.product("abc", repeat=2)), ("a", "b", "c"))

@@ -565,12 +565,12 @@ class TestAnalyzeOnce:
         accepting = frozenset(perm[: n + 1])
         a = parse_dfa(serialize_dfa(Dfa(staircase.alphabet, tuple(shuffled), perm[0], accepting)))
 
-        calls = {"has_cep": [], "uniform_max_word_letter": [], "_revuz": [], "_topological": []}
+        calls = {"has_cep": [], "uniform_max_word_letter": [], "_revuz": [], "_kahn": []}
         for module, name in (
             (primality, "has_cep"),
             (primality, "uniform_max_word_letter"),
             (core, "_revuz"),
-            (core, "_topological"),
+            (core, "_kahn"),
         ):
             real, seen = getattr(module, name), calls[name]
             counting = lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args)
@@ -592,10 +592,10 @@ class TestAnalyzeOnce:
             (PRIME, "safety+noCEP"),
         ]
         assert len(calls["has_cep"]) == len(calls["uniform_max_word_letter"]) == 1
-        # one pass, inside minimize, on the input; none on its minimal DFA,
-        # which keeps the walk of that pass
+        # one pass, inside minimize, on the input, and its one Kahn sort;
+        # none on its minimal DFA, which keeps the walk of that pass
         assert calls["_revuz"] == [a.delta]
-        assert minimize(a).delta not in calls["_topological"]
+        assert calls["_kahn"] == [a.delta]
         assert decide_intersection_primality(a) == verdicts[1]
         assert verdicts[3].witness == verdicts[1].witness
         assert not accepts(staircase, verdicts[1].witness)

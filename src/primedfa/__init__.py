@@ -18,6 +18,7 @@ from .classify import (
 from .core import (
     EPSILON,
     AlphabetMismatchError,
+    Budget,
     Dfa,
     DfaError,
     ParseError,
@@ -70,8 +71,6 @@ from .gadgets import (
     sprime_gadget,
 )
 from .oracle import (
-    DEFAULT_LIMITS,
-    OracleLimits,
     oracle_cep,
     oracle_primality,
     verify_decomposition,
@@ -80,7 +79,6 @@ from .oracle import (
 from .primality import (
     COMPOSITE,
     PRIME,
-    Caps,
     Decomposition,
     PrimalityVerdict,
     decide_dnf_primality,

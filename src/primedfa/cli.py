@@ -26,6 +26,7 @@ from .classify import (
     uniform_max_word_letter,
 )
 from .core import (
+    Budget,
     Dfa,
     DfaError,
     ParseError,
@@ -55,9 +56,8 @@ from .gadgets import (
     primefin_gadget,
     sprime_gadget,
 )
-from .oracle import OracleLimits, oracle_primality, verify_decomposition
+from .oracle import oracle_primality, verify_decomposition
 from .primality import (
-    Caps,
     PrimalityVerdict,
     decide_dnf_primality,
     decide_intersection_primality,
@@ -211,8 +211,8 @@ _DECOMPOSERS = {
 @cli.command()
 @click.option("--mode", type=click.Choice(sorted(_DECOMPOSERS)), default="cap", show_default=True)
 @click.option("--out", "out_dir", default=None, help="Directory for factor files.")
-@click.option("--max-words", type=click.IntRange(min=0), default=10**6, show_default=True)
-@click.option("--max-factors", type=click.IntRange(min=0), default=10**6, show_default=True)
+@click.option("--max-words", type=click.IntRange(min=0), default=Budget().max_words, show_default=True)
+@click.option("--max-factors", type=click.IntRange(min=0), default=Budget().max_factors, show_default=True)
 @click.argument("dfa_file")
 @_JSON_OPT
 def decompose(
@@ -236,7 +236,7 @@ def decompose(
             as_json,
         )
         return
-    d = _DECOMPOSERS[mode](a, Caps(max_words=max_words, max_factors=max_factors))
+    d = _DECOMPOSERS[mode](a, Budget(max_words=max_words, max_factors=max_factors))
     ok, diag = verify_decomposition(a, d)
     terms = d.terms
     placed = [(ti, fi, f) for ti, term in enumerate(terms) for fi, f in enumerate(term)]
@@ -257,13 +257,13 @@ def decompose(
 
 
 @cli.command()
-@click.option("--max-factor-states", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--max-factor-states", type=click.IntRange(min=1), default=Budget().max_factor_states, show_default=True)
 @click.argument("dfa_file")
 @_JSON_OPT
 def oracle(max_factor_states: int, dfa_file: str, as_json: bool) -> None:
     """Brute-force primality verdict by definition (small inputs only)."""
-    limits = OracleLimits(max_factor_states=max_factor_states)
-    _emit(_verdict_report(oracle_primality(_load_dfa(dfa_file), limits)), as_json)
+    budget = Budget(max_factor_states=max_factor_states)
+    _emit(_verdict_report(oracle_primality(_load_dfa(dfa_file), budget)), as_json)
 
 
 @cli.command("minimize")
@@ -300,11 +300,6 @@ def factory(kind: str, alphabet: str, word: str, length_: int, letter: str, coun
     """Print a stock factor DFA document."""
     al = tuple(alphabet.split())
     w: Word = tuple(word.split())
-    stray = [sym for sym in w if sym not in al]
-    if kind in ("singleton", "starword") and stray:
-        raise click.BadParameter(
-            f"letter {stray[0]!r} is not in --alphabet", param_hint="--word"
-        )
     if kind == "singleton":
         a = singleton_dfa(w, al)
     elif kind == "lengthcap":
@@ -387,7 +382,7 @@ def _sweep_random(samples: int, seed: int, max_n: int, alphabet: tuple[str, ...]
 @click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True, help="Random: sample count.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-n", type=click.IntRange(min=0), default=4, show_default=True, help="Random: longest word bound.")
-@click.option("--max-factor-states", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--max-factor-states", type=click.IntRange(min=1), default=Budget().max_factor_states, show_default=True)
 @_JSON_OPT
 def sweep(
     family: str,
@@ -402,9 +397,9 @@ def sweep(
     """Compare the characterization against the brute-force oracle over an
     instance family; deterministic for fixed flags and seed."""
     letters = ("0", "1", "2", "3", "4", "5")[:alphabet_size]
-    limits = OracleLimits(max_factor_states=max_factor_states)
+    budget = Budget(max_factor_states=max_factor_states)
     if family == "exhaustive":
-        instances = _sweep_exhaustive(max_index, letters, limits.max_enumerated_dfas)
+        instances = _sweep_exhaustive(max_index, letters, budget.max_enumerated_dfas)
     else:
         instances = _sweep_random(samples, seed, max_n, letters)
     total = agreements = skipped = 0
@@ -413,7 +408,7 @@ def sweep(
         total += 1
         try:
             v = decide_intersection_primality(m)
-            o = oracle_primality(m, limits)
+            o = oracle_primality(m, budget)
         except ResourceLimitError:
             skipped += 1
             continue

@@ -49,6 +49,26 @@ class ResourceLimitError(DfaError):
     """A configured enumeration or size cap was exceeded."""
 
 
+@dataclass(frozen=True)
+class Budget:
+    """The caps a caller sets, each raising ``ResourceLimitError`` when
+    exceeded.  ``max_words`` bounds every word enumeration of a
+    decomposition and the maximal words ``oracle_cep`` checks;
+    ``max_factors`` the factors or terms a decomposition draws (before the
+    profile branches drop those that do not shrink their running
+    intersection), the paths its pieces are split by, and the words ending
+    at q_n of a linear DNF decomposition; ``max_factor_states`` the states
+    of the oracle's alpha members; ``max_enumerated_dfas`` the automata its
+    language table stands for.  The caps no caller sets are module
+    constants: ``MAX_FOLD_STATES``, ``gadgets.MAX_GADGET_STATES``,
+    ``primality.MAX_WITNESS_LETTERS`` and ``oracle.WORD_CACHE_BYTES``."""
+
+    max_words: int = 10**6
+    max_factors: int = 10**6
+    max_factor_states: int = 4
+    max_enumerated_dfas: int = 2 * 10**6
+
+
 def _count_text(n: int, shift: int = 0) -> str:
     """The count ``n * 2**shift`` as a resource-limit message shows it:
     exactly when it is below 2^64, otherwise as "at least 2^k" for its top

@@ -46,8 +46,9 @@ from functools import lru_cache, partial
 from operator import getitem
 
 from .classify import LinearProfile
+from . import core
 from .core import (
-    MAX_FOLD_STATES,
+    Budget,
     Dfa,
     DfaError,
     ResourceLimitError,
@@ -68,14 +69,6 @@ from .core import (
 )
 from .primality import COMPOSITE, PRIME, Decomposition, PrimalityVerdict
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_factor_states: int = 4
-    max_enumerated_dfas: int = 2 * 10**6
-
-
-DEFAULT_LIMITS = OracleLimits()
 
 # Bytes a language table's word cache may hold: every entry counts one bit
 # per rep for its mask plus 8 per letter of its word (a tuple slot).
@@ -287,7 +280,7 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     size, accepting ids, table), which is that of the serializations, as
     state ids are single digits.  The joined rows, of fixed stride, are the
     byte string the table keeps; every mask is one column of it.  Callers
-    check the number of DFAs the table stands for against their limits
+    check the number of DFAs the table stands for against their budget
     first."""
     width = len(alphabet)
     depth = max(2 * max_states - 2, 1)
@@ -348,7 +341,7 @@ def _language_table(alphabet: tuple[str, ...], max_states: int) -> _LangTable:
     )
 
 
-def _alpha_members(a: Dfa, limits: OracleLimits):
+def _alpha_members(a: Dfa, budget: Budget = Budget()):
     """The mask (over the language table) of the alpha(A) reps: one per
     distinct language with fewer states than ind(A) containing L(A), that is,
     left in an accepting state by every word of L(A).  For a finite L(A) it
@@ -357,25 +350,25 @@ def _alpha_members(a: Dfa, limits: OracleLimits):
     reachability fixpoint over the minimal DFA ``m`` (``_alpha_fixpoint``).
     A second call for the same ``m`` right after the first (``verify_witness``
     after ``oracle_primality``) reads the mask off ``table.last``, once both
-    limits have been checked."""
+    caps have been checked."""
     m = minimize(a)
     ind = m.state_count
-    if ind - 1 > limits.max_factor_states:
+    if ind - 1 > budget.max_factor_states:
         raise ResourceLimitError(
             f"alpha computation needs factors up to {ind - 1} states, cap is "
-            f"{limits.max_factor_states}"
+            f"{budget.max_factor_states}"
         )
     max_states = max(1, ind - 1)
     width = len(a.alphabet)
     # A largest term past the cap and 2^64 fires the check alone; the message
     # shows such a count only by its top bit, at most one below the sum's.
-    budget = max_states ** (max_states * width) * 2**max_states
-    if budget <= limits.max_enumerated_dfas or budget < 2**64:
-        budget = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
-    if budget > limits.max_enumerated_dfas:
+    automata = max_states ** (max_states * width) * 2**max_states
+    if automata <= budget.max_enumerated_dfas or automata < 2**64:
+        automata = sum(k ** (k * width) * 2**k for k in range(1, max_states + 1))
+    if automata > budget.max_enumerated_dfas:
         raise ResourceLimitError(
             f"language table for {max_states} states over {width} letters "
-            f"stands for {_count_text(budget)} automata, cap is {limits.max_enumerated_dfas}"
+            f"stands for {_count_text(automata)} automata, cap is {budget.max_enumerated_dfas}"
         )
     table = _language_table(a.alphabet, max_states)
     if table.last[0] is m:
@@ -457,11 +450,12 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
     meets the goal when it is stored (A rejects, every member accepts, read
     off per-DFA flag sequences) ends the round with that least word.  A
     node where a chosen member sits in a dead state is stored (the
-    ``MAX_FOLD_STATES`` cap counts it) but not expanded: that member
+    ``core.MAX_FOLD_STATES`` cap counts it) but not expanded: that member
     rejects every extension, so no goal lies below it, and since dead
     states lead only to dead states every other node keeps its least word.
     A is never pruned, as the goal needs it to reject."""
     alphabet = m.alphabet
+    cap = core.MAX_FOLD_STATES
     deltas = [m.delta]  # A, then the chosen members' targets
     goals = [bytes(q not in m.accepting for q in range(m.state_count))]  # A must reject
     live = [b"\1" * m.state_count]
@@ -481,10 +475,10 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
                 break
             for x, nxt in enumerate(zip(*map(getitem, deltas, node))):  # successors by letter
                 if nxt not in parent:
-                    if len(parent) >= MAX_FOLD_STATES:
+                    if len(parent) >= cap:
                         raise ResourceLimitError(
                             f"product of {len(deltas)} DFAs reached {len(parent) + 1} "
-                            f"states, cap is {MAX_FOLD_STATES}"
+                            f"states, cap is {cap}"
                         )
                     parent[nxt] = (node, x)
                     if all(map(getitem, goals, nxt)):
@@ -505,26 +499,26 @@ def _refine(m: Dfa, selected: int, table: _LangTable) -> Word | None:
         pick = rejecting & -rejecting
 
 
-def oracle_primality(a: Dfa, limits: OracleLimits = DEFAULT_LIMITS) -> PrimalityVerdict:
+def oracle_primality(a: Dfa, budget: Budget = Budget()) -> PrimalityVerdict:
     """Definitional verdict: Composite iff the alpha intersection equals
     L(A); otherwise Prime with the shortest difference word as witness."""
-    m, selected, table = _alpha_members(a, limits)
+    m, selected, table = _alpha_members(a, budget)
     witness = _refine(m, selected, table)
     if witness is None:
         return PrimalityVerdict(COMPOSITE, "oracle")
     return PrimalityVerdict(PRIME, "oracle", witness=witness)
 
 
-def verify_witness(a: Dfa, w: Word, limits: OracleLimits = DEFAULT_LIMITS) -> bool:
+def verify_witness(a: Dfa, w: Word, budget: Budget = Budget()) -> bool:
     """True iff ``w`` is rejected by A but accepted by every alpha(A)
     member, i.e. by the alpha intersection."""
     if accepts(a, w):
         return False
-    _, selected, table = _alpha_members(a, limits)
+    _, selected, table = _alpha_members(a, budget)
     return selected & table.accept_mask(w) == selected
 
 
-def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
+def oracle_cep(p: LinearProfile, budget: Budget = Budget()) -> bool:
     """Literal compression-extension check: every maximal-length accepted
     word must have a compression whose run lands in q_n or the sink (from
     which every extension is rejected)."""
@@ -535,9 +529,9 @@ def oracle_cep(p: LinearProfile, max_words: int = 10**6) -> bool:
     count = 1
     for s in spine:
         count *= len(s)
-        if count > max_words:
+        if count > budget.max_words:
             raise ResourceLimitError(
-                f"oracle_cep: maximal words exceeded cap of {max_words} after {count}"
+                f"oracle_cep: maximal words exceeded cap of {budget.max_words} after {count}"
             )
     for w in itertools.product(*spine):
         compressed_somewhere = False
@@ -593,7 +587,8 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
             _canonical(rows, final, t, a.alphabet, "term") if type(t) is int else t
             for t in level
         ]
-        acc = _balanced_union(dfas, lambda x, y: minimize(product(x, y, "union", MAX_FOLD_STATES)))
+        cap = core.MAX_FOLD_STATES
+        acc = _balanced_union(dfas, lambda x, y: minimize(product(x, y, "union", cap)))
 
     # Both are canonical minimal DFAs, so they accept the same words exactly
     # when their tables are equal; the search runs only to find the least

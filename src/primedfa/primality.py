@@ -23,6 +23,7 @@ from .classify import (
     uniform_max_word_letter,
 )
 from .core import (
+    Budget,
     Dfa,
     DfaError,
     ResourceLimitError,
@@ -105,18 +106,6 @@ class Decomposition:
         if self.mode == "union":
             return [[f] for f in self.factors]
         return self.factors
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Resource caps for decomposition emission.  ``max_words`` bounds every
-    word enumeration; ``max_factors`` bounds the factors or terms drawn,
-    counted before the profile branches drop those that do not shrink their
-    running intersection, the paths the pieces are split by, and the words
-    of a linear DNF decomposition that end at q_n, one term each."""
-
-    max_words: int = 10**6
-    max_factors: int = 10**6
 
 
 def _analysis(
@@ -338,7 +327,7 @@ def _pieces(m: Dfa, union: bool, bound: int, cap: int) -> Iterator[Dfa]:
         yield piece(top, k)
 
 
-def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
+def _profile_certificate(m: Dfa, budget: Budget = Budget()) -> tuple[list[Dfa], list[Word]]:
     """Intersection certificate of the composite linear minimal DFA ``m``
     (the CEP or non-safety branch): the factors kept, and the words longer
     than n that every base factor (every family but the extension factors)
@@ -356,7 +345,7 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
     loop_d, letter positions, index chains, subsequence excluders,
     extension factors.  When the base families close the fold, no word
     survives; otherwise the survivors are read off the intersection of
-    every base factor.  ``caps.max_factors`` counts the factors drawn."""
+    every base factor.  ``budget.max_factors`` counts the factors drawn."""
     n, p, *_ = _analysis(m)
     d = interior_rejecting_state(p)
     alphabet = p.alphabet
@@ -377,10 +366,10 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
 
         def excluders_then_extensions():
             # Drawn after the chains, so no word is enumerated when they close the fold.
-            rejected = enumerate_language(complement(p.base), n, caps.max_words)
+            rejected = enumerate_language(complement(p.base), n, budget.max_words)
             yield from (subsequence_excluder(w, alphabet) for w in rejected if len(w) == n)
             # Drawn after the last base factor, so ``acc`` is their intersection.
-            words = enumerate_language(acc, max(n, 2 * n - 2), caps.max_words)
+            words = enumerate_language(acc, max(n, 2 * n - 2), budget.max_words)
             survivors.extend(w for w in words if len(w) > n)
             for w in survivors:
                 yield factor_extension(p, d, w)
@@ -392,7 +381,7 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
             excluders_then_extensions(),
         )
     kept, acc = [], all_accepting_dfa(alphabet)
-    for f in _capped(drawn, caps.max_factors):
+    for f in _capped(drawn, budget.max_factors):
         grown = intersect_all([acc, f], alphabet)
         if (grown.delta, grown.accepting) != (acc.delta, acc.accepting):
             kept.append(f)
@@ -402,7 +391,7 @@ def _profile_certificate(m: Dfa, caps: Caps) -> tuple[list[Dfa], list[Word]]:
     return kept, survivors
 
 
-def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
+def intersection_decomposition(a: Dfa, budget: Budget = Budget()) -> Decomposition:
     """Factors with at most index - 1 states each that intersect to exactly
     L(a), for a composite ``a``, in the order of the branch's families.
 
@@ -416,20 +405,20 @@ def intersection_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     profile into one running intersection, keep only the factors that
     shrink it, and stop drawing once it is L(a) (``_profile_certificate``).
 
-    ``caps.max_words`` bounds every word enumeration and ``caps.max_factors``
-    the factors drawn, before factors that do not shrink the intersection
-    are dropped."""
+    ``budget.max_words`` bounds every word enumeration and
+    ``budget.max_factors`` the factors drawn, before factors that do not
+    shrink the intersection are dropped."""
     m = minimize(a)
     n, _, status, branch, _ = _analysis(m, "decide_intersection_primality")
     if status == PRIME:
         raise DfaError("intersection_decomposition: input is prime")
     bound = m.state_count - 1
     if branch == "non-linear":
-        pieces = _pieces(m, False, bound, caps.max_factors)
+        pieces = _pieces(m, False, bound, budget.max_factors)
         drawn = itertools.chain((length_cap_dfa(n, a.alphabet),), pieces)
-        factors = list(_capped(drawn, caps.max_factors))
+        factors = list(_capped(drawn, budget.max_factors))
     else:
-        factors, _ = _profile_certificate(m, caps)
+        factors, _ = _profile_certificate(m, budget)
     return Decomposition("intersection", bound, factors)
 
 
@@ -442,13 +431,13 @@ def decide_union_primality(a: Dfa) -> PrimalityVerdict:
     return PrimalityVerdict(PRIME, "linear")
 
 
-def union_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
+def union_decomposition(a: Dfa, budget: Budget = Budget()) -> Decomposition:
     m = minimize(a)
     v = decide_union_primality(m)
     if v.is_prime:
         raise DfaError("union_decomposition: input is union-prime")
-    pieces = _pieces(m, True, m.state_count - 1, caps.max_factors)
-    return Decomposition("union", m.state_count - 1, list(_capped(pieces, caps.max_factors)))
+    pieces = _pieces(m, True, m.state_count - 1, budget.max_factors)
+    return Decomposition("union", m.state_count - 1, list(_capped(pieces, budget.max_factors)))
 
 
 def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
@@ -462,13 +451,13 @@ def decide_dnf_primality(a: Dfa) -> PrimalityVerdict:
     return PrimalityVerdict(PRIME, "linear+sigma-n", notes=f"uniform letter {sigma}")
 
 
-def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
+def dnf_decomposition(a: Dfa, budget: Budget = Budget()) -> Decomposition:
     m = minimize(a)
     v = decide_dnf_primality(m)
     if v.is_prime:
         raise DfaError("dnf_decomposition: input is DNF-prime")
     if v.branch == "non-linear":  # the union pieces as one-factor terms
-        terms = [[f] for f in union_decomposition(m, caps).factors]
+        terms = [[f] for f in union_decomposition(m, budget).factors]
         return Decomposition("dnf", m.state_count, terms)
     # Linear: one term for the words that do not end at q_n (it joins the sink),
     # then per word w that does {w}, or {w}* with an exact count of w[0] if |w| = n.
@@ -476,7 +465,7 @@ def dnf_decomposition(a: Dfa, caps: Caps = Caps()) -> Decomposition:
     alphabet, delta = a.alphabet, p.base.delta
     shorter = minimize(Dfa(alphabet, delta, 0, p.accepting - {n}, "shorter"))
     terms = [[shorter]] if shorter.accepting else []
-    for w in enumerate_language(Dfa(alphabet, delta, 0, frozenset({n})), n, caps.max_factors):
+    for w in enumerate_language(Dfa(alphabet, delta, 0, frozenset({n})), n, budget.max_factors):
         if len(w) < n:
             terms.append([singleton_dfa(w, alphabet)])
         else:

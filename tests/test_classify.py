@@ -8,6 +8,7 @@ import random
 import pytest
 
 from primedfa import (
+    Budget,
     Dfa,
     DfaError,
     ResourceLimitError,
@@ -238,7 +239,7 @@ class TestCep:
         # {a, b}^4: 2, 4, 8, 16 maximal words after each spine position
         p = linear_profile(language_dfa(list(itertools.product("ab", repeat=4)), AB))
         with pytest.raises(ResourceLimitError) as exc:
-            oracle_cep(p, max_words=10)
+            oracle_cep(p, Budget(max_words=10))
         assert str(exc.value) == "oracle_cep: maximal words exceeded cap of 10 after 16"
 
     def test_breach_word_is_always_accepted_max_word(self):

@@ -56,6 +56,18 @@ NON_SAFETY_DOC = serialize_dfa(
     language_dfa([(), ("0",), ("1",)] + SPINE + [w + ("1",) for w in SPINE], ("0", "1"))
 )
 
+# linear, non-safety, ternary, n = 8: its certificate keeps subsequence
+# excluders, so the fold enumerates the rejected words of length 8
+EXCLUDED_DOC = serialize_dfa(
+    Dfa(
+        ("a", "b", "c"),
+        ((1, 1, 2), (3, 4, 4), (5, 6, 7), (8, 5, 8), (2, 5, 9))
+        + ((5, 5, 5), (3, 9, 5), (5, 3, 3), (5, 5, 5), (3, 7, 7)),
+        0,
+        frozenset({0, 4, 6, 7, 8}),
+    )
+)
+
 # the prefixes of a b b b: linear, safety, CEP
 PREFIX_DOC = serialize_dfa(language_dfa([tuple("abbb"[:i]) for i in range(5)], ("a", "b")))
 
@@ -408,7 +420,59 @@ class TestFactory:
     def test_word_letter_outside_alphabet_exits_three(self, kind):
         r = run_cli(["factory", kind, "--alphabet", "a b", "--word", "a c"])
         assert r.returncode == 3 and r.stdout == ""
-        assert "'c' is not in --alphabet" in r.stderr
+        constructor = {"singleton": "singleton_dfa", "starword": "star_word_dfa"}[kind]
+        assert r.stderr == f"error: {constructor}: 'c' not in alphabet\n"
+
+
+class TestCapFlags:
+    @pytest.mark.parametrize(
+        "args, doc, stderr",
+        [
+            (
+                ["decompose", "--max-factors", "1"],
+                SWAP_DOC,
+                "error: factor emission exceeded cap of 1 after 2 factors\n",
+            ),
+            (
+                ["decompose", "--max-words", "100"],
+                EXCLUDED_DOC,
+                "error: language enumeration exceeded cap of 100 after 102 words\n",
+            ),
+            (
+                ["oracle", "--max-factor-states", "1"],
+                SWAP_DOC,  # index 5
+                "error: alpha computation needs factors up to 4 states, cap is 1\n",
+            ),
+        ],
+    )
+    def test_cap_flag_bounds_the_work(self, tmp_path, args, doc, stderr):
+        f = tmp_path / "input.dfa"
+        f.write_text(doc)
+        r = run_cli([*args, str(f)])
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr)
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            (
+                "decompose",
+                "  --max-words INTEGER RANGE    [default: 1000000; x>=0]\n"
+                "  --max-factors INTEGER RANGE  [default: 1000000; x>=0]\n",
+            ),
+            *(
+                (
+                    command,
+                    "  --max-factor-states INTEGER RANGE\n"
+                    "                                  [default: 4; x>=1]\n",
+                )
+                for command in ("oracle", "sweep")
+            ),
+        ],
+    )
+    def test_help_shows_the_default_caps(self, monkeypatch, command, lines):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal
+        r = run_cli([command, "--help"])
+        assert r.returncode == 0 and lines in r.stdout
 
 
 class TestGadgetCommand:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from primedfa import (
-    Caps,
+    Budget,
     Dfa,
     DfaError,
     accepts,
@@ -250,7 +250,7 @@ class TestExtensionFactors:
             if d is None:
                 continue
             n = p.n
-            _, survivors = _profile_certificate(a, Caps())
+            _, survivors = _profile_certificate(a, Budget())
             for w in survivors:
                 f = factor_extension(p, d, w)
                 assert f.state_count == n + 1
@@ -271,7 +271,7 @@ class TestExtensionFactors:
         p, d, w = linear_profile(a), 3, ("c", "c", "c", "b", "a", "a")
         case = classify_extension(p, d, w)
         assert (p.n, case.tag, case.x) == (4, "A4", 2)
-        _, survivors = _profile_certificate(minimize(a), Caps())
+        _, survivors = _profile_certificate(minimize(a), Budget())
         assert w in survivors
         for s in survivors:
             f = factor_extension(p, d, s)

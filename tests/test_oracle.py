@@ -15,10 +15,10 @@ import pytest
 import primedfa.core as core
 from primedfa import (
     PRIME,
+    Budget,
     Decomposition,
     Dfa,
     DfaError,
-    OracleLimits,
     ResourceLimitError,
     accepts,
     all_accepting_dfa,
@@ -41,7 +41,7 @@ from primedfa import (
     verify_witness,
 )
 import primedfa.oracle as oracle
-from primedfa.oracle import DEFAULT_LIMITS, _alpha_members, _language_table
+from primedfa.oracle import _alpha_members, _language_table
 from conftest import (
     BINARY,
     all_words,
@@ -350,7 +350,7 @@ class TestAlphaMembers:
                 continue  # over the default index or enumeration cap
             n = core.longest_word_length(m)
             kinds["empty" if n is None else "infinite" if n == math.inf else "finite"] += 1
-            assert _alpha_members(a, DEFAULT_LIMITS)[1] == _alpha_reference(m), serialize_dfa(a)
+            assert _alpha_members(a, Budget())[1] == _alpha_reference(m), serialize_dfa(a)
         assert min(kinds.values()) >= 5, kinds
 
     def test_infinite_language_runs_no_shortest_word_search(self, monkeypatch):
@@ -359,7 +359,7 @@ class TestAlphaMembers:
 
         monkeypatch.setattr(oracle, "_refine", no_search)
         monkeypatch.setattr(core, "_shortest_word", no_search)
-        _, selected, _ = _alpha_members(mod_counter_dfa(5), DEFAULT_LIMITS)
+        _, selected, _ = _alpha_members(mod_counter_dfa(5), Budget())
         assert selected.bit_count() == 53
 
 
@@ -442,11 +442,11 @@ class TestAlphaPaths:
         assert len(infinite) == 7
         for a in infinite:
             selections.clear()
-            _alpha_members(a, DEFAULT_LIMITS)
+            _alpha_members(a, Budget())
             assert selections == [("_alpha_fixpoint", minimize(a))], serialize_dfa(a)
-        _alpha_members(language_dfa([("a", "a"), ("b", "b")], AB), DEFAULT_LIMITS)
+        _alpha_members(language_dfa([("a", "a"), ("b", "b")], AB), Budget())
         selections.clear()  # the table prime5 uses last selected for another input
-        _alpha_members(prime5, DEFAULT_LIMITS)
+        _alpha_members(prime5, Budget())
         assert selections == [("_alpha_words", minimize(prime5))]
 
     @pytest.mark.parametrize("case", ["cleared before every input", "no entry kept"])
@@ -502,14 +502,14 @@ class TestRefinement:
         ]
         outcomes = set()
         for a in inputs:
-            m, selected, table = _alpha_members(a, DEFAULT_LIMITS)
+            m, selected, table = _alpha_members(a, Budget())
             want = _refine_reference(m, selected, table)
             assert oracle._refine(m, selected, table) == want, serialize_dfa(a)
             outcomes.add(want is None)
         assert outcomes == {True, False}
 
     def test_product_cap_names_the_cap(self, monkeypatch, prime5):
-        monkeypatch.setattr(oracle, "MAX_FOLD_STATES", 5)
+        monkeypatch.setattr(core, "MAX_FOLD_STATES", 5)
         with pytest.raises(ResourceLimitError, match=r"reached 6 states, cap is 5$"):
             oracle_primality(prime5)
 
@@ -552,9 +552,9 @@ class TestAlphaMemo:
         v = oracle_primality(prime5)
         assert index_of(prime5) == 5
         with pytest.raises(ResourceLimitError, match="up to 4 states, cap is 1$"):
-            verify_witness(prime5, v.witness, OracleLimits(max_factor_states=1))
+            verify_witness(prime5, v.witness, Budget(max_factor_states=1))
         with pytest.raises(ResourceLimitError, match="cap is 10$"):
-            verify_witness(prime5, v.witness, OracleLimits(max_enumerated_dfas=10))
+            verify_witness(prime5, v.witness, Budget(max_enumerated_dfas=10))
         assert verify_witness(prime5, v.witness)
 
 
@@ -662,14 +662,14 @@ class TestOraclePrimality:
     def test_index_cap(self):
         a = language_dfa([("0", "1", "0", "1")], BINARY)  # index 6
         with pytest.raises(ResourceLimitError):
-            oracle_primality(a, OracleLimits(max_factor_states=4))
+            oracle_primality(a, Budget(max_factor_states=4))
 
     def test_enumeration_cap(self):
         # index 4: the table of 3-state languages stands for 5,898 automata
         a = language_dfa([("0", "1")], BINARY)
         oracle_primality(a)  # a table built under the default cap is cached
         with pytest.raises(ResourceLimitError, match="5898 automata, cap is 10"):
-            oracle_primality(a, OracleLimits(max_enumerated_dfas=10))
+            oracle_primality(a, Budget(max_enumerated_dfas=10))
 
     def test_enumeration_cap_fires_on_the_largest_term_alone(self):
         # index 10,000: summing all 9,999 terms of the budget took about 23 s;
@@ -677,7 +677,7 @@ class TestOraclePrimality:
         a = length_cap_dfa(9998, BINARY)
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as err:
-            oracle_primality(a, OracleLimits(max_factor_states=20000))
+            oracle_primality(a, Budget(max_factor_states=20000))
         assert time.perf_counter() - start < 1
         assert str(err.value) == (
             "language table for 9999 states over 2 letters stands for "
@@ -800,6 +800,13 @@ class TestVerifyDecomposition:
         with pytest.raises(ResourceLimitError, match=rf"reached {cap + 1} .*cap is {cap}$"):
             verify_decomposition(a, d)
         assert sizes and max(sizes) <= cap
+
+    def test_infinite_union_fold_reads_the_core_cap(self, monkeypatch):
+        # two infinite terms: their union is a pair product under core's cap
+        monkeypatch.setattr(core, "MAX_FOLD_STATES", 5)
+        d = Decomposition("union", 5, [mod_counter_dfa(3), mod_counter_dfa(5)])
+        with pytest.raises(ResourceLimitError, match=r"^product of 2 DFAs reached 6 states, cap is 5$"):
+            verify_decomposition(mod_counter_dfa(7), d)
 
     def test_class_table_union_matches_the_pairwise_fold(self):
         # random finite term lists against random finite targets, and the

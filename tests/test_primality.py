@@ -12,7 +12,7 @@ import pytest
 from primedfa import (
     COMPOSITE,
     PRIME,
-    Caps,
+    Budget,
     Dfa,
     DfaError,
     Digraph,
@@ -259,7 +259,7 @@ class TestIntersectionDecomposition:
             if d is not None:
                 full = intersect_all(self._unpruned_nonsafety_families(p, d), alphabet)
                 expected = [w for w in enumerate_language(full, 2 * p.n) if len(w) > p.n]
-            _, survivors = _profile_certificate(a, Caps())
+            _, survivors = _profile_certificate(a, Budget())
             assert survivors == expected
             with_survivors += bool(survivors)
             dec = intersection_decomposition(a)
@@ -692,22 +692,25 @@ class TestDecompositionCaps:
     )
 
     @pytest.mark.parametrize(
-        "decompose, caps, a",
+        "decompose, budget, a",
         [
             pytest.param(
-                dnf_decomposition, Caps(max_factors=100), NON_SAFETY, id="dnf_decomposition-linear"
+                dnf_decomposition,
+                Budget(max_factors=100),
+                NON_SAFETY,
+                id="dnf_decomposition-linear",
             ),
             pytest.param(
                 intersection_decomposition,
-                Caps(max_words=100),
+                Budget(max_words=100),
                 EXCLUDED,
                 id="intersection_decomposition-non-safety",
             ),
         ],
     )
-    def test_cap_fires_while_enumerating(self, decompose, caps, a):
+    def test_cap_fires_while_enumerating(self, decompose, budget, a):
         with pytest.raises(ResourceLimitError, match="cap of 100 after") as err:
-            decompose(a, caps)
+            decompose(a, budget)
         seen = int(str(err.value).split()[-2])  # "... after <seen> words"
         assert 100 < seen <= 200
 
@@ -718,15 +721,15 @@ class TestDecompositionCaps:
         with pytest.raises(
             ResourceLimitError, match="^factor emission exceeded cap of 1 after 2 factors$"
         ):
-            decompose(self.WIDE, Caps(max_factors=1))
+            decompose(self.WIDE, Budget(max_factors=1))
 
     def test_cap_fires_while_splitting_pieces(self):
         # {ab, ba}: 3 factors, but the piece of the accepting state is split
         # by 4 paths (ab, ba and the two edges into that state)
         a = language_dfa([("a", "b"), ("b", "a")], AB)
-        assert len(intersection_decomposition(a, Caps(max_factors=4)).factors) == 3
+        assert len(intersection_decomposition(a, Budget(max_factors=4)).factors) == 3
         with pytest.raises(ResourceLimitError, match="^split paths exceeded cap of 3 after 4$"):
-            intersection_decomposition(a, Caps(max_factors=3))
+            intersection_decomposition(a, Budget(max_factors=3))
 
     def test_chain_walk_counts_every_split_path(self):
         # the edges a split walks back along without trials still count
@@ -734,8 +737,8 @@ class TestDecompositionCaps:
         with pytest.raises(
             ResourceLimitError, match="^split paths exceeded cap of 100 after 101$"
         ):
-            intersection_decomposition(a, Caps(max_factors=100))
-        d = intersection_decomposition(a, Caps(max_factors=200))
+            intersection_decomposition(a, Budget(max_factors=100))
+        d = intersection_decomposition(a, Budget(max_factors=200))
         assert verify_decomposition(a, d) == (True, None)
 
     @pytest.mark.parametrize(
@@ -752,9 +755,9 @@ class TestDecompositionCaps:
         with pytest.raises(
             ResourceLimitError, match="^factor emission exceeded cap of 1 after 2 factors$"
         ):
-            intersection_decomposition(self.CEP, Caps(max_factors=1))
+            intersection_decomposition(self.CEP, Budget(max_factors=1))
 
     def test_cep_decomposes_within_cap(self):
-        d = intersection_decomposition(self.CEP, Caps(max_factors=100))
+        d = intersection_decomposition(self.CEP, Budget(max_factors=100))
         assert [f.name for f in d.factors] == ["loopzero", "skip_0_2"]
         assert verify_decomposition(self.CEP, d) == (True, None)

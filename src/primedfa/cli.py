@@ -74,6 +74,10 @@ EXIT_NEGATIVE = 1
 EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 
+# Most word subsets ``sweep --family exhaustive`` may walk; checked before
+# the first one is built.
+MAX_SWEEP_SUBSETS = 2 * 10**6
+
 
 @dataclass
 class CommandReport:
@@ -399,7 +403,7 @@ def sweep(
     letters = ("0", "1", "2", "3", "4", "5")[:alphabet_size]
     budget = Budget(max_factor_states=max_factor_states)
     if family == "exhaustive":
-        instances = _sweep_exhaustive(max_index, letters, budget.max_enumerated_dfas)
+        instances = _sweep_exhaustive(max_index, letters, MAX_SWEEP_SUBSETS)
     else:
         instances = _sweep_random(samples, seed, max_n, letters)
     total = agreements = skipped = 0

@@ -61,7 +61,8 @@ class Budget:
     of the oracle's alpha members; ``max_enumerated_dfas`` the automata its
     language table stands for.  The caps no caller sets are module
     constants: ``MAX_FOLD_STATES``, ``gadgets.MAX_GADGET_STATES``,
-    ``primality.MAX_WITNESS_LETTERS`` and ``oracle.WORD_CACHE_BYTES``."""
+    ``primality.MAX_WITNESS_LETTERS``, ``oracle.WORD_CACHE_BYTES`` and
+    ``cli.MAX_SWEEP_SUBSETS``."""
 
     max_words: int = 10**6
     max_factors: int = 10**6
@@ -277,15 +278,14 @@ def _parse_int(lineno: int, token: str) -> int:
         raise ParseError(f"line {lineno}: integer of {len(token)} digits is too long") from None
 
 
-# The layout ``serialize_dfa`` writes: the five headers in that order, then
-# the transitions, then ``end``; one space between tokens, ``\n`` line ends,
-# no comments or blank lines, ids of at most 18 ASCII digits (``int`` converts
-# them under any digit limit; a longer id goes to the line walk).
+# The headers of the layout ``serialize_dfa`` writes: the five in that
+# order, one space between tokens, ``\n`` line ends, no comments or blank
+# lines, ids of at most 18 ASCII digits (``int`` converts them under any
+# digit limit; a longer id goes to the line walk).
 _BULK_HEADERS = re.compile(
     r"dfa ([^\s#]+)\nalphabet((?: [^\s#]+)+)\nstates ([0-9]{1,18})\n"
     r"initial ([0-9]{1,18})\naccepting((?: [0-9]{1,18})*)\n"
 )
-_BULK_TRANS = re.compile(r"(?:trans [0-9]{1,18} [^\s#]+ [0-9]{1,18}\n)+")
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -295,46 +295,49 @@ def parse_dfa(text: str) -> Dfa:
     order.
 
     A valid document in the layout ``serialize_dfa`` writes is checked and
-    converted in bulk (``_parse_bulk``).  Any other document, and any bulk
-    check that fails, goes to the line walk (``_parse_lines``), which
-    returns the same DFA and names the error."""
+    converted in bulk (``_parse_bulk``), its transition block split once.
+    Any other document, and any bulk check that fails, goes to the line
+    walk (``_parse_lines``), which returns the same DFA and names the
+    error."""
     a = _parse_bulk(text)
     return a if a is not None else _parse_lines(text)
 
 
 def _parse_bulk(text: str) -> Dfa | None:
     """``parse_dfa`` of a valid document in the layout ``serialize_dfa``
-    writes, else ``None``.  The transition lines are matched by one regex
-    and split once; their source and letter columns are compared whole
-    with the ids and letters in row-major order, the targets converted
-    through a table of those ids, and the rows cut straight from the
-    targets.  The transitions must be in row-major order with plain ids,
-    as ``serialize_dfa`` writes them; any other order, and any target that
-    is not a plain id of a state, goes to the line walk."""
+    writes, else ``None``.  The transition block is split once, at single
+    spaces: ``trans``, then one ``src``, ``sym``, ``"dst\\ntrans"`` triple
+    per transition (the last target ``"dst\\n"``).  The token count must be
+    that of the ``k * |alphabet|`` transitions; the source and letter
+    columns are compared whole with the ids and letters in row-major order,
+    the targets converted through one table keyed ``"j\\ntrans"`` for each
+    state id ``j`` (``trans`` appended to the last), and the rows cut
+    straight from the targets.  Any other order or spacing, a line break
+    anywhere else, and a target that is not a plain id of a state change
+    the count or miss a lookup, so such a document goes to the line walk."""
     head = _BULK_HEADERS.match(text)
     if head is None or not text.endswith("\nend\n"):
-        return None
-    start, stop = head.end(), len(text) - 4
-    if _BULK_TRANS.fullmatch(text, start, stop) is None:
         return None
     name, symbols, states, initial, accepting = head.groups()
     alphabet = tuple(symbols.split())
     width = len(alphabet)
     k, initial = int(states), int(initial)
     accepting = frozenset(map(int, accepting.split()))
-    tokens = text[start:stop].split()
-    srcs, syms, dsts = tokens[1::4], tokens[2::4], tokens[3::4]
+    tokens = text[head.end() : len(text) - 4].split(" ")
     if (
         len(set(alphabet)) != width
-        or len(dsts) != k * width
+        or len(tokens) != 3 * k * width + 1
+        or tokens[0] != "trans"
         or initial >= k
         or max(accepting, default=0) >= k
     ):
         return None
+    srcs, syms, dsts = tokens[1::3], tokens[2::3], tokens[3::3]
     ids = list(map(str, range(k)))  # k is at most the number of transitions
     if syms != list(alphabet) * k or any(srcs[x::width] != ids for x in range(width)):
         return None
-    dsts = list(map(dict(zip(ids, range(k))).get, dsts))
+    dsts[-1] += "trans"
+    dsts = list(map({f"{i}\ntrans": j for j, i in enumerate(ids)}.get, dsts))
     if None in dsts:
         return None
     delta = tuple(zip(*[iter(dsts)] * width))
@@ -708,16 +711,18 @@ def _class_table(width: int):
     ``intern(accepting, successors)`` returns the class with that acceptance
     and those successors, adding it when new (Revuz 1992, built on the fly
     as in Daciuk, Mihov, Watson & Watson 2000), so rows of class 0 or 1 are
-    that class.  Interned in successor-first order, the table is minimal,
-    and every class stays valid as it grows."""
+    that class.  One ``setdefault`` on the registry of that acceptance
+    looks the class up and registers a new one under the next number;
+    ``rows`` and ``final`` grow only when that number comes back.
+    Interned in successor-first order, the table is minimal, and every
+    class stays valid as it grows."""
     rows, final = [(0,) * width, (1,) * width], [False, True]
     registry: tuple[dict, dict] = ({rows[0]: 0}, {rows[1]: 1})  # one dict per acceptance
 
     def intern(accepting: bool, successors: tuple[int, ...]) -> int:
-        classes = registry[accepting]
-        c = classes.get(successors)
-        if c is None:
-            c = classes[successors] = len(rows)
+        new = len(rows)
+        c = registry[accepting].setdefault(successors, new)
+        if c == new:
             rows.append(successors)
             final.append(accepting)
         return c

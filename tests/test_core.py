@@ -418,6 +418,43 @@ class TestBulkParse:
                 assert got == _outcome(core._parse_lines, edited), target
                 assert (got == _outcome(parse_dfa, doc)) == same, target
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_layout_edits_at_a_transition_go_to_the_line_walk(self, where):
+        doc = serialize_dfa(singleton_dfa(("a", "b", "c", "a"), ("a", "b", "c")))
+        assert core._parse_bulk(doc) is not None
+        lines = doc.splitlines()
+        first, last = 5, len(lines) - 2  # the transition lines
+        t = {"first": first, "middle": (first + last) // 2, "last": last}[where]
+        u = min(t, last - 1)  # joined with the line after it
+        _, src, sym, dst = lines[t].split()
+
+        def at(i, j, new):
+            return "\n".join(lines[:i] + new + lines[j:]) + "\n"
+
+        edits = {
+            "two transitions on one line": at(u, u + 2, [f"{lines[u]} {lines[u + 1]}"]),
+            "one transition on two lines": at(t, t + 1, [f"trans {src} {sym}", dst]),
+            "tab": at(t, t + 1, [lines[t].replace(" ", "\t", 1)]),
+            "newline doubled": at(t, t + 1, [lines[t], ""]),  # before 'end' at the last
+            "target +1": at(t, t + 1, [f"trans {src} {sym} +1"]),
+            "target 1_0": at(t, t + 1, [f"trans {src} {sym} 1_0"]),
+        }
+        for kind, edited in edits.items():
+            assert core._parse_bulk(edited) is None, kind
+            got = _outcome(parse_dfa, edited)
+            assert got == _outcome(core._parse_lines, edited), kind
+            if kind in ("tab", "newline doubled"):  # the line walk reads the same DFA
+                assert got == _outcome(parse_dfa, doc), kind
+
+    def test_letters_named_trans_and_end_parse_in_bulk(self):
+        rng = random.Random(37)
+        for alphabet in (("trans", "end"), ("a", "end", "trans")):
+            for _ in range(10):
+                doc = serialize_dfa(_shuffled(random_dfa(rng, 6, alphabet), rng))
+                a = core._parse_bulk(doc)
+                assert a is not None
+                assert (a, a.name) == _outcome(core._parse_lines, doc)
+
     def test_trusted_constructions_are_valid_and_round_trip(self, monkeypatch):
         built = []
         trusted = Dfa._trusted
@@ -1139,6 +1176,23 @@ def _reach(delta, q: int) -> set[int]:
             seen.add(t)
             stack.extend(delta[t])
     return seen
+
+
+class TestClassTable:
+    def test_intern_adds_each_class_once(self):
+        rows, final, intern = core._class_table(2)
+        assert (rows, final) == ([(0, 0), (1, 1)], [False, True])
+        # the empty language and all words are classes 0 and 1 already
+        assert (intern(False, (0, 0)), intern(True, (1, 1))) == (0, 1)
+        assert (len(rows), len(final)) == (2, 2)
+        # a new acceptance or new successors is a new class, one entry each
+        assert intern(True, (0, 0)) == 2
+        assert (rows, final) == ([(0, 0), (1, 1), (0, 0)], [False, True, True])
+        assert intern(False, (2, 1)) == 3
+        assert (rows[3], final[3]) == ((2, 1), False)
+        # a repeated one is its earlier class, and nothing grows
+        assert (intern(True, (0, 0)), intern(False, (2, 1))) == (2, 3)
+        assert (len(rows), len(final)) == (4, 4)
 
 
 class TestRevuzPass:

@@ -22,11 +22,10 @@ EPSILON: Word = ()
 
 # Most states a pair product of ``intersect_all`` or of the union fold of
 # ``verify_decomposition`` may reach: ``product`` raises before it stores
-# state 10,001, so before minimizing, the costly step.  Also the most
-# (class, state) pairs one step of the finite fold memoizes (pairs on a
-# self-loop sink of the factor are not walked, so not counted), the most
-# class pairs one union step (``_union_step``) of finite terms memoizes
-# (pairs with an empty side or two equal classes are not walked, so not
+# state 10,001, so before minimizing, the costly step.  Also the most pairs
+# one step of the pair walk (``_pair_step``) memoizes, whether it intersects
+# a class with a factor in the finite fold or unions two classes of finite
+# terms (pairs whose class follows from the operation are not walked, so not
 # counted), and the most nodes one round of the oracle's refinement stores:
 # the nodes where a chosen rep is dead are stored and counted, though never
 # expanded.
@@ -806,10 +805,10 @@ def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
     finite), its states are interned into the table by the pass of
     ``minimize`` (``_revuz``, which interns nothing on a cyclic step), and
     the rest of the fold runs on that
-    table without building a DFA per step: every step (``_fold_step``)
-    interns into it, so a class of an earlier step is a class of the next
-    one.  There the cap counts the pairs a step memoizes; pairs on a
-    self-loop sink of the next DFA are not walked and not counted."""
+    table without building a DFA per step: every step (``_pair_step``'s
+    intersection) interns into it, so a class of an earlier step is a class
+    of the next one.  There the cap counts the pairs a step memoizes; pairs
+    on a self-loop sink of the next DFA are not walked and not counted."""
     rows, final, intern = table
     acc = dfas[0]
     for i in range(1, len(dfas) + 1):
@@ -817,7 +816,8 @@ def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
         if got is not None:
             c = got[0][acc.initial]
             for d in dfas[i:]:
-                c = _fold_step(rows, final, intern, c, d)
+                accepting = [s in d.accepting for s in range(d.state_count)]
+                c = _pair_step(rows, final, intern, c, d.delta, accepting, d.initial, False)
             return c
         acc = _minimize(acc, cyclic=True)
         if i < len(dfas):
@@ -825,32 +825,41 @@ def _intersect_into(table, dfas: Sequence[Dfa]) -> int | Dfa:
     return acc
 
 
-def _fold_step(
-    rows: list[tuple[int, ...]], final: list[bool], intern, start: int, d: Dfa
+def _pair_step(
+    rows: list[tuple[int, ...]], final: list[bool], intern, c: int,
+    other: Sequence[tuple[int, ...]], other_final: Sequence[bool], q: int, union: bool,
 ) -> int:
-    """The class of the intersection of class ``start`` with ``d``, interned
-    into the class table (``rows``, ``final``, ``intern``) of a finite
-    language, which grows in place.
+    """The class of the intersection, or with ``union`` the union, of class
+    ``c`` and state ``q`` of a right operand (its rows ``other`` and
+    acceptance flags ``other_final``): a factor DFA in the intersection fold,
+    the table itself in the union fold.  Interned into the class table
+    (``rows``, ``final``, ``intern``) of a finite language, which grows in
+    place.
 
-    One depth-first pass over the pairs (class, state of d) reachable from
-    the start pair; a pair is interned after its successors.  A pair whose
-    class is 0 is class 0.  So is a pair on a rejecting self-loop sink of
-    ``d``, and a pair (c, accepting self-loop sink) is class c itself; these
-    pairs are not walked.  The rest are well founded because the language
-    is finite: every successor of a non-zero class lies deeper in the
-    acyclic table.  Raises ``ResourceLimitError`` on the first pair past
-    ``MAX_FOLD_STATES`` that would be memoized, before storing it."""
-    ddelta, daccepting, width = d.delta, d.accepting, len(d.alphabet)
-    # sink[q]: None off a self-loop sink, else whether the sink accepts
-    sink = [
-        (q in daccepting) if row.count(q) == width else None
-        for q, row in enumerate(ddelta)
-    ]
-    if sink[d.initial] is not None:
-        return start if sink[d.initial] else 0
-    span = d.state_count  # pair (c, q) is keyed c * span + q
+    One depth-first pass over the pairs (class, state) reachable from
+    (c, q); a pair is interned after its successors.  Pairs whose class
+    follows from the operation are not walked: class 0 absorbs ∩ and is
+    neutral for ∪; on a self-loop sink of the right operand a pair is its
+    class or the sink; and for ∪, a pair of equal classes is that class.
+    The rest are well founded because the language is finite: every
+    successor of a non-zero class lies deeper in the acyclic table.  Raises
+    ``ResourceLimitError`` on the first pair past ``MAX_FOLD_STATES`` that
+    would be memoized, before storing it."""
+    # sinks[s]: None where a pair on sink s is its class, else the pair's class
+    if union:  # the table's are known, not scanned for: 0 is neutral, 1 absorbs
+        sinks: dict[int, int | None] = {0: None, 1: 1}
+    else:  # a factor's: an accepting sink is neutral, a rejecting one absorbs
+        width = len(rows[0])
+        sinks = {
+            t: None if other_final[t] else 0 for t, row in enumerate(other) if row.count(t) == width
+        }
+    if q in sinks:
+        return c if sinks[q] is None else sinks[q]
+    if union and (not c or c == q):
+        return c or q
+    span = len(other)  # pair (c, q) is keyed c * span + q; no walked class is newer
     memo: dict[int, int] = {}
-    first = start * span + d.initial
+    first = c * span + q
     stack = [first]
     while stack:
         pair = stack[-1]
@@ -860,78 +869,32 @@ def _fold_step(
         c, q = divmod(pair, span)
         children = []
         pending = False
-        for c_next, q_next in zip(rows[c], ddelta[q]):
-            if not c_next:
-                children.append(0)
-                continue
-            on_sink = sink[q_next]
-            if on_sink is not None:
-                children.append(c_next if on_sink else 0)
-                continue
-            child = c_next * span + q_next
-            got = memo.get(child)
-            if got is None:
-                stack.append(child)
-                pending = True
+        for c_next, q_next in zip(rows[c], other[q]):
+            if not c_next:  # absorbs ∩, neutral for ∪
+                children.append(q_next if union else 0)
+            elif q_next in sinks:
+                sink = sinks[q_next]
+                children.append(c_next if sink is None else sink)
+            elif union and c_next == q_next:
+                children.append(c_next)
             else:
-                children.append(got)
+                child = c_next * span + q_next
+                got = memo.get(child)
+                if got is None:
+                    stack.append(child)
+                    pending = True
+                else:
+                    children.append(got)
         if pending:  # come back once the successors have their classes
             continue
         stack.pop()
         if len(memo) >= MAX_FOLD_STATES:
             raise ResourceLimitError(
-                f"intersection fold reached {len(memo) + 1} live pair states, "
-                f"cap is {MAX_FOLD_STATES}"
+                f"{'union' if union else 'intersection'} fold reached "
+                f"{len(memo) + 1} live pair states, cap is {MAX_FOLD_STATES}"
             )
-        memo[pair] = intern(final[c] and q in daccepting, tuple(children))
-    return memo[first]
-
-
-def _union_step(rows: list[tuple[int, ...]], final: list[bool], intern, c: int, d: int) -> int:
-    """The class of the union of classes ``c`` and ``d``, interned into the
-    class table (``rows``, ``final``, ``intern``) of a finite language, which
-    grows in place.
-
-    One depth-first pass over the pairs of classes reachable from (c, d), as
-    in ``_fold_step``; a pair is interned after its successors.  A pair with
-    a class 0 side is its other side, and a pair of equal classes is that
-    class; these pairs are not walked.  Raises ``ResourceLimitError`` on the
-    first pair past ``MAX_FOLD_STATES`` that would be memoized, before
-    storing it."""
-    if not c or not d or c == d:
-        return c or d
-    span = len(rows)  # pair (c, d) is keyed c * span + d; no walked class is newer
-    memo: dict[int, int] = {}
-    first = c * span + d
-    stack = [first]
-    while stack:
-        pair = stack[-1]
-        if pair in memo:  # pushed again by a second parent
-            stack.pop()
-            continue
-        c, d = divmod(pair, span)
-        children = []
-        pending = False
-        for c_next, d_next in zip(rows[c], rows[d]):
-            if not c_next or not d_next or c_next == d_next:
-                children.append(c_next or d_next)
-                continue
-            child = c_next * span + d_next
-            got = memo.get(child)
-            if got is None:
-                stack.append(child)
-                pending = True
-            else:
-                children.append(got)
-        if pending:  # come back once the successors have their classes
-            continue
-        stack.pop()
-        if len(memo) >= MAX_FOLD_STATES:
-            raise ResourceLimitError(
-                f"union fold reached {len(memo) + 1} live pair states, "
-                f"cap is {MAX_FOLD_STATES}"
-            )
-        memo[pair] = intern(final[c] or final[d], tuple(children))
+        accepting = (final[c] or other_final[q]) if union else (final[c] and other_final[q])
+        memo[pair] = intern(accepting, tuple(children))
     return memo[first]
 
 
@@ -1094,21 +1057,31 @@ def enumerate_language(a: Dfa, max_len: int, limit: int | None = None) -> list[W
     plus the pending prefixes exceed it.  Every pending prefix extends to an
     accepted word of its own, so the error fires exactly when the language
     has more than ``limit`` such words, and no more than about twice
-    ``limit`` words are ever held."""
+    ``limit`` words are ever held.
+
+    A pending prefix is a cell ``(parent cell, letter)``, ``None`` for the
+    empty word, so an extension is one pair, whatever its length, and a
+    word is spelled once, when it is output: the work is linear in the
+    letters output.  Cells are linked by reference, so those of dead
+    prefixes are freed."""
     cap = math.inf if limit is None else limit
     dist = _distances(a.delta, a.accepting)  # for pruning
     out: list[Word] = []
-    frontier: list[tuple[Word, int]] = [(EPSILON, a.initial)]
+    frontier: list[tuple[tuple | None, int]] = [(None, a.initial)]
     for length in range(max_len + 1):
-        next_frontier: list[tuple[Word, int]] = []
-        for word, q in frontier:
+        next_frontier: list[tuple[tuple | None, int]] = []
+        for cell, q in frontier:
             if q in a.accepting:
-                out.append(word)
+                word = [""] * length
+                prefix = cell
+                for j in range(length - 1, -1, -1):
+                    prefix, word[j] = prefix
+                out.append(tuple(word))
             if length < max_len:
                 for i, sym in enumerate(a.alphabet):
                     t = a.delta[q][i]
                     if dist.get(t, max_len + 1) <= max_len - length - 1:
-                        next_frontier.append((word + (sym,), t))
+                        next_frontier.append(((cell, sym), t))
             if len(out) + len(next_frontier) > cap:
                 raise ResourceLimitError(
                     f"language enumeration exceeded cap of {limit} after "

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import getitem
 
 from .classify import LinearProfile
@@ -58,7 +58,7 @@ from .core import (
     _class_table,
     _count_text,
     _intersect_into,
-    _union_step,
+    _pair_step,
     _useful_walk,
     accepts,
     all_accepting_dfa,
@@ -580,7 +580,9 @@ def verify_decomposition(a: Dfa, d: Decomposition) -> tuple[bool, str | None]:
         for term in d.terms
     ]
     if all(type(t) is int for t in level):
-        top = _balanced_union(level or [0], partial(_union_step, rows, final, intern))
+        top = _balanced_union(
+            level or [0], lambda x, y: _pair_step(rows, final, intern, x, rows, final, y, True)
+        )
         acc = _canonical(rows, final, top, a.alphabet, "union")
     else:  # an infinite term: every term as its minimal DFA
         dfas = [

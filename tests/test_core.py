@@ -805,6 +805,194 @@ class TestIntersectAll:
         assert longest_word_length(got) == 5000
 
 
+def _fold_step_reference(
+    rows: list[tuple[int, ...]], final: list[bool], intern, start: int, d: Dfa
+) -> int:
+    """``core._fold_step`` as it was before ``_pair_step`` replaced it, kept
+    as the reference for the intersection walk (module names qualified).
+
+    The class of the intersection of class ``start`` with ``d``, interned
+    into the class table (``rows``, ``final``, ``intern``) of a finite
+    language, which grows in place.
+
+    One depth-first pass over the pairs (class, state of d) reachable from
+    the start pair; a pair is interned after its successors.  A pair whose
+    class is 0 is class 0.  So is a pair on a rejecting self-loop sink of
+    ``d``, and a pair (c, accepting self-loop sink) is class c itself; these
+    pairs are not walked.  The rest are well founded because the language
+    is finite: every successor of a non-zero class lies deeper in the
+    acyclic table.  Raises ``ResourceLimitError`` on the first pair past
+    ``core.MAX_FOLD_STATES`` that would be memoized, before storing it."""
+    ddelta, daccepting, width = d.delta, d.accepting, len(d.alphabet)
+    # sink[q]: None off a self-loop sink, else whether the sink accepts
+    sink = [
+        (q in daccepting) if row.count(q) == width else None
+        for q, row in enumerate(ddelta)
+    ]
+    if sink[d.initial] is not None:
+        return start if sink[d.initial] else 0
+    span = d.state_count  # pair (c, q) is keyed c * span + q
+    memo: dict[int, int] = {}
+    first = start * span + d.initial
+    stack = [first]
+    while stack:
+        pair = stack[-1]
+        if pair in memo:  # pushed again by a second parent
+            stack.pop()
+            continue
+        c, q = divmod(pair, span)
+        children = []
+        pending = False
+        for c_next, q_next in zip(rows[c], ddelta[q]):
+            if not c_next:
+                children.append(0)
+                continue
+            on_sink = sink[q_next]
+            if on_sink is not None:
+                children.append(c_next if on_sink else 0)
+                continue
+            child = c_next * span + q_next
+            got = memo.get(child)
+            if got is None:
+                stack.append(child)
+                pending = True
+            else:
+                children.append(got)
+        if pending:  # come back once the successors have their classes
+            continue
+        stack.pop()
+        if len(memo) >= core.MAX_FOLD_STATES:
+            raise ResourceLimitError(
+                f"intersection fold reached {len(memo) + 1} live pair states, "
+                f"cap is {core.MAX_FOLD_STATES}"
+            )
+        memo[pair] = intern(final[c] and q in daccepting, tuple(children))
+    return memo[first]
+
+
+def _union_step_reference(rows: list[tuple[int, ...]], final: list[bool], intern, c: int, d: int) -> int:
+    """``core._union_step`` as it was before ``_pair_step`` replaced it, kept
+    as the reference for the union walk (module names qualified).
+
+    The class of the union of classes ``c`` and ``d``, interned into the
+    class table (``rows``, ``final``, ``intern``) of a finite language, which
+    grows in place.
+
+    One depth-first pass over the pairs of classes reachable from (c, d), as
+    in ``_fold_step``; a pair is interned after its successors.  A pair with
+    a class 0 side is its other side, and a pair of equal classes is that
+    class; these pairs are not walked.  Raises ``ResourceLimitError`` on the
+    first pair past ``core.MAX_FOLD_STATES`` that would be memoized, before
+    storing it."""
+    if not c or not d or c == d:
+        return c or d
+    span = len(rows)  # pair (c, d) is keyed c * span + d; no walked class is newer
+    memo: dict[int, int] = {}
+    first = c * span + d
+    stack = [first]
+    while stack:
+        pair = stack[-1]
+        if pair in memo:  # pushed again by a second parent
+            stack.pop()
+            continue
+        c, d = divmod(pair, span)
+        children = []
+        pending = False
+        for c_next, d_next in zip(rows[c], rows[d]):
+            if not c_next or not d_next or c_next == d_next:
+                children.append(c_next or d_next)
+                continue
+            child = c_next * span + d_next
+            got = memo.get(child)
+            if got is None:
+                stack.append(child)
+                pending = True
+            else:
+                children.append(got)
+        if pending:  # come back once the successors have their classes
+            continue
+        stack.pop()
+        if len(memo) >= core.MAX_FOLD_STATES:
+            raise ResourceLimitError(
+                f"union fold reached {len(memo) + 1} live pair states, "
+                f"cap is {core.MAX_FOLD_STATES}"
+            )
+        memo[pair] = intern(final[c] or final[d], tuple(children))
+    return memo[first]
+
+
+def _pair_factor(rng: random.Random, alphabet) -> Dfa:
+    """A right operand for the intersection walk: finite, cofinite (a
+    complement), cyclic, or one of ``_sink_factor``'s shapes with accepting
+    and rejecting sinks."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet)
+    if kind == 1:
+        return complement(random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet))
+    if kind == 2:
+        return random_dfa(rng, 5, alphabet)
+    return _sink_factor(rng, alphabet)
+
+
+def _step_outcome(step, table, *args):
+    """What one step gives on ``table``: its class or its error text, and
+    the rows and flags it appended."""
+    rows, final, _ = table
+    before = len(rows)
+    try:
+        got = step(*table, *args)
+    except ResourceLimitError as e:
+        got = str(e)
+    return got, rows[before:], final[before:]
+
+
+class TestPairStep:
+    """``_pair_step`` against the two walks it replaced: on twin class
+    tables of random finite languages, each intersection with a factor and
+    each union of two classes returns the same class, appends the same
+    rows and flags in the same order, and raises the same cap text."""
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 5])  # 0: a walk memoizes no pair
+    @pytest.mark.parametrize("alphabet", [BINARY, ("a", "b", "c")], ids=["binary", "ternary"])
+    def test_matches_the_replaced_walks(self, monkeypatch, alphabet, cap):
+        if cap is not None:
+            monkeypatch.setattr(core, "MAX_FOLD_STATES", cap)
+        rng = random.Random(f"{len(alphabet)} {cap}")
+        seen, grew = set(), False
+        for _ in range(80):
+            ref, new = core._class_table(len(alphabet)), core._class_table(len(alphabet))
+            for _ in range(rng.randint(1, 4)):
+                f = random_finite_dfa(rng, max_n=5, max_words=8, alphabet=alphabet)
+                for _, _, intern in (ref, new):
+                    core._revuz(f.delta, f.accepting, intern)
+            for _ in range(8):
+                classes = [0, *range(2, len(ref[0]))]  # class 1 is not finite
+                c = rng.choice(classes)
+                union = rng.random() < 0.5
+                if union:
+                    d = rng.choice(classes)
+                    want = _step_outcome(_union_step_reference, ref, c, d)
+                    got = _step_outcome(core._pair_step, new, c, new[0], new[1], d, True)
+                else:
+                    d = _pair_factor(rng, alphabet)
+                    want = _step_outcome(_fold_step_reference, ref, c, d)
+                    accepting = [q in d.accepting for q in range(d.state_count)]
+                    got = _step_outcome(
+                        core._pair_step, new, c, d.delta, accepting, d.initial, False
+                    )
+                assert got == want
+                seen.add((union, type(got[0]) is str))
+                grew |= bool(got[1])
+            assert ref[:2] == new[:2]
+        # both operations ran and raised exactly when capped; the table grew
+        # unless no walk could store a pair
+        capped = cap is not None
+        assert {(False, capped), (True, capped)} <= seen
+        assert capped or not {(False, True), (True, True)} & seen
+        assert grew == (cap != 0)
+
+
 class TestComplement:
     def test_involution(self):
         a = random_dfa(random.Random(11), 5)
@@ -1050,6 +1238,43 @@ class TestEquivalence:
         assert equivalent(a, b) == (False, ("1",))
 
 
+def _enumerate_reference(a: Dfa, max_len: int, limit: int | None = None) -> list[core.Word]:
+    """``enumerate_language`` as it was when each extension built its word by
+    tuple concatenation, kept as the reference (module names qualified).
+
+    All accepted words of length at most ``max_len``, in length-then-
+    alphabet order.
+
+    With a ``limit``, raises ``ResourceLimitError`` as soon as the words found
+    plus the pending prefixes exceed it.  Every pending prefix extends to an
+    accepted word of its own, so the error fires exactly when the language
+    has more than ``limit`` such words, and no more than about twice
+    ``limit`` words are ever held."""
+    cap = math.inf if limit is None else limit
+    dist = core._distances(a.delta, a.accepting)  # for pruning
+    out: list[core.Word] = []
+    frontier: list[tuple[core.Word, int]] = [(core.EPSILON, a.initial)]
+    for length in range(max_len + 1):
+        next_frontier: list[tuple[core.Word, int]] = []
+        for word, q in frontier:
+            if q in a.accepting:
+                out.append(word)
+            if length < max_len:
+                for i, sym in enumerate(a.alphabet):
+                    t = a.delta[q][i]
+                    if dist.get(t, max_len + 1) <= max_len - length - 1:
+                        next_frontier.append((word + (sym,), t))
+            if len(out) + len(next_frontier) > cap:
+                raise ResourceLimitError(
+                    f"language enumeration exceeded cap of {limit} after "
+                    f"{len(out) + len(next_frontier)} words"
+                )
+        if not (frontier := next_frontier):  # no prefix extends to a longer word
+            break
+    return out
+
+
+
 class TestLanguageShape:
     def test_emptiness(self, fig4):
         assert is_empty(empty_language_dfa(BINARY)) == (True, None)
@@ -1083,6 +1308,30 @@ class TestLanguageShape:
         start = time.perf_counter()
         assert enumerate_language(one, 10**8) == [(BINARY[0], BINARY[1])]
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alphabet", [BINARY, ("a", "b", "c")], ids=["binary", "ternary"])
+    def test_enumerate_language_matches_reference(self, alphabet):
+        rng = random.Random(len(alphabet))
+        for _ in range(400):
+            a = random_dfa(rng, 6, alphabet)
+            max_len = rng.randint(0, 7)
+            limit = rng.choice((None, rng.randint(0, 60)))
+            outcomes = []
+            for enumerate_ in (enumerate_language, _enumerate_reference):
+                try:
+                    outcomes.append(enumerate_(a, max_len, limit))
+                except ResourceLimitError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], (a, max_len, limit)
+
+    def test_enumerate_language_is_linear_in_the_letters_output(self):
+        # one word of 50,000 letters: tuple concatenation per letter took
+        # seconds; a shared prefix per letter and one spelling take far less
+        word = BINARY * 25000
+        a = singleton_dfa(word, BINARY)
+        start = time.perf_counter()
+        assert enumerate_language(a, len(word)) == [word]
+        assert time.perf_counter() - start < 1.5
 
     def test_reachable_states(self):
         a = Dfa(BINARY, ((1, 1), (1, 1), (2, 2)), 0, frozenset({2}))

@@ -853,7 +853,7 @@ class TestVerifyDecomposition:
         with pytest.raises(
             ResourceLimitError, match=rf"^union fold reached {cap + 1} live pair states, cap is {cap}$"
         ):
-            core._union_step(rows, final, intern, cx, cy)
+            core._pair_step(rows, final, intern, cx, rows, final, cy, True)
         assert len(rows) - before <= cap
         # through the verifier: both terms are finite, so the step runs
         d = Decomposition("union", 0, [x, y])
